@@ -6,6 +6,13 @@ them in reverse execution order, and accumulates gradients into the
 ``grad`` slot of every tensor that requires them. Graphs are single-use
 and are rebuilt on every forward pass.
 
+A graph holds no reference cycle: a tensor owns the node that made it,
+a node owns its inputs and its vjp, and refers to its output only
+weakly. So reference counting frees a graph as soon as nothing reaches
+it, whether or not it was ever differentiated (target passes, probe
+features, eval forwards). A vjp returns ``None`` for an input that
+needs no gradient; whether it does is fixed when the node is recorded.
+
 The primitive set is exactly what the encoder/predictor architectures and
 probes need: dense linear maps, ReLU, layer/batch normalization, strided
 3x3 convolution, the two losses, and a handful of glue ops.
@@ -14,6 +21,7 @@ probes need: dense linear maps, ReLU, layer/batch normalization, strided
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +52,7 @@ class Tensor:
     ``node`` that created them; leaves have ``node is None``.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "node")
+    __slots__ = ("values", "grad", "requires_grad", "node", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.ascontiguousarray(values, dtype=np.float64)
@@ -76,17 +84,25 @@ class Tensor:
 
 
 class Node:
-    """One executed primitive: its inputs, its output, and its vjp."""
+    """One executed primitive: its inputs, its output, and its vjp.
 
-    __slots__ = ("op", "inputs", "output", "vjp", "seq", "consumed")
+    The output is held weakly (it holds the node), so that a graph is
+    acyclic; ``output`` is ``None`` once nothing else holds the tensor.
+    """
+
+    __slots__ = ("op", "inputs", "_output", "vjp", "seq", "consumed")
 
     def __init__(self, op, inputs, output, vjp):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self._output = weakref.ref(output)
         self.vjp = vjp
         self.seq = next(_SEQ)
         self.consumed = False
+
+    @property
+    def output(self) -> Tensor | None:
+        return self._output()
 
 
 @dataclass
@@ -126,7 +142,9 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor.
 
     ``loss`` must be a scalar. Each graph supports exactly one backward
-    pass; saved forward context is released afterwards.
+    pass. Every node's inputs and vjp (with the forward context it saved)
+    are released as the pass reaches it, so only the root node stays
+    reachable from ``loss``, to reject a second pass.
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -138,27 +156,20 @@ def backward(loss: Tensor) -> None:
     if graph.consumed:
         raise GraphConsumedError("graph already consumed by a previous backward pass")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    tensors: dict[int, Tensor] = {id(loss): loss}
+    # keyed by tensor (identity hash); holding the key keeps it alive
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for node in reversed(graph.nodes):
-        out_grad = grads.pop(id(node.output), None)
+        out_grad = grads.pop(node.output, None)
         node.consumed = True
-        if out_grad is None:
-            continue
-        in_grads = node.vjp(out_grad)
-        for t, g in zip(node.inputs, in_grads):
-            if g is None or not (t.requires_grad or t.node is not None):
-                continue
-            key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                tensors[key] = t
+        if out_grad is not None:
+            for t, g in zip(node.inputs, node.vjp(out_grad)):
+                if g is None or not _needs_grad(t):
+                    continue
+                prev = grads.get(t)
+                grads[t] = g if prev is None else prev + g
         node.vjp = None
         node.inputs = ()
-    for key, g in grads.items():
-        t = tensors[key]
+    for t, g in grads.items():
         if t.requires_grad:
             _deposit(t, g)
     if loss.requires_grad:
@@ -173,8 +184,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t.node is not None
+
+
 def _make(op: str, inputs: tuple[Tensor, ...], values: np.ndarray, vjp) -> Tensor:
-    out = Tensor(values, requires_grad=any(t.requires_grad or t.node is not None for t in inputs))
+    out = Tensor(values, requires_grad=any(_needs_grad(t) for t in inputs))
     if out.requires_grad:
         out.node = Node(op, inputs, out, vjp)
     return out
@@ -243,9 +258,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear: inner dims disagree for x {x.shape}, w {w.shape}, b {b.shape}")
     xv, wv = x.values, w.values
     y = xv @ wv + b.values
+    need_x = _needs_grad(x)
 
     def vjp(g):
-        return g @ wv.T, xv.T @ g, g.sum(axis=0)
+        return (g @ wv.T if need_x else None), xv.T @ g, g.sum(axis=0)
 
     return _make("linear", (x, w, b), y, vjp)
 
@@ -295,11 +311,6 @@ class RunningStats:
     @classmethod
     def for_channels(cls, c: int, momentum: float = 0.1) -> "RunningStats":
         return cls(np.zeros(c), np.ones(c), momentum)
-
-    def copy_from(self, other: "RunningStats") -> None:
-        self.mean = other.mean.copy()
-        self.var = other.var.copy()
-        self.momentum = other.momentum
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
@@ -379,11 +390,14 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     y = (cols @ wmat + b.values).reshape(bs, ho, wo, cout).transpose(0, 3, 1, 2)
 
     hp, wp = xp.shape[2], xp.shape[3]
+    need_x = _needs_grad(x)
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bs * ho * wo, cout)
         gw = (cols.T @ g2).T.reshape(cout, cin, 3, 3)
         gb = g2.sum(axis=0)
+        if not need_x:
+            return None, gw, gb
         gwin = (g2 @ wmat.T).reshape(bs, ho, wo, cin, 3, 3).transpose(0, 3, 1, 2, 4, 5)
         gxp = np.zeros((bs, cin, hp, wp))
         for kh in range(3):
@@ -408,10 +422,11 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.values - target.values
     n = diff.size
     loss = np.asarray((diff * diff).sum() / n)
+    need_target = _needs_grad(target)
 
     def vjp(g):
         s = g.reshape(-1)[0] * 2.0 / n
-        return s * diff, -s * diff
+        return s * diff, (-s * diff if need_target else None)
 
     return _make("mse_loss", (pred, target), loss, vjp)
 

@@ -10,6 +10,7 @@ error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import gzip
 import json
 import math
@@ -639,8 +640,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc malloc reuse freed memory instead of returning it.
+
+    Graphs are acyclic, so a training step frees its whole graph on
+    return and the heap's top falls back by megabytes. By default glibc
+    trims any free top above 128 KiB, and the next step page-faults the
+    same memory back in (about 125 faults per sine step). A 128 MiB trim
+    threshold keeps that memory for reuse, at about 1 MB of peak RSS on
+    sine (49.4 -> 50.6 MB). Fixing
+    the mmap threshold at glibc's dynamic maximum (32 MiB) keeps large
+    arrays on the heap too, since setting either option turns off glibc's
+    own threshold adjustment. Elsewhere (no ``mallopt``) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 128 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_heap()
     try:
         if args.command == "run":
             cfg = RunConfig(args.experiment, args.variant, alpha=args.alpha,

@@ -4,6 +4,8 @@ The gradient oracle is central finite differences with step 1e-5 over
 float64, compared elementwise by relative error with a 1e-6 floor.
 """
 
+import gc
+
 import numpy as np
 
 from bijepa.autodiff import Tensor, mul, sum_all
@@ -77,3 +79,16 @@ def naive_conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray,
                     patch = xp[n, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
                     out[n, co, i, j] = (patch * k[co]).sum() + b[co]
     return out
+
+
+def garbage_cycles_after(fn) -> int:
+    """Objects the cyclic collector frees after ``fn()`` runs with the
+    collector off: 0 means reference counting alone freed everything
+    ``fn`` left unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -1,8 +1,11 @@
 """Unit tests for the reverse-mode engine and every primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from bijepa import autodiff as ad
 from bijepa.autodiff import (
     DegenerateEmbeddingError, GraphConsumedError, RunningStats, ShapeError,
     Tensor, add, backward, batch_norm2d, conv2d, flatten, layer_norm, linear,
@@ -10,7 +13,7 @@ from bijepa.autodiff import (
     stop_gradient, sum_all,
 )
 
-from helpers import check_grads, naive_conv2d, numeric_grad, rel_err
+from helpers import check_grads, garbage_cycles_after, naive_conv2d, numeric_grad, rel_err
 
 
 class TestLinear:
@@ -309,6 +312,79 @@ class TestBackwardSemantics:
         sum_all(y).backward()
         assert y.shape == (2, 3)
         assert np.array_equal(x.grad, np.full((2, 3, 1), 2.0))
+
+
+class TestGraphLifetime:
+    def test_unbackwarded_graph_freed_by_refcount(self):
+        def run():
+            x = Tensor(np.ones((3, 2)), requires_grad=True)
+            h = relu(scale(x, 2.0))
+            probe = weakref.ref(h)
+            out = sum_all(h)
+            del h
+            assert probe() is not None  # held by out's graph
+            del out
+            assert probe() is None
+
+        assert garbage_cycles_after(run) == 0
+
+    def test_backwarded_graph_keeps_only_root(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        h = relu(x)
+        probe = weakref.ref(h)
+        loss = sum_all(h)
+        del h
+        loss.backward()
+        assert probe() is None
+        assert loss.node.inputs == () and loss.node.vjp is None
+
+    def test_node_without_gradient_released(self):
+        # "block" passes no gradient to h, so h's node receives none;
+        # backward must still drop its saved context
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = relu(x)
+        blocked = ad._make("block", (h,), h.values.copy(), lambda g: (None,))
+        add(sum_all(blocked), sum_all(x)).backward()
+        assert h.node.consumed
+        assert h.node.vjp is None and h.node.inputs == ()
+        assert np.array_equal(x.grad, [1.0, 1.0])
+
+    def test_output_is_weak(self):
+        y = relu(Tensor([1.0], requires_grad=True))
+        node = y.node
+        assert node.output is y
+        del y
+        assert node.output is None
+
+
+class TestUnusedInputGradients:
+    """A vjp returns None for an input that needs no gradient."""
+
+    @staticmethod
+    def vjp_grads(out):
+        return out.node.vjp(np.ones_like(out.values))
+
+    def test_linear_data_input(self):
+        rng = np.random.default_rng(30)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        gx, gw, gb = self.vjp_grads(linear(Tensor(rng.standard_normal((4, 3))), w, b))
+        assert gx is None and gw.shape == (3, 2) and gb.shape == (2,)
+        gx, _, _ = self.vjp_grads(linear(relu(Tensor(np.ones((4, 3)), requires_grad=True)), w, b))
+        assert gx.shape == (4, 3)
+
+    def test_mse_target(self):
+        pred = Tensor(np.ones(3), requires_grad=True)
+        assert self.vjp_grads(mse_loss(pred, Tensor(np.zeros(3))))[1] is None
+        target = Tensor(np.zeros(3), requires_grad=True)
+        assert np.array_equal(self.vjp_grads(mse_loss(pred, target))[1], np.full(3, -2.0 / 3))
+
+    def test_conv2d_image_input(self):
+        rng = np.random.default_rng(31)
+        k = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        gx, gk, gb = self.vjp_grads(conv2d(Tensor(rng.standard_normal((2, 1, 6, 4))), k, b))
+        assert gx is None and gk.shape == (2, 1, 3, 3) and gb.shape == (2,)
 
 
 class TestStopGradient:

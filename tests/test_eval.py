@@ -8,7 +8,7 @@ import pytest
 from bijepa.autodiff import Tensor
 from bijepa.data import MnistConfig, ViewBatch
 from bijepa.eval import (
-    ProbeConfig, ProbeResult, denormalize_to_u8, forecast_table,
+    _embed, ProbeConfig, ProbeResult, denormalize_to_u8, forecast_table,
     generative_decoder, linear_probe_classify, protocol_a, protocol_b,
     write_pgm,
 )
@@ -19,6 +19,8 @@ from bijepa.nn import (
 )
 from bijepa.optim import EmaConfig
 from bijepa.seeding import derive_seed
+
+from helpers import garbage_cycles_after
 
 IN_DIM, EMB, HIDDEN = 6, 8, 16
 
@@ -51,6 +53,15 @@ def regression_dataset(model, rng, out_dim=4, realizable=True):
         yp = rng.standard_normal((256, out_dim))
         yt = rng.standard_normal((64, out_dim))
     return SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xt, yt))
+
+
+class TestFeatureGraphs:
+    def test_embed_leaves_no_cycles(self):
+        model = make_model()
+        x = np.random.default_rng(41).standard_normal((300, IN_DIM))
+        for through_predictor in (False, True):
+            assert garbage_cycles_after(
+                lambda: _embed(model, x, through_predictor, chunk=128)) == 0
 
 
 class TestRegressionProtocols:

@@ -15,6 +15,8 @@ from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
 from bijepa.optim import AdamW, EmaConfig, ema_update
 from bijepa.seeding import derive_seed
 
+from helpers import garbage_cycles_after
+
 IN_DIM, HIDDEN, EMB = 6, 16, 8
 
 
@@ -141,6 +143,26 @@ class TestStopGradientStructure:
         loss.backward()
         opt.step()  # no ema here, so the target must be bit-unchanged
         assert fingerprint(model.target_encoder) == before
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("alpha,mode", [
+        (0.5, ConstraintMode.EXPRESSIVE),
+        (1.0, ConstraintMode.EXPRESSIVE),
+        (0.5, ConstraintMode.RESTRICTIVE),
+    ])
+    def test_train_step_leaves_no_cycles(self, alpha, mode):
+        # every graph of a step, the target passes included, is freed by
+        # reference counting alone
+        model, opt = make_model(alpha=alpha, mode=mode)
+        rng = np.random.default_rng(40)
+        batches = [batch(rng) for _ in range(3)]
+
+        def steps():
+            for step, (x, y) in enumerate(batches):
+                assert not train_step(model, opt, x, y, step).diverged
+
+        assert garbage_cycles_after(steps) == 0
 
 
 class TestEmaReplay:

@@ -1,16 +1,171 @@
 """Optimizer update rule and the target-network momentum update."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor
 from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
-    clone_into, fingerprint, init_parameters
-from bijepa.optim import AdamW, EmaConfig, ema_update, set_weight_decay
+    clone_into, fingerprint, init_parameters, load_checkpoint, save_checkpoint
+from bijepa.optim import AdamW, EmaConfig, ema_update
 
 
 def scalar_param(value: float) -> Tensor:
     return Tensor(np.array([value]), requires_grad=True)
+
+
+class ReferenceAdamW:
+    """Per-tensor AdamW loop with a temporary per operation: the
+    arithmetic the flat optimizer must reproduce bit for bit."""
+
+    def __init__(self, values, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.values = [np.array(v, dtype=np.float64) for v in values]
+        self.lr, self.weight_decay = lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(v) for v in self.values]
+        self.v = [np.zeros_like(v) for v in self.values]
+        self.step_count = 0
+
+    def step(self, grads) -> bool:
+        grads = [np.zeros_like(p) if g is None else g for p, g in zip(self.values, grads)]
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            return False
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        for p, g, m, v in zip(self.values, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            m_hat = m / bc1
+            v_hat = v / bc2
+            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            if self.weight_decay != 0.0:
+                update = update + self.weight_decay * p
+            p -= self.lr * update
+        return True
+
+
+class TestFlatAdamWMatchesReference:
+    SHAPES = [(5, 3), (3,), (7,), (2, 4), (1,)]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_fifty_random_steps_bit_equal(self, weight_decay):
+        rng = np.random.default_rng(11)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in self.SHAPES]
+        ref = ReferenceAdamW([p.values for p in params], lr=3e-3, weight_decay=weight_decay)
+        opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
+        for step in range(50):
+            grads = [None if (step + i) % 4 == 0 else rng.standard_normal(s) * 10.0 ** (i - 2)
+                     for i, s in enumerate(self.SHAPES)]
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            assert opt.step() and ref.step(grads)
+            opt.zero_grad()
+        assert opt.step_count == ref.step_count == 50
+        for p, want in zip(params, ref.values):
+            assert np.array_equal(p.values, want)
+        offsets = np.cumsum([0] + [int(np.prod(s)) for s in self.SHAPES])
+        for i, (m, v) in enumerate(zip(ref.m, ref.v)):
+            assert np.array_equal(opt.m[offsets[i]:offsets[i + 1]], m.reshape(-1))
+            assert np.array_equal(opt.v[offsets[i]:offsets[i + 1]], v.reshape(-1))
+
+    def test_nan_step_leaves_state_untouched(self):
+        rng = np.random.default_rng(12)
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in self.SHAPES]
+        opt = AdamW(params, lr=1e-3, weight_decay=1e-4)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape)
+        assert opt.step()
+        before = (opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
+        for p in params:
+            p.grad = rng.standard_normal(p.shape)
+        params[-1].grad[0] = np.nan  # the last tensor: everything before it is gathered
+        assert not opt.step()
+        assert opt.diverged
+        assert np.array_equal(opt.flat, before[0])
+        assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+        assert opt.step_count == before[3]
+
+
+class TestParameterStorage:
+    """Registered tensors' values are views into the optimizer's buffer:
+    whatever writes parameters must write the storage step() updates."""
+
+    @staticmethod
+    def registered_net():
+        net = build_predictor(4, 8, with_ln=True)
+        init_parameters(net, 0)
+        opt = AdamW(net.parameters(), lr=1e-2)
+        return net, opt
+
+    @staticmethod
+    def assert_step_moves(net, opt):
+        before = fingerprint(net)
+        for p in net.parameters():
+            p.grad = np.ones_like(p.values)
+        assert opt.step()
+        assert fingerprint(net) != before
+        assert all(np.shares_memory(p.values, opt.flat) for p in net.parameters())
+
+    def test_values_are_views_of_flat_buffer(self):
+        net, opt = self.registered_net()
+        offset = 0
+        for p in net.parameters():
+            assert np.shares_memory(p.values, opt.flat)
+            assert np.array_equal(p.values.reshape(-1), opt.flat[offset:offset + p.size])
+            offset += p.size
+        assert offset == opt.flat.size
+
+    def test_registration_keeps_values(self):
+        net = build_predictor(4, 8, with_ln=True)
+        init_parameters(net, 0)
+        before = fingerprint(net)
+        AdamW(net.parameters(), lr=1e-2)
+        assert fingerprint(net) == before
+
+    def test_load_state_dict_writes_optimizer_storage(self):
+        net, opt = self.registered_net()
+        other = build_predictor(4, 8, with_ln=True)
+        init_parameters(other, 1)
+        net.load_state_dict(other.state_dict())
+        assert np.array_equal(opt.flat, np.concatenate(
+            [p.values.reshape(-1) for p in other.parameters()]))
+        self.assert_step_moves(net, opt)
+
+    def test_clone_into_writes_optimizer_storage(self):
+        net, opt = self.registered_net()
+        other = build_predictor(4, 8, with_ln=True)
+        init_parameters(other, 2)
+        clone_into(other, net)
+        assert fingerprint(net) == fingerprint(other)
+        assert np.array_equal(opt.flat, np.concatenate(
+            [p.values.reshape(-1) for p in other.parameters()]))
+        self.assert_step_moves(net, opt)
+
+    def test_checkpoint_load_writes_optimizer_storage(self, tmp_path):
+        net, opt = self.registered_net()
+        other = build_predictor(4, 8, with_ln=True)
+        init_parameters(other, 3)
+        save_checkpoint(tmp_path / "c.bin", other.state_dict())
+        net.load_state_dict(load_checkpoint(tmp_path / "c.bin"))
+        assert fingerprint(net) == fingerprint(other)
+        self.assert_step_moves(net, opt)
+
+    def test_second_optimizer_rejected(self):
+        net, opt = self.registered_net()
+        with pytest.raises(ValueError, match="another optimizer"):
+            AdamW(net.parameters(), lr=1e-3)
+        self.assert_step_moves(net, opt)  # the first keeps its storage
+
+    def test_duplicate_parameter_rejected(self):
+        p = scalar_param(1.0)
+        with pytest.raises(ValueError, match="more than once"):
+            AdamW([p, p], lr=1e-3)
 
 
 class TestAdamWStep:
@@ -95,17 +250,6 @@ class TestAdamWStep:
         p = scalar_param(1.0)
         with pytest.raises(ValueError):
             AdamW([p], lr=1e-3, weight_decay=-1e-4)
-        opt = AdamW([p], lr=1e-3)
-        with pytest.raises(ValueError):
-            set_weight_decay(opt, -1.0)
-
-    def test_set_weight_decay_applies(self):
-        p = scalar_param(1.0)
-        opt = AdamW([p], lr=1e-3)
-        set_weight_decay(opt, 1e-4)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert abs(p.values[0] - (1.0 - 1e-7)) < 1e-18
 
     def test_two_step_moments(self):
         # hand-rolled two iterations with g = 1 then g = -1
@@ -145,6 +289,22 @@ class TestEma:
         ema_update(target, online, EmaConfig(tau=tau))
         for p_t, p_o, old in zip(target.parameters(), online.parameters(), before):
             assert np.array_equal(p_t.values, tau * old + (1.0 - tau) * p_o.values)
+
+    def test_in_place_update_allocates_no_arrays(self):
+        # 32x64 weights (16 KiB): a temporary of any of them would show
+        online, target = build_predictor(32, 64, with_ln=True), build_predictor(32, 64, with_ln=True)
+        init_parameters(online, 0)
+        init_parameters(target, 1)
+        ema_update(target, online, EmaConfig(tau=0.9))  # first call sizes the scratch
+        storage = [p.values for p in target.parameters()]
+        tracemalloc.start()
+        try:
+            ema_update(target, online, EmaConfig(tau=0.9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < max(p.values.nbytes for p in online.parameters()) // 4
+        assert all(p.values is s for p, s in zip(target.parameters(), storage))
 
     def test_tau_zero_copies_online(self):
         online, target = self.pair()
