@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,9 +73,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
 
@@ -105,23 +102,9 @@ class Node:
         return self._output()
 
 
-@dataclass
-class Graph:
-    """Ordered record of the primitives reachable from a root tensor.
-
-    Node order matches execution order, which is a valid topological
-    order under define-by-run.
-    """
-
-    nodes: list[Node] = field(default_factory=list)
-
-    @property
-    def consumed(self) -> bool:
-        return any(n.consumed for n in self.nodes)
-
-
-def trace(root: Tensor) -> Graph:
-    """Collect every node reachable from ``root``, in execution order."""
+def trace(root: Tensor) -> list[Node]:
+    """Every node reachable from ``root``, in execution order (a valid
+    topological order under define-by-run)."""
     seen: set[int] = set()
     nodes: list[Node] = []
     stack = [root.node] if root.node is not None else []
@@ -135,7 +118,7 @@ def trace(root: Tensor) -> Graph:
             if t.node is not None and id(t.node) not in seen:
                 stack.append(t.node)
     nodes.sort(key=lambda n: n.seq)
-    return Graph(nodes)
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
@@ -152,13 +135,13 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             _deposit(loss, np.ones_like(loss.values))
         return
-    graph = trace(loss)
-    if graph.consumed:
+    nodes = trace(loss)
+    if any(n.consumed for n in nodes):
         raise GraphConsumedError("graph already consumed by a previous backward pass")
 
     # keyed by tensor (identity hash); holding the key keeps it alive
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
-    for node in reversed(graph.nodes):
+    for node in reversed(nodes):
         out_grad = grads.pop(node.output, None)
         node.consumed = True
         if out_grad is not None:

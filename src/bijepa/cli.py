@@ -14,12 +14,15 @@ import ctypes
 import gzip
 import json
 import math
+import operator
 import os
 import sys
 import time
 import urllib.request
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,8 +46,6 @@ class ConfigError(ValueError):
     """Invalid experiment/variant/override combination."""
 
 
-_EXPERIMENTS = ("sine", "lorenz", "mnist")
-
 # variant -> (constraint mode, is_classic)
 _VARIANTS = {
     "bijepa-expressive": (ConstraintMode.EXPRESSIVE, False),
@@ -52,6 +53,10 @@ _VARIANTS = {
     "bijepa-restrictive": (ConstraintMode.RESTRICTIVE, False),
     "classic": (ConstraintMode.EXPRESSIVE, True),
 }
+
+# report fields that a suite records per run and averages per variant
+_METRICS = ("final_train_loss", "protocol_a_mse", "protocol_b_mse",
+            "accuracy", "decoder_mse")
 
 
 @dataclass
@@ -62,8 +67,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str | None = None
     mnist_dir: str | None = None
-    steps: int | None = None
-    epochs: int | None = None
     overrides: dict = field(default_factory=dict)
 
 
@@ -72,12 +75,12 @@ class ExperimentReport:
     config: dict
     final_train_loss: float
     loss_history: list
-    protocol_a_mse: float | None
-    protocol_b_mse: float | None
-    accuracy: float | None
-    decoder_mse: float | None
     diverged: bool
     wall_time: float
+    protocol_a_mse: float | None = None
+    protocol_b_mse: float | None = None
+    accuracy: float | None = None
+    decoder_mse: float | None = None
     forecast: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -88,40 +91,12 @@ class ExperimentReport:
         return cls(**json.loads(text))
 
 
-def _base_hyper(experiment: str) -> dict:
-    if experiment == "sine":
-        return {
-            "lr": 1e-3, "steps": 2000, "batch": 64, "tau": 0.995,
-            "enc_in": 10, "enc_hidden": 64, "emb_dim": 16, "pred_hidden": 64,
-            "noise_std": 0.05,
-            "probe_lr": 1e-3, "probe_steps": 2000,
-            "probe_set_size": 1024, "test_batch": 64,
-        }
-    if experiment == "lorenz":
-        return {
-            "lr": 5e-4, "steps": 3000, "batch": 64, "tau": 0.995,
-            "enc_in": 60, "enc_hidden": 128, "emb_dim": 32, "pred_hidden": 128,
-            "integrator": "euler",
-            "probe_lr": 1e-3, "probe_steps": 2000,
-        }
-    if experiment == "mnist":
-        return {
-            "lr": 1e-3, "epochs": 10, "batch": 256, "tau": 0.99,
-            "emb_dim": 64, "pred_hidden": 128,
-            "train_limit": 0,  # 0 = full train split
-            # probes get a larger lr than the encoder: a 64->10 softmax
-            # head needs weights of order 10 and will not plateau within
-            # 10 epochs at 1e-3
-            "probe_lr": 1e-2, "probe_epochs": 10, "probe_batch": 256,
-        }
-    raise ConfigError(f"unknown experiment {experiment!r}; choose from {_EXPERIMENTS}")
-
-
 def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
     """Merge defaults, variant constraints, and user overrides into the
     fully explicit hyperparameter dict echoed by the report."""
     if cfg.experiment not in _EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}; choose from {_EXPERIMENTS}")
+        raise ConfigError(
+            f"unknown experiment {cfg.experiment!r}; choose from {tuple(_EXPERIMENTS)}")
     if cfg.variant not in _VARIANTS:
         raise ConfigError(f"unknown variant {cfg.variant!r}; choose from {tuple(_VARIANTS)}")
     mode, is_classic = _VARIANTS[cfg.variant]
@@ -130,17 +105,9 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
             "the unconstrained variant is only defined for the sine experiment "
             "(its divergence study); pick expressive/restrictive/classic here")
 
-    hyper = _base_hyper(cfg.experiment)
+    hyper = dict(_EXPERIMENTS[cfg.experiment].hyper)
     hyper["weight_decay"] = mode.weight_decay
     hyper["alpha"] = 1.0 if is_classic else cfg.alpha
-    if cfg.steps is not None:
-        if "steps" not in hyper:
-            raise ConfigError(f"--steps does not apply to {cfg.experiment}; use --epochs")
-        hyper["steps"] = cfg.steps
-    if cfg.epochs is not None:
-        if "epochs" not in hyper:
-            raise ConfigError(f"--epochs does not apply to {cfg.experiment}; use --steps")
-        hyper["epochs"] = cfg.epochs
     for key, value in cfg.overrides.items():
         if key not in hyper:
             raise ConfigError(
@@ -153,32 +120,34 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
 
 
 def type_coerce(default, value, key: str):
-    """Coerce an override onto its default's type."""
-    if isinstance(default, bool):
-        return bool(value)
-    if isinstance(default, int) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"override {key} needs an integer, got {value!r}")
-    if isinstance(default, float):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"override {key} needs a number, got {value!r}")
-    return value
+    """Coerce an override onto its default's type.
+
+    Integer keys take integers, integral floats and integer strings;
+    float keys take numbers and numeric strings; neither takes a
+    boolean. String keys take the value as given.
+    """
+    if not isinstance(default, (int, float)):
+        return value
+    kind = type(default)
+    error = ConfigError(f"override {key} needs "
+                        f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+    if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise error
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise error from None
 
 
 def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaModel:
     alpha = hyper["alpha"]
     with_ln = mode.with_ln
-    if cfg.experiment == "mnist":
-        def enc_builder():
-            return build_conv_encoder()
-    else:
-        def enc_builder():
-            return build_mlp_encoder(hyper["enc_in"], hyper["enc_hidden"],
-                                     hyper["emb_dim"], with_ln)
+    build_encoder = _EXPERIMENTS[cfg.experiment].encoder
+
+    def enc_builder():
+        return build_encoder(hyper, with_ln)
+
     encoder = enc_builder()
     init_parameters(encoder, derive_seed(cfg.seed, "init:encoder"))
     p_fwd = build_predictor(hyper["emb_dim"], hyper["pred_hidden"], with_ln)
@@ -217,122 +186,80 @@ def _final_loss(history: list) -> float:
     return float(np.mean(tail)) if tail else float("nan")
 
 
+# ---------------------------------------------------------------------------
+# experiments
+#
+# Each experiment names its encoder, its data (training batches, step
+# count and held-out splits) and its probes. The helpers below look the
+# data, probe and output functions up by name when they run, so callers
+# that replace those module attributes (timing and tracing harnesses)
+# see every call.
+
+
+def _mlp_encoder(hyper: dict, with_ln: bool):
+    return build_mlp_encoder(hyper["enc_in"], hyper["enc_hidden"],
+                             hyper["emb_dim"], with_ln)
+
+
+def _conv_encoder(hyper: dict, with_ln: bool):
+    return build_conv_encoder()
+
+
 def _sine_batches(cfg: SineConfig, rng):
     while True:
         yield gen_sine_batch(cfg, rng)
 
 
-def _index_batches(rng, n: int, batch: int, drop_last: bool):
+def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
+    """Endless epochs over ``views``, each a fresh seeded permutation cut
+    into ``batch``-row sub-batches."""
+    n = views.size
+    end = n - batch + 1 if drop_last else n
     while True:
         order = rng.permutation(n)
-        end = n - batch + 1 if drop_last else n
         for start in range(0, max(end, 1), batch):
-            yield order[start:start + batch]
+            yield views.take(order[start:start + batch])
 
 
-@dataclass
-class _Splits:
-    probe: ViewBatch
-    test: ViewBatch
+def _sine_data(cfg: RunConfig, hyper: dict):
+    """A fresh batch every step; fixed probe and test sets."""
+    def sine(batch: int) -> SineConfig:
+        return SineConfig(noise_std=hyper["noise_std"], batch=batch)
 
-
-@dataclass
-class _MnistSplits:
-    train: ViewBatch
-    test: ViewBatch
-
-
-def run(cfg: RunConfig) -> ExperimentReport:
-    """Train one configuration end to end, run its probes, and write all
-    artifacts when an output directory is configured."""
-    t0 = time.perf_counter()
-    hyper, mode = effective_hyper(cfg)
-    model = _build_model(cfg, hyper, mode)
-    opt = AdamW(model.trainable_parameters(), lr=hyper["lr"],
-                weight_decay=hyper["weight_decay"])
-    probe_cfg = ProbeConfig(kind="linear", lr=hyper["probe_lr"],
-                            steps=hyper.get("probe_steps", 2000),
-                            epochs=hyper.get("probe_epochs", 10),
-                            batch=hyper.get("probe_batch", 256),
-                            seed=derive_seed(cfg.seed, "probe"))
-
-    proto_a = proto_b = acc = dec_mse = None
-    forecast: list = []
-    images = None
-
-    if cfg.experiment == "sine":
-        data_cfg = SineConfig(noise_std=hyper["noise_std"], batch=hyper["batch"])
-        batches = _sine_batches(data_cfg, stream(cfg.seed, "data:sine"))
-        history, diverged = _train(model, opt, batches, hyper["steps"])
-        splits = _Splits(
-            probe=gen_sine_batch(
-                SineConfig(noise_std=hyper["noise_std"], batch=hyper["probe_set_size"]),
-                stream(cfg.seed, "data:sine-probe")),
-            test=gen_sine_batch(
-                SineConfig(noise_std=hyper["noise_std"], batch=hyper["test_batch"]),
-                stream(cfg.seed, "data:sine-test")),
-        )
-        ra = protocol_a(model, splits, probe_cfg)
-        rb = protocol_b(model, splits, probe_cfg)
-        proto_a, proto_b = ra.mse, rb.mse
-        forecast = forecast_table(splits.test, ra, rb)
-
-    elif cfg.experiment == "lorenz":
-        data_cfg = LorenzConfig(integrator=hyper["integrator"])
-        dataset = build_lorenz_dataset(data_cfg, cfg.seed)
-        idx = _index_batches(stream(cfg.seed, "data:batches"),
-                             dataset.train.size, hyper["batch"], drop_last=True)
-        batches = (dataset.train.take(i) for i in idx)
-        history, diverged = _train(model, opt, batches, hyper["steps"])
-        ra = protocol_a(model, dataset, probe_cfg)
-        rb = protocol_b(model, dataset, probe_cfg)
-        proto_a, proto_b = ra.mse, rb.mse
-        forecast = forecast_table(dataset.test, ra, rb)
-
-    else:  # mnist
-        data_cfg = MnistConfig(batch=hyper["batch"])
-        train_views, test_views = _load_mnist_views(cfg, data_cfg, hyper["train_limit"])
-        idx = _index_batches(stream(cfg.seed, "data:batches"),
-                             train_views.size, hyper["batch"], drop_last=False)
-        batches = (train_views.take(i) for i in idx)
-        steps_per_epoch = math.ceil(train_views.size / hyper["batch"])
-        history, diverged = _train(model, opt, batches,
-                                   hyper["epochs"] * steps_per_epoch)
-        mnist = _MnistSplits(train=train_views, test=test_views)
-        racc = linear_probe_classify(model, mnist, probe_cfg)
-        rdec = generative_decoder(model, mnist, probe_cfg,
-                                  pixel_std=data_cfg.norm_std)
-        acc, dec_mse = racc.accuracy, rdec.mse
-        images = _triptychs(test_views, rdec.predictions, data_cfg)
-
-    report = ExperimentReport(
-        config=_echo_config(cfg, hyper, mode),
-        final_train_loss=_final_loss(history),
-        loss_history=history,
-        protocol_a_mse=proto_a,
-        protocol_b_mse=proto_b,
-        accuracy=acc,
-        decoder_mse=dec_mse,
-        diverged=diverged,
-        wall_time=time.perf_counter() - t0,
-        forecast=forecast,
+    held_out = SimpleNamespace(
+        probe=gen_sine_batch(sine(hyper["probe_set_size"]),
+                             stream(cfg.seed, "data:sine-probe")),
+        test=gen_sine_batch(sine(hyper["test_batch"]),
+                            stream(cfg.seed, "data:sine-test")),
     )
-    if images is not None:
-        report._images = images
-    if cfg.out_dir is not None:
-        emit_outputs(report, cfg.out_dir)
-    return report
+    batches = _sine_batches(sine(hyper["batch"]), stream(cfg.seed, "data:sine"))
+    return batches, hyper["steps"], held_out
 
 
-def _echo_config(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> dict:
-    echo = {
-        "experiment": cfg.experiment,
-        "variant": cfg.variant,
-        "constraint_mode": mode.value,
-        "seed": cfg.seed,
-    }
-    echo.update(sorted(hyper.items()))
-    return echo
+def _lorenz_data(cfg: RunConfig, hyper: dict):
+    """Shuffled batches of the train split, full batches only."""
+    dataset = build_lorenz_dataset(LorenzConfig(integrator=hyper["integrator"]), cfg.seed)
+    batches = _shuffled_batches(dataset.train, stream(cfg.seed, "data:batches"),
+                                hyper["batch"], drop_last=True)
+    return batches, hyper["steps"], dataset
+
+
+def _mnist_data(cfg: RunConfig, hyper: dict):
+    """Shuffled batches of the (optionally truncated) train halves for a
+    whole number of epochs, the last batch of each epoch partial."""
+    d = resolve_mnist_dir(cfg.mnist_dir)
+    train_x, train_y = load_mnist_idx(d / "train-images-idx3-ubyte",
+                                      d / "train-labels-idx1-ubyte")
+    test_x, test_y = load_mnist_idx(d / "t10k-images-idx3-ubyte",
+                                    d / "t10k-labels-idx1-ubyte")
+    if hyper["train_limit"]:
+        train_x, train_y = train_x[:hyper["train_limit"]], train_y[:hyper["train_limit"]]
+    views = SimpleNamespace(train=split_vertical(train_x, train_y),
+                            test=split_vertical(test_x, test_y))
+    batches = _shuffled_batches(views.train, stream(cfg.seed, "data:batches"),
+                                hyper["batch"], drop_last=False)
+    n_steps = hyper["epochs"] * math.ceil(views.train.size / hyper["batch"])
+    return batches, n_steps, views
 
 
 def resolve_mnist_dir(explicit: str | None) -> Path:
@@ -347,36 +274,130 @@ def resolve_mnist_dir(explicit: str | None) -> Path:
         "or run `bijepa fetch-mnist --out mnist-data`")
 
 
-def _load_mnist_views(cfg: RunConfig, data_cfg: MnistConfig, train_limit: int):
-    d = resolve_mnist_dir(cfg.mnist_dir)
-    train_x, train_y = load_mnist_idx(d / "train-images-idx3-ubyte",
-                                      d / "train-labels-idx1-ubyte", data_cfg)
-    test_x, test_y = load_mnist_idx(d / "t10k-images-idx3-ubyte",
-                                    d / "t10k-labels-idx1-ubyte", data_cfg)
-    if train_limit:
-        train_x, train_y = train_x[:train_limit], train_y[:train_limit]
-    return (split_vertical(train_x, train_y, data_cfg),
-            split_vertical(test_x, test_y, data_cfg))
+def _regression_probes(model: BiJepaModel, held_out, probe_cfg: ProbeConfig):
+    """Protocols A and B; returns (metrics, forecast records, images)."""
+    ra = protocol_a(model, held_out, probe_cfg)
+    rb = protocol_b(model, held_out, probe_cfg)
+    metrics = {"protocol_a_mse": ra.mse, "protocol_b_mse": rb.mse}
+    return metrics, forecast_table(held_out.test, ra, rb), []
 
 
-def _triptychs(test_views: ViewBatch, generated: np.ndarray,
-               data_cfg: MnistConfig, count: int = 8) -> list:
+def _image_probes(model: BiJepaModel, views, probe_cfg: ProbeConfig):
+    """Digit classifier and right-half decoder; returns (metrics, forecast
+    records, images)."""
+    racc = linear_probe_classify(model, views, probe_cfg)
+    rdec = generative_decoder(model, views, probe_cfg,
+                              pixel_std=MnistConfig().norm_std)
+    metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
+    return metrics, [], _triptychs(views.test, rdec.predictions)
+
+
+def _triptychs(test_views: ViewBatch, generated: np.ndarray, count: int = 8) -> list:
     """Per-sample image trio: context half, generated half, true half."""
     images = []
     n = min(count, test_views.size)
     for i in range(n):
-        ctx = denormalize_to_u8(test_views.x.values[i, 0], data_cfg)
-        gen = denormalize_to_u8(generated[i].reshape(28, 14), data_cfg)
-        tru = denormalize_to_u8(test_views.y.values[i, 0], data_cfg)
+        ctx = denormalize_to_u8(test_views.x.values[i, 0])
+        gen = denormalize_to_u8(generated[i].reshape(28, 14))
+        tru = denormalize_to_u8(test_views.y.values[i, 0])
         images.append((f"recon_{i:02d}_input.pgm", ctx))
         images.append((f"recon_{i:02d}_gen.pgm", gen))
         images.append((f"recon_{i:02d}_truth.pgm", tru))
     return images
 
 
-def emit_outputs(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write report.json, loss.csv, forecast.csv, and any reconstruction
-    images into out_dir. Returns the written paths."""
+@dataclass(frozen=True)
+class _Experiment:
+    hyper: dict         # base hyperparameters, each overridable with --set
+    encoder: Callable   # (hyper, with_ln) -> encoder Network
+    data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
+    probes: Callable    # (model, held-out splits, ProbeConfig) -> (metrics, forecast, images)
+    verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)
+
+
+_EXPERIMENTS = {
+    "sine": _Experiment(
+        hyper={
+            "lr": 1e-3, "steps": 2000, "batch": 64, "tau": 0.995,
+            "enc_in": 10, "enc_hidden": 64, "emb_dim": 16, "pred_hidden": 64,
+            "noise_std": 0.05,
+            "probe_lr": 1e-3, "probe_steps": 2000,
+            "probe_set_size": 1024, "test_batch": 64,
+        },
+        encoder=_mlp_encoder, data=_sine_data, probes=_regression_probes,
+        verdict=("protocol_b_mse", "protoB", operator.lt)),
+    "lorenz": _Experiment(
+        hyper={
+            "lr": 5e-4, "steps": 3000, "batch": 64, "tau": 0.995,
+            "enc_in": 60, "enc_hidden": 128, "emb_dim": 32, "pred_hidden": 128,
+            "integrator": "euler",
+            "probe_lr": 1e-3, "probe_steps": 2000,
+        },
+        encoder=_mlp_encoder, data=_lorenz_data, probes=_regression_probes,
+        verdict=("protocol_b_mse", "protoB", operator.lt)),
+    "mnist": _Experiment(
+        hyper={
+            "lr": 1e-3, "epochs": 10, "batch": 256, "tau": 0.99,
+            "emb_dim": 64, "pred_hidden": 128,
+            "train_limit": 0,  # 0 = full train split
+            # probes get a larger lr than the encoder: a 64->10 softmax
+            # head needs weights of order 10 and will not plateau within
+            # 10 epochs at 1e-3
+            "probe_lr": 1e-2, "probe_epochs": 10, "probe_batch": 256,
+        },
+        encoder=_conv_encoder, data=_mnist_data, probes=_image_probes,
+        verdict=("accuracy", "accuracy", operator.gt)),
+}
+
+
+def run(cfg: RunConfig) -> ExperimentReport:
+    """Train one configuration end to end, run its probes, and write all
+    artifacts when an output directory is configured."""
+    t0 = time.perf_counter()
+    hyper, mode = effective_hyper(cfg)
+    experiment = _EXPERIMENTS[cfg.experiment]
+    model = _build_model(cfg, hyper, mode)
+    opt = AdamW(model.trainable_parameters(), lr=hyper["lr"],
+                weight_decay=hyper["weight_decay"])
+    probe_cfg = ProbeConfig(lr=hyper["probe_lr"],
+                            steps=hyper.get("probe_steps", 2000),
+                            epochs=hyper.get("probe_epochs", 10),
+                            batch=hyper.get("probe_batch", 256),
+                            seed=derive_seed(cfg.seed, "probe"))
+
+    batches, n_steps, held_out = experiment.data(cfg, hyper)
+    history, diverged = _train(model, opt, batches, n_steps)
+    metrics, forecast, images = experiment.probes(model, held_out, probe_cfg)
+
+    report = ExperimentReport(
+        config=_echo_config(cfg, hyper, mode),
+        final_train_loss=_final_loss(history),
+        loss_history=history,
+        diverged=diverged,
+        wall_time=time.perf_counter() - t0,
+        forecast=forecast,
+        **metrics,
+    )
+    if cfg.out_dir is not None:
+        emit_outputs(report, cfg.out_dir, images)
+    return report
+
+
+def _echo_config(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> dict:
+    echo = {
+        "experiment": cfg.experiment,
+        "variant": cfg.variant,
+        "constraint_mode": mode.value,
+        "seed": cfg.seed,
+    }
+    echo.update(sorted(hyper.items()))
+    return echo
+
+
+def emit_outputs(report: ExperimentReport, out_dir, images=()) -> list[Path]:
+    """Write report.json, loss.csv, forecast.csv, and the given
+    reconstruction images, (file name, uint8 array) pairs, into out_dir.
+    Returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -401,7 +422,7 @@ def emit_outputs(report: ExperimentReport, out_dir) -> list[Path]:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
-    for name, image in getattr(report, "_images", []) or []:
+    for name, image in images:
         path = out / name
         write_pgm(path, image)
         written.append(path)
@@ -414,58 +435,43 @@ def emit_outputs(report: ExperimentReport, out_dir) -> list[Path]:
 
 def run_suite(seeds: list[int], variants: list[str], experiment: str,
               out_dir=None, mnist_dir=None, alpha: float = 0.5,
-              overrides: dict | None = None, epochs: int | None = None,
-              steps: int | None = None) -> dict:
+              overrides: dict | None = None) -> dict:
     """Cross product of seeds and variants with per-variant means and
     ordering verdicts. Member failures are recorded, not fatal."""
     if not seeds:
         raise ConfigError("suite needs at least one seed")
     if not variants:
         raise ConfigError("suite needs at least one variant")
-    for v in variants:
-        # fail fast on config errors before any training runs
-        effective_hyper(RunConfig(experiment, v, alpha=alpha, steps=steps,
-                                  epochs=epochs, overrides=dict(overrides or {})))
+    configs = [
+        RunConfig(experiment, variant, alpha=alpha, seed=seed,
+                  out_dir=None if out_dir is None
+                  else str(Path(out_dir) / f"{experiment}-{variant}-s{seed}"),
+                  mnist_dir=mnist_dir, overrides=dict(overrides or {}))
+        for variant in variants for seed in seeds]
+    for cfg in configs:
+        effective_hyper(cfg)  # fail fast on config errors before any training runs
 
     rows = []
-    for variant in variants:
-        for seed in seeds:
-            member_out = None
-            if out_dir is not None:
-                member_out = str(Path(out_dir) / f"{experiment}-{variant}-s{seed}")
-            cfg = RunConfig(experiment, variant, alpha=alpha, seed=seed,
-                            out_dir=member_out, mnist_dir=mnist_dir,
-                            steps=steps, epochs=epochs,
-                            overrides=dict(overrides or {}))
-            row = {"experiment": experiment, "variant": variant, "seed": seed,
-                   "status": "ok", "error": "",
-                   "final_train_loss": None, "protocol_a_mse": None,
-                   "protocol_b_mse": None, "accuracy": None,
-                   "decoder_mse": None, "diverged": None}
-            try:
-                report = run(cfg)
-                row.update(
-                    final_train_loss=report.final_train_loss,
-                    protocol_a_mse=report.protocol_a_mse,
-                    protocol_b_mse=report.protocol_b_mse,
-                    accuracy=report.accuracy,
-                    decoder_mse=report.decoder_mse,
-                    diverged=report.diverged,
-                )
-            except Exception as exc:  # member failure recorded, suite continues
-                row["status"] = "error"
-                row["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append(row)
+    for cfg in configs:
+        row = {"experiment": experiment, "variant": cfg.variant, "seed": cfg.seed,
+               "status": "ok", "error": "", **dict.fromkeys(_METRICS),
+               "diverged": None}
+        try:
+            report = run(cfg)
+            row.update({k: getattr(report, k) for k in _METRICS},
+                       diverged=report.diverged)
+        except Exception as exc:  # member failure recorded, suite continues
+            row["status"] = "error"
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
 
-    metric_keys = ["final_train_loss", "protocol_a_mse", "protocol_b_mse",
-                   "accuracy", "decoder_mse"]
     means: dict[str, dict] = {}
     for variant in variants:
         ok = [r for r in rows if r["variant"] == variant and r["status"] == "ok"]
         means[variant] = {
             k: (float(np.mean([r[k] for r in ok])) if ok and all(
                 r[k] is not None for r in ok) else None)
-            for k in metric_keys
+            for k in _METRICS
         }
         means[variant]["n_ok"] = len(ok)
 
@@ -473,7 +479,7 @@ def run_suite(seeds: list[int], variants: list[str], experiment: str,
     result = {"experiment": experiment, "rows": rows, "means": means,
               "verdicts": verdicts}
     if out_dir is not None:
-        _write_suite_csv(result, Path(out_dir), metric_keys)
+        _write_suite_csv(result, Path(out_dir))
     return result
 
 
@@ -485,35 +491,25 @@ def _paired(rows, variant, seed):
 
 
 def _suite_verdicts(rows, variants, experiment, seeds) -> dict:
-    verdicts = {}
-    if "bijepa-expressive" in variants and "classic" in variants:
-        if experiment in ("sine", "lorenz"):
-            wins = []
-            for seed in seeds:
-                b = _paired(rows, "bijepa-expressive", seed)
-                c = _paired(rows, "classic", seed)
-                if b and c and b["protocol_b_mse"] is not None:
-                    wins.append(b["protocol_b_mse"] < c["protocol_b_mse"])
-            verdicts["bijepa_beats_classic_protoB"] = (
-                bool(wins) and sum(wins) * 2 > len(wins))
-            verdicts["bijepa_beats_classic_protoB_per_seed"] = wins
-        else:
-            wins = []
-            for seed in seeds:
-                b = _paired(rows, "bijepa-expressive", seed)
-                c = _paired(rows, "classic", seed)
-                if b and c and b["accuracy"] is not None:
-                    wins.append(b["accuracy"] > c["accuracy"])
-            verdicts["bijepa_beats_classic_accuracy"] = (
-                bool(wins) and sum(wins) * 2 > len(wins))
-            verdicts["bijepa_beats_classic_accuracy_per_seed"] = wins
-    return verdicts
+    """Does bijepa-expressive beat classic on the experiment's suite
+    metric for a majority of seeds?"""
+    if "bijepa-expressive" not in variants or "classic" not in variants:
+        return {}
+    metric, name, beats = _EXPERIMENTS[experiment].verdict
+    wins = []
+    for seed in seeds:
+        b = _paired(rows, "bijepa-expressive", seed)
+        c = _paired(rows, "classic", seed)
+        if b and c and b[metric] is not None:
+            wins.append(beats(b[metric], c[metric]))
+    key = f"bijepa_beats_classic_{name}"
+    return {key: bool(wins) and sum(wins) * 2 > len(wins), f"{key}_per_seed": wins}
 
 
-def _write_suite_csv(result: dict, out: Path, metric_keys: list[str]) -> None:
+def _write_suite_csv(result: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cols = ["experiment", "variant", "seed", "kind", "status", "error",
-            *metric_keys, "diverged"]
+            *_METRICS, "diverged"]
     lines = [",".join(cols)]
 
     def fmt(v):
@@ -527,11 +523,11 @@ def _write_suite_csv(result: dict, out: Path, metric_keys: list[str]) -> None:
         lines.append(",".join(fmt(v) for v in [
             r["experiment"], r["variant"], r["seed"], "run", r["status"],
             r["error"].replace(",", ";"),
-            *[r[k] for k in metric_keys], r["diverged"]]))
+            *[r[k] for k in _METRICS], r["diverged"]]))
     for variant, m in result["means"].items():
         lines.append(",".join(fmt(v) for v in [
             result["experiment"], variant, "", "mean", f"n_ok={m['n_ok']}", "",
-            *[m[k] for k in metric_keys], ""]))
+            *[m[k] for k in _METRICS], ""]))
     (out / "suite.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "verdicts.json").write_text(
         json.dumps(result["verdicts"], indent=2, sort_keys=True), encoding="utf-8")
@@ -547,6 +543,7 @@ _MNIST_FILES = {
     "t10k-labels-idx1-ubyte": 10008,
 }
 _DEFAULT_MNIST_URL = "https://ossci-datasets.s3.amazonaws.com/mnist/"
+_FETCH_TIMEOUT_S = 60.0
 
 
 def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
@@ -554,7 +551,8 @@ def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
     """Download, decompress, and size-verify the four IDX files.
 
     Already-present files of the right size are left alone; failed or
-    mismatched downloads never leave partial files behind.
+    mismatched downloads never leave partial files behind. A connect or
+    read that stalls for ``_FETCH_TIMEOUT_S`` seconds fails the download.
     """
     expected_sizes = expected_sizes or _MNIST_FILES
     out = Path(out_dir)
@@ -568,7 +566,7 @@ def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
         url = base_url.rstrip("/") + "/" + name + ".gz"
         tmp = out / (name + ".part")
         try:
-            with urllib.request.urlopen(url) as resp:
+            with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as resp:
                 blob = resp.read()
             try:
                 blob = gzip.decompress(blob)
@@ -603,6 +601,14 @@ def _parse_set(pairs: list[str]) -> dict:
     return overrides
 
 
+def _overrides(args: argparse.Namespace) -> dict:
+    """--steps and --epochs are shorthands for the overrides of the same
+    name; an explicit --set of that key wins."""
+    flags = {k: getattr(args, k) for k in ("steps", "epochs")
+             if getattr(args, k) is not None}
+    return {**flags, **_parse_set(args.set)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bijepa",
@@ -611,28 +617,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     rp = sub.add_parser("run", help="train one configuration and run its probes")
-    rp.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
+    rp.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS))
     rp.add_argument("--variant", required=True, choices=tuple(_VARIANTS))
-    rp.add_argument("--alpha", type=float, default=0.5)
     rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument("--out", default=None)
-    rp.add_argument("--mnist-dir", default=None)
-    rp.add_argument("--steps", type=int, default=None)
-    rp.add_argument("--epochs", type=int, default=None)
-    rp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     sp = sub.add_parser("suite", help="run a seeds x variants cross product")
-    sp.add_argument("--experiment", required=True, choices=_EXPERIMENTS)
+    sp.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS))
     sp.add_argument("--variants", required=True,
                     help="comma-separated list, e.g. bijepa-expressive,classic")
     sp.add_argument("--seeds", required=True,
                     help="comma-separated integers, e.g. 0,1,2")
-    sp.add_argument("--alpha", type=float, default=0.5)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--mnist-dir", default=None)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+
+    for q in (rp, sp):
+        q.add_argument("--alpha", type=float, default=0.5)
+        q.add_argument("--out", default=None)
+        q.add_argument("--mnist-dir", default=None)
+        q.add_argument("--steps", type=int, default=None)
+        q.add_argument("--epochs", type=int, default=None)
+        q.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     fp = sub.add_parser("fetch-mnist", help="download the four IDX files")
     fp.add_argument("--out", default="mnist-data")
@@ -671,8 +673,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = RunConfig(args.experiment, args.variant, alpha=args.alpha,
                             seed=args.seed, out_dir=args.out,
-                            mnist_dir=args.mnist_dir, steps=args.steps,
-                            epochs=args.epochs, overrides=_parse_set(args.set))
+                            mnist_dir=args.mnist_dir, overrides=_overrides(args))
             report = run(cfg)
             print(f"final_train_loss={report.final_train_loss:.6f} "
                   f"proto_a={report.protocol_a_mse} proto_b={report.protocol_b_mse} "
@@ -681,13 +682,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "suite":
             seeds = [int(s) for s in args.seeds.split(",") if s != ""]
             variants = [v for v in args.variants.split(",") if v != ""]
-            for v in variants:
-                if v not in _VARIANTS:
-                    raise ConfigError(f"unknown variant {v!r}")
             result = run_suite(seeds, variants, args.experiment, out_dir=args.out,
                                mnist_dir=args.mnist_dir, alpha=args.alpha,
-                               overrides=_parse_set(args.set),
-                               steps=args.steps, epochs=args.epochs)
+                               overrides=_overrides(args))
             for variant, m in result["means"].items():
                 print(f"{variant}: {m}")
             for name, value in result["verdicts"].items():

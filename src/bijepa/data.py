@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .nn import load_checkpoint, save_checkpoint
 from .seeding import stream
 
 
@@ -197,27 +196,6 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
     )
 
 
-def save_lorenz_cache(path, ds: LorenzDataset) -> None:
-    """Persist a built dataset in the checkpoint container format."""
-    save_checkpoint(path, {
-        "train/ctx": ds.train.x.values, "train/tgt": ds.train.y.values,
-        "probe/ctx": ds.probe.x.values, "probe/tgt": ds.probe.y.values,
-        "test/ctx": ds.test.x.values, "test/tgt": ds.test.y.values,
-        "norm/mean": ds.mean, "norm/std": ds.std,
-    })
-
-
-def load_lorenz_cache(path) -> LorenzDataset:
-    t = load_checkpoint(path)
-    return LorenzDataset(
-        train=ViewBatch(Tensor(t["train/ctx"]), Tensor(t["train/tgt"])),
-        probe=ViewBatch(Tensor(t["probe/ctx"]), Tensor(t["probe/tgt"])),
-        test=ViewBatch(Tensor(t["test/ctx"]), Tensor(t["test/tgt"])),
-        mean=t["norm/mean"],
-        std=t["norm/std"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # MNIST
 
@@ -227,7 +205,6 @@ class MnistConfig:
     norm_mean: float = 0.1307
     norm_std: float = 0.3081
     split_col: int = 14
-    batch: int = 256
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

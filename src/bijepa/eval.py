@@ -27,7 +27,6 @@ from .seeding import derive_seed, stream
 
 @dataclass
 class ProbeConfig:
-    kind: str = "linear"
     lr: float = 1e-3
     steps: int = 2000
     epochs: int = 10
@@ -63,14 +62,8 @@ def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
 
 def _train_regression_probe(feats: np.ndarray, targets: np.ndarray,
                             cfg: ProbeConfig) -> Network:
-    """Full-batch AdamW fit of a probe mapping features to targets."""
-    in_dim, out_dim = feats.shape[1], targets.shape[1]
-    if cfg.kind == "linear":
-        probe = Network([Linear(in_dim, out_dim)])
-    elif cfg.kind == "mlp":
-        probe = Network([Linear(in_dim, 256), ReLU(), Linear(256, out_dim)])
-    else:
-        raise ValueError(f"unknown probe kind {cfg.kind!r}")
+    """Full-batch AdamW fit of a linear probe mapping features to targets."""
+    probe = Network([Linear(feats.shape[1], targets.shape[1])])
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     opt = AdamW(probe.parameters(), lr=cfg.lr, weight_decay=0.0)
     f = Tensor(feats)
@@ -84,10 +77,19 @@ def _train_regression_probe(feats: np.ndarray, targets: np.ndarray,
     return probe
 
 
-def _probe_mse(probe: Network, feats: np.ndarray,
-               targets: np.ndarray) -> tuple[float, np.ndarray]:
-    preds = probe(Tensor(feats)).values
-    return float(np.mean((preds - targets) ** 2)), preds
+def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
+    return float(np.mean((preds - targets) ** 2))
+
+
+def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
+                         through_predictor: bool) -> ProbeResult:
+    """Fit a probe on the frozen features of the probe split, report its
+    MSE on the test split."""
+    feats = _embed(model, dataset.probe.x.values, through_predictor)
+    probe = _train_regression_probe(feats, dataset.probe.y.values, cfg)
+    test_feats = _embed(model, dataset.test.x.values, through_predictor)
+    preds = probe(Tensor(test_feats)).values
+    return ProbeResult(mse=_mse(preds, dataset.test.y.values), predictions=preds)
 
 
 def protocol_a(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
@@ -96,11 +98,7 @@ def protocol_a(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
     Trains a probe from frozen context embeddings to the flattened
     target window on the probe split; reports MSE on the test split.
     """
-    feats = _embed(model, dataset.probe.x.values, through_predictor=False)
-    probe = _train_regression_probe(feats, dataset.probe.y.values, cfg)
-    test_feats = _embed(model, dataset.test.x.values, through_predictor=False)
-    mse, preds = _probe_mse(probe, test_feats, dataset.test.y.values)
-    return ProbeResult(mse=mse, predictions=preds)
+    return _regression_protocol(model, dataset, cfg, through_predictor=False)
 
 
 def protocol_b(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
@@ -109,16 +107,21 @@ def protocol_b(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
     Same probe setup as protocol A, but features are the predicted
     target embeddings: predictor(encoder(context)), both frozen.
     """
-    feats = _embed(model, dataset.probe.x.values, through_predictor=True)
-    probe = _train_regression_probe(feats, dataset.probe.y.values, cfg)
-    test_feats = _embed(model, dataset.test.x.values, through_predictor=True)
-    mse, preds = _probe_mse(probe, test_feats, dataset.test.y.values)
-    return ProbeResult(mse=mse, predictions=preds)
+    return _regression_protocol(model, dataset, cfg, through_predictor=True)
 
 
-def _train_epochs(probe: Network, feats: np.ndarray, targets, loss_fn,
-                  cfg: ProbeConfig) -> None:
-    """Mini-batch epoch training with a seeded shuffle per epoch."""
+def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
+                cfg: ProbeConfig) -> np.ndarray:
+    """Fit ``Network(layers(feature dim))`` on the frozen left-half
+    embeddings of the train split, by mini-batch epochs with a seeded
+    shuffle per epoch; return its outputs on the test split.
+
+    ``loss_fn(outputs, rows)`` scores a batch against the train rows it
+    was drawn from.
+    """
+    feats = _embed(model, mnist.train.x.values, through_predictor=False)
+    probe = Network(layers(feats.shape[1]))
+    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     opt = AdamW(probe.parameters(), lr=cfg.lr, weight_decay=0.0)
     rng = stream(cfg.seed, "probe-shuffle")
     n = feats.shape[0]
@@ -126,11 +129,13 @@ def _train_epochs(probe: Network, feats: np.ndarray, targets, loss_fn,
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch):
             idx = order[start:start + cfg.batch]
-            loss = loss_fn(probe(Tensor(feats[idx])), targets, idx)
+            loss = loss_fn(probe(Tensor(feats[idx])), idx)
             opt.zero_grad()
             loss.backward()
             opt.step()
     opt.zero_grad()
+    test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
+    return probe(Tensor(test_feats)).values
 
 
 def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResult:
@@ -139,18 +144,10 @@ def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeR
     ``mnist`` carries train/test ViewBatches with digit labels. Reports
     test accuracy.
     """
-    feats = _embed(model, mnist.train.x.values, through_predictor=False)
-    probe = Network([Linear(feats.shape[1], 10)])
-    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     labels = mnist.train.labels
-
-    def loss_fn(logits, _targets, idx):
-        return ad.softmax_cross_entropy(logits, labels[idx])
-
-    _train_epochs(probe, feats, None, loss_fn, cfg)
-
-    test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
-    logits = probe(Tensor(test_feats)).values
+    logits = _fit_epochs(
+        model, mnist, lambda dim: [Linear(dim, 10)],
+        lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]), cfg)
     pred_labels = logits.argmax(axis=1)
     accuracy = float((pred_labels == mnist.test.labels).mean())
     return ProbeResult(accuracy=accuracy, predictions=pred_labels)
@@ -166,23 +163,14 @@ def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig,
     (MSE is invariant to the mean shift, so the factor is exact).
     Predictions stay in normalized units for image dumps.
     """
-    feats = _embed(model, mnist.train.x.values, through_predictor=False)
-    n = mnist.train.y.shape[0]
-    targets = mnist.train.y.values.reshape(n, -1)
-    decoder = Network([Linear(feats.shape[1], 256), ReLU(),
-                       Linear(256, targets.shape[1])])
-    init_parameters(decoder, derive_seed(cfg.seed, "probe-init"))
-
-    def loss_fn(preds, tg, idx):
-        return ad.mse_loss(preds, Tensor(tg[idx]))
-
-    _train_epochs(decoder, feats, targets, loss_fn, cfg)
-
-    test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
-    n_test = mnist.test.y.shape[0]
-    test_targets = mnist.test.y.values.reshape(n_test, -1)
-    mse, preds = _probe_mse(decoder, test_feats, test_targets)
-    return ProbeResult(mse=mse * pixel_std ** 2, predictions=preds)
+    targets = mnist.train.y.values.reshape(mnist.train.size, -1)
+    preds = _fit_epochs(
+        model, mnist,
+        lambda dim: [Linear(dim, 256), ReLU(), Linear(256, targets.shape[1])],
+        lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])), cfg)
+    test_targets = mnist.test.y.values.reshape(mnist.test.size, -1)
+    return ProbeResult(mse=_mse(preds, test_targets) * pixel_std ** 2,
+                       predictions=preds)
 
 
 def forecast_table(test_batch: ViewBatch, result_a: ProbeResult,

@@ -113,15 +113,25 @@ def _maybe_project(model: BiJepaModel, s: Tensor) -> Tensor:
     return sphere_project(s) if model.mode.project else s
 
 
+def _branch(model: BiJepaModel, src: Tensor, dst: Tensor, predictor: Network):
+    """One prediction direction: ``predictor`` maps the online embedding
+    of ``src`` to a guess at the target encoder's embedding of ``dst``.
+
+    Returns (online embedding, prediction, target); the target carries
+    no gradient.
+    """
+    s = _maybe_project(model, model.online_encoder(src))
+    pred = _maybe_project(model, predictor(s))
+    tgt = ad.stop_gradient(_maybe_project(model, model.target_encoder(dst)))
+    return s, pred, tgt
+
+
 def forward_pass(model: BiJepaModel, x: Tensor, y: Tensor):
     """Predict the target embedding from the context view.
 
     Returns (prediction, target); the target carries no gradient.
     """
-    s_x = _maybe_project(model, model.online_encoder(x))
-    pred = _maybe_project(model, model.p_fwd(s_x))
-    tgt = ad.stop_gradient(_maybe_project(model, model.target_encoder(y)))
-    return pred, tgt
+    return _branch(model, x, y, model.p_fwd)[1:]
 
 
 def backward_pass(model: BiJepaModel, x: Tensor, y: Tensor):
@@ -132,10 +142,7 @@ def backward_pass(model: BiJepaModel, x: Tensor, y: Tensor):
     """
     if model.p_bwd is None:
         raise ValueError("backward pass undefined for alpha == 1 (no backward predictor)")
-    s_y = _maybe_project(model, model.online_encoder(y))
-    pred = _maybe_project(model, model.p_bwd(s_y))
-    tgt = ad.stop_gradient(_maybe_project(model, model.target_encoder(x)))
-    return pred, tgt
+    return _branch(model, y, x, model.p_bwd)[1:]
 
 
 def total_loss(model: BiJepaModel, x: Tensor, y: Tensor, step: int = 0):
@@ -144,24 +151,18 @@ def total_loss(model: BiJepaModel, x: Tensor, y: Tensor, step: int = 0):
     Returns (loss tensor, StepMetrics). With alpha == 1 the backward
     branch is never built and the loss is exactly the forward MSE.
     """
-    s_x_online = _maybe_project(model, model.online_encoder(x))
-    fwd_pred = _maybe_project(model, model.p_fwd(s_x_online))
-    fwd_tgt = ad.stop_gradient(_maybe_project(model, model.target_encoder(y)))
-    fwd = ad.mse_loss(fwd_pred, fwd_tgt)
-    norm = float(np.linalg.norm(s_x_online.values, axis=1).mean())
-
-    alpha = model.alpha
+    s_x, pred, tgt = _branch(model, x, y, model.p_fwd)
+    fwd = ad.mse_loss(pred, tgt)
+    norm = float(np.linalg.norm(s_x.values, axis=1).mean())
     if model.p_bwd is None:
-        loss = fwd
-        fwd_val = loss.item()
-        metrics = StepMetrics(fwd_val, fwd_val, 0.0, norm, step)
-        return loss, metrics
+        fwd_val = fwd.item()
+        return fwd, StepMetrics(fwd_val, fwd_val, 0.0, norm, step)
 
-    bwd_pred, bwd_tgt = backward_pass(model, x, y)
-    bwd = ad.mse_loss(bwd_pred, bwd_tgt)
+    _, pred, tgt = _branch(model, y, x, model.p_bwd)
+    bwd = ad.mse_loss(pred, tgt)
+    alpha = model.alpha
     loss = ad.add(ad.scale(fwd, alpha), ad.scale(bwd, 1.0 - alpha))
-    metrics = StepMetrics(loss.item(), fwd.item(), bwd.item(), norm, step)
-    return loss, metrics
+    return loss, StepMetrics(loss.item(), fwd.item(), bwd.item(), norm, step)
 
 
 _DIVERGENCE_CEILING = 1e6

@@ -25,9 +25,24 @@ class CheckpointError(ValueError):
     """Malformed or truncated checkpoint file."""
 
 
-class Linear:
-    kind = "Linear"
+class Layer:
+    """Base layer: a spec, named parameters and buffers, an initializer
+    and a forward. The defaults describe a layer without state."""
 
+    def spec(self):
+        return (type(self).__name__,)
+
+    def params(self):
+        return []
+
+    def buffers(self):
+        return []
+
+    def init(self, rng) -> None:
+        pass
+
+
+class Linear(Layer):
     def __init__(self, in_dim: int, out_dim: int):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"Linear dims must be >= 1, got ({in_dim}, {out_dim})")
@@ -42,9 +57,6 @@ class Linear:
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
-    def buffers(self):
-        return []
-
     def init(self, rng: np.random.Generator) -> None:
         bound = 1.0 / np.sqrt(self.in_dim)
         self.w.values[...] = rng.uniform(-bound, bound, self.w.shape)
@@ -54,9 +66,7 @@ class Linear:
         return ad.linear(x, self.w, self.b)
 
 
-class LayerNorm:
-    kind = "LayerNorm"
-
+class LayerNorm(Layer):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.dim = dim
         self.eps = eps
@@ -69,9 +79,6 @@ class LayerNorm:
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def buffers(self):
-        return []
-
     def init(self, rng) -> None:
         self.gamma.values[...] = 1.0
         self.beta.values[...] = 0.0
@@ -80,29 +87,13 @@ class LayerNorm:
         return ad.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
-class ReLU:
-    kind = "ReLU"
-
-    def spec(self):
-        return ("ReLU",)
-
-    def params(self):
-        return []
-
-    def buffers(self):
-        return []
-
-    def init(self, rng) -> None:
-        pass
-
+class ReLU(Layer):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.relu(x)
 
 
-class Conv2d:
+class Conv2d(Layer):
     """3x3 kernel, stride 2, zero-padding 1 (the only configuration used)."""
-
-    kind = "Conv2d"
 
     def __init__(self, in_ch: int, out_ch: int):
         self.in_ch = in_ch
@@ -116,9 +107,6 @@ class Conv2d:
     def params(self):
         return [("k", self.k), ("b", self.b)]
 
-    def buffers(self):
-        return []
-
     def init(self, rng: np.random.Generator) -> None:
         bound = 1.0 / np.sqrt(self.in_ch * 9)
         self.k.values[...] = rng.uniform(-bound, bound, self.k.shape)
@@ -128,9 +116,7 @@ class Conv2d:
         return ad.conv2d(x, self.k, self.b, stride=2, pad=1)
 
 
-class BatchNorm2d:
-    kind = "BatchNorm2d"
-
+class BatchNorm2d(Layer):
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         self.channels = channels
         self.eps = eps
@@ -165,21 +151,7 @@ class BatchNorm2d:
         return ad.batch_norm2d(x, self.gamma, self.beta, self.stats, training, self.eps)
 
 
-class Flatten:
-    kind = "Flatten"
-
-    def spec(self):
-        return ("Flatten",)
-
-    def params(self):
-        return []
-
-    def buffers(self):
-        return []
-
-    def init(self, rng) -> None:
-        pass
-
+class Flatten(Layer):
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.flatten(x)
 
@@ -229,10 +201,6 @@ class Network:
 
     def param_count(self) -> int:
         return sum(t.size for t in self.parameters())
-
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.grad = None
 
     def state_dict(self) -> dict[str, np.ndarray]:
         d = {name: t.values.copy() for name, t in self.named_parameters()}

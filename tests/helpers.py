@@ -5,6 +5,7 @@ float64, compared elementwise by relative error with a 1e-6 floor.
 """
 
 import gc
+import struct
 
 import numpy as np
 
@@ -92,3 +93,11 @@ def garbage_cycles_after(fn) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+def write_idx(path, magic: int, arr: np.ndarray) -> None:
+    """An IDX file (big-endian magic and dims, then uint8 payload)."""
+    with open(path, "wb") as f:
+        f.write(struct.pack(">i", magic))
+        f.write(struct.pack(f">{arr.ndim}i", *arr.shape))
+        f.write(arr.astype(np.uint8).tobytes())

@@ -6,7 +6,8 @@ Criteria 7-13 train the experiment suite at real scale, three seeds per
 variant, so this file dominates the wall time of a full pytest run:
 minutes for the sine family, a couple of minutes per Lorenz run, and
 roughly ten minutes per MNIST run when the IDX files are available
-(criterion 12 is skipped otherwise).
+(criterion 12 is skipped otherwise). Their tests carry the ``slow``
+marker, so ``pytest -m "not slow"`` runs the fast gates alone.
 
 A criterion that fails is reported honestly; tolerances here are fixed
 and are not to be loosened to force a pass.
@@ -33,9 +34,12 @@ from bijepa.seeding import stream
 
 SEEDS = (0, 1, 2)
 
+# the heap setting bijepa's entry point applies; without it every step
+# page-faults its freed graph back in
 _RUNNER = """\
 import json, sys
-from bijepa.cli import RunConfig, run
+from bijepa.cli import RunConfig, _keep_freed_heap, run
+_keep_freed_heap()
 report = run(RunConfig(**json.loads(sys.argv[1])))
 sys.stdout.write(report.to_json())
 """
@@ -98,8 +102,8 @@ def mnist_suite(mnist_dir):
                                     mnist_dir=str(mnist_dir))
                for v in ("bijepa-expressive", "classic") for s in SEEDS}
     smoke = run_isolated(experiment="mnist", variant="bijepa-expressive",
-                         seed=0, mnist_dir=str(mnist_dir), epochs=1,
-                         overrides={"train_limit": 10000})
+                         seed=0, mnist_dir=str(mnist_dir),
+                         overrides={"epochs": 1, "train_limit": 10000})
     return reports, smoke
 
 
@@ -328,6 +332,7 @@ def smoothed(history, window=50):
     return np.convolve(totals, np.ones(window) / window, mode="valid")
 
 
+@pytest.mark.slow
 def test_criterion_07_unconstrained_divergence(sine_suite):
     per_seed, details = [], []
     for s in SEEDS:
@@ -351,6 +356,7 @@ def test_criterion_07_unconstrained_divergence(sine_suite):
 
 # ----------------------------------------------------- 8: expressive bands
 
+@pytest.mark.slow
 def test_criterion_08_expressive_bands(sine_suite):
     finals = [sine_suite[("bijepa-expressive", s)].final_train_loss for s in SEEDS]
     probes = [sine_suite[("bijepa-expressive", s)].protocol_b_mse for s in SEEDS]
@@ -362,6 +368,7 @@ def test_criterion_08_expressive_bands(sine_suite):
 
 # ------------------------------------------- 9: classic vs expressive order
 
+@pytest.mark.slow
 def test_criterion_09_classic_ordering(sine_suite):
     pairs = [(sine_suite[("classic", s)].protocol_b_mse,
               sine_suite[("bijepa-expressive", s)].protocol_b_mse) for s in SEEDS]
@@ -373,6 +380,7 @@ def test_criterion_09_classic_ordering(sine_suite):
 
 # ------------------------------------------------- 10: restrictive regime
 
+@pytest.mark.slow
 def test_criterion_10_restrictive(sine_suite):
     per_seed, finals, probes = [], [], []
     for s in SEEDS:
@@ -429,6 +437,7 @@ def test_criterion_11_verdict_can_fail():
 # the 20-trajectory test split; 1.26/2.15/1.74 on 4000 fresh held-out
 # trajectories; over 199 disjoint 20-trajectory splits the ordering holds
 # with probability 0.87/1.00/0.98 per seed, a 2x factor with 0.01/0.57/0.27.
+@pytest.mark.slow
 def test_criterion_11_lorenz(lorenz_suite):
     pairs = [(lorenz_suite[("bijepa-expressive", s)].protocol_b_mse,
               lorenz_suite[("classic", s)].protocol_b_mse) for s in SEEDS]
@@ -438,6 +447,7 @@ def test_criterion_11_lorenz(lorenz_suite):
 
 # -------------------------------------------------------------- 12: MNIST
 
+@pytest.mark.slow
 def test_criterion_12_mnist(mnist_suite):
     reports, smoke = mnist_suite
     acc_b = [reports[("bijepa-expressive", s)].accuracy for s in SEEDS]
@@ -457,6 +467,7 @@ def test_criterion_12_mnist(mnist_suite):
 
 # -------------------------------------------------------- 13: determinism
 
+@pytest.mark.slow
 def test_criterion_13_determinism(sine_suite):
     a = sine_suite[("bijepa-expressive", 0)]
     b = run_isolated(experiment="sine", variant="bijepa-expressive", seed=0)

@@ -5,16 +5,20 @@ import gzip
 import http.server
 import json
 import math
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+from bijepa import cli
 from bijepa.cli import (
     ConfigError, ExperimentReport, RunConfig, _final_loss, _parse_set,
     effective_hyper, emit_outputs, fetch_mnist, main, resolve_mnist_dir, run,
     run_suite, type_coerce,
 )
+
+from helpers import write_idx
 
 TINY_SINE = {"steps": 60, "probe_steps": 40, "probe_set_size": 64,
              "test_batch": 8}
@@ -45,13 +49,15 @@ class TestEffectiveHyper:
         assert h_u["weight_decay"] == 0.0
         assert h_e["weight_decay"] == 1e-4
 
-    def test_steps_flag_rejected_for_mnist(self):
-        with pytest.raises(ConfigError):
-            effective_hyper(RunConfig("mnist", "classic", steps=100))
+    def test_steps_flag_rejected_for_mnist(self, capsys):
+        assert main(["run", "--experiment", "mnist", "--variant", "classic",
+                     "--steps", "100"]) == 2
+        assert "'steps'" in capsys.readouterr().err
 
-    def test_epochs_flag_rejected_for_sine(self):
-        with pytest.raises(ConfigError):
-            effective_hyper(RunConfig("sine", "classic", epochs=2))
+    def test_epochs_flag_rejected_for_sine(self, capsys):
+        assert main(["run", "--experiment", "sine", "--variant", "classic",
+                     "--epochs", "2"]) == 2
+        assert "'epochs'" in capsys.readouterr().err
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,16 +69,18 @@ class TestEffectiveHyper:
             "sine", "classic", overrides={"steps": "250", "lr": "0.01"}))
         assert hyper["steps"] == 250 and isinstance(hyper["steps"], int)
         assert hyper["lr"] == 0.01
+        assert type_coerce(2000, 250.0, "steps") == 250
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
             effective_hyper(RunConfig("sine", "bijepa-expressive", alpha=1.5))
 
     def test_coerce_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            type_coerce(10, "many", "steps")
-        with pytest.raises(ConfigError):
-            type_coerce(0.1, "fast", "lr")
+        for default, value in [(10, "many"), (0.1, "fast"),
+                               (2000, 2.5), (2000, "2.5"), (2000, True),
+                               (2000, float("inf")), (1e-3, True), (1e-3, False)]:
+            with pytest.raises(ConfigError):
+                type_coerce(default, value, "key")
 
 
 class TestParseSet:
@@ -180,12 +188,34 @@ class TestLorenzRun:
         assert all(row[3] == 0.0 for row in report.loss_history)  # no bwd term
 
 
+def write_synthetic_mnist(directory, n_train: int, n_test: int) -> None:
+    """Random-pixel, random-label stand-ins for the four IDX files."""
+    rng = np.random.default_rng(0)
+    directory.mkdir()
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
+        write_idx(directory / f"{prefix}-images-idx3-ubyte", 0x803,
+                  rng.integers(0, 256, (n, 28, 28)))
+        write_idx(directory / f"{prefix}-labels-idx1-ubyte", 0x801,
+                  rng.integers(0, 10, n))
+
+
 class TestMnistRun:
+    def test_synthetic_mnist_run(self, tmp_path):
+        data, out = tmp_path / "idx", tmp_path / "out"
+        write_synthetic_mnist(data, n_train=64, n_test=16)
+        report = run(RunConfig("mnist", "bijepa-expressive", seed=0,
+                               out_dir=str(out), mnist_dir=str(data),
+                               overrides={"epochs": 1, "probe_epochs": 1}))
+        assert 0.0 <= report.accuracy <= 1.0
+        assert math.isfinite(report.decoder_mse)
+        assert len(report.loss_history) == 1  # ceil(64/256)
+        assert len(list(out.glob("recon_*.pgm"))) == 24
+
     def test_tiny_mnist_run(self, tmp_path, mnist_dir):
         cfg = RunConfig("mnist", "bijepa-expressive", seed=0,
                         out_dir=str(tmp_path), mnist_dir=str(mnist_dir),
-                        epochs=1,
-                        overrides={"train_limit": 512, "probe_epochs": 1})
+                        overrides={"epochs": 1, "train_limit": 512,
+                                   "probe_epochs": 1})
         report = run(cfg)
         assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
         assert report.decoder_mse is not None
@@ -261,7 +291,7 @@ class TestSuite:
     def test_member_failure_recorded(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BIJEPA_MNIST_DIR", raising=False)
         monkeypatch.chdir(tmp_path)  # no mnist-data here
-        result = run_suite([0], ["classic"], "mnist", epochs=1)
+        result = run_suite([0], ["classic"], "mnist", overrides={"epochs": 1})
         row = result["rows"][0]
         assert row["status"] == "error"
         assert "FileNotFoundError" in row["error"]
@@ -384,3 +414,16 @@ class TestFetchMnist:
         fetch_mnist(out, base_url=url, expected_sizes=sizes)
         assert (out / "train-images-idx3-ubyte").read_bytes() == \
             payloads["train-images-idx3-ubyte"]
+
+    def test_stalled_server_times_out(self, tmp_path, monkeypatch):
+        # accepts the connection (kernel backlog) but never answers
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}/"
+            monkeypatch.setattr(cli, "_FETCH_TIMEOUT_S", 0.2)
+            out = tmp_path / "data"
+            with pytest.raises(OSError):
+                fetch_mnist(out, base_url=url,
+                            expected_sizes={"train-images-idx3-ubyte": 8})
+        assert list(out.iterdir()) == []

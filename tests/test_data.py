@@ -1,16 +1,16 @@
 """Data generators: sine views, Lorenz trajectories, MNIST IDX loading."""
 
-import struct
-
 import numpy as np
 import pytest
 
 from bijepa.data import (
     IdxFormatError, LorenzConfig, LorenzDataset, MnistConfig, SineConfig,
     ViewBatch, build_lorenz_dataset, gen_sine_batch, integrate_lorenz,
-    load_lorenz_cache, load_mnist_idx, save_lorenz_cache, split_vertical,
+    load_mnist_idx, split_vertical,
 )
 from bijepa.seeding import stream
+
+from helpers import write_idx
 
 
 class TestViewBatch:
@@ -175,22 +175,6 @@ class TestLorenzDataset:
         assert np.array_equal(ds.train.x.values, again.train.x.values)
         other = build_lorenz_dataset(LorenzConfig(), seed=1)
         assert not np.array_equal(ds.train.x.values, other.train.x.values)
-
-    def test_cache_round_trip(self, ds, tmp_path):
-        path = tmp_path / "lorenz.ckpt"
-        save_lorenz_cache(path, ds)
-        back = load_lorenz_cache(path)
-        assert np.array_equal(back.train.x.values, ds.train.x.values)
-        assert np.array_equal(back.test.y.values, ds.test.y.values)
-        assert np.array_equal(back.mean, ds.mean)
-        assert np.array_equal(back.std, ds.std)
-
-
-def write_idx(path, magic: int, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack(">i", magic))
-        f.write(struct.pack(f">{arr.ndim}i", *arr.shape))
-        f.write(arr.astype(np.uint8).tobytes())
 
 
 @pytest.fixture

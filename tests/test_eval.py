@@ -132,12 +132,6 @@ class TestRegressionProtocols:
         protocol_a(model, ds, ProbeConfig(steps=20))
         protocol_b(model, ds, ProbeConfig(steps=20))
 
-    def test_unknown_probe_kind_rejected(self):
-        model = make_model(seed=6)
-        ds = regression_dataset(model, np.random.default_rng(6))
-        with pytest.raises(ValueError):
-            protocol_a(model, ds, ProbeConfig(kind="forest"))
-
 
 def classification_fixture(rng, n_train=2000, n_test=4000):
     xtr = rng.standard_normal((n_train, IN_DIM))
