@@ -20,19 +20,19 @@ import sys
 import time
 import urllib.request
 from collections.abc import Callable
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .data import (
-    LorenzConfig, MnistConfig, SineConfig, ViewBatch,
-    build_lorenz_dataset, gen_sine_batch, load_mnist_idx, split_vertical,
+    MNIST_STD, LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset,
+    denormalize_to_u8, gen_sine_batch, load_mnist_idx, split_vertical,
 )
 from .eval import (
-    ProbeConfig, denormalize_to_u8, forecast_table, generative_decoder,
-    linear_probe_classify, protocol_a, protocol_b, write_pgm,
+    ProbeConfig, forecast_table, generative_decoder, linear_probe_classify,
+    protocol_a, protocol_b, write_pgm,
 )
 from .jepa import BiJepaModel, ConstraintMode, train_step
 from .nn import (
@@ -63,7 +63,6 @@ _METRICS = ("final_train_loss", "protocol_a_mse", "protocol_b_mse",
 class RunConfig:
     experiment: str
     variant: str
-    alpha: float = 0.5
     seed: int = 0
     out_dir: str | None = None
     mnist_dir: str | None = None
@@ -86,10 +85,6 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls(**json.loads(text))
-
 
 def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
     """Merge defaults, variant constraints, and user overrides into the
@@ -105,9 +100,13 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
             "the unconstrained variant is only defined for the sine experiment "
             "(its divergence study); pick expressive/restrictive/classic here")
 
+    if is_classic and "alpha" in cfg.overrides:
+        raise ConfigError("classic fixes alpha at 1 and has no backward "
+                          "predictor; set alpha on a bijepa variant")
+
     hyper = dict(_EXPERIMENTS[cfg.experiment].hyper)
     hyper["weight_decay"] = mode.weight_decay
-    hyper["alpha"] = 1.0 if is_classic else cfg.alpha
+    hyper["alpha"] = 1.0 if is_classic else 0.5
     for key, value in cfg.overrides.items():
         if key not in hyper:
             raise ConfigError(
@@ -123,21 +122,24 @@ def type_coerce(default, value, key: str):
     """Coerce an override onto its default's type.
 
     Integer keys take integers, integral floats and integer strings;
-    float keys take numbers and numeric strings; neither takes a
+    float keys take finite numbers and numeric strings; neither takes a
     boolean. String keys take the value as given.
     """
     if not isinstance(default, (int, float)):
         return value
     kind = type(default)
     error = ConfigError(f"override {key} needs "
-                        f"{'an integer' if kind is int else 'a number'}, got {value!r}")
+                        f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
     if isinstance(value, bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise error
     try:
-        return kind(value)
+        coerced = kind(value)
     except (TypeError, ValueError):
         raise error from None
+    if not math.isfinite(coerced):
+        raise error
+    return coerced
 
 
 def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaModel:
@@ -286,8 +288,7 @@ def _image_probes(model: BiJepaModel, views, probe_cfg: ProbeConfig):
     """Digit classifier and right-half decoder; returns (metrics, forecast
     records, images)."""
     racc = linear_probe_classify(model, views, probe_cfg)
-    rdec = generative_decoder(model, views, probe_cfg,
-                              pixel_std=MnistConfig().norm_std)
+    rdec = generative_decoder(model, views, probe_cfg, pixel_std=MNIST_STD)
     metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
     return metrics, [], _triptychs(views.test, rdec.predictions)
 
@@ -354,16 +355,15 @@ def run(cfg: RunConfig) -> ExperimentReport:
     """Train one configuration end to end, run its probes, and write all
     artifacts when an output directory is configured."""
     t0 = time.perf_counter()
+    _keep_freed_heap()
     hyper, mode = effective_hyper(cfg)
     experiment = _EXPERIMENTS[cfg.experiment]
     model = _build_model(cfg, hyper, mode)
     opt = AdamW(model.trainable_parameters(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
-    probe_cfg = ProbeConfig(lr=hyper["probe_lr"],
-                            steps=hyper.get("probe_steps", 2000),
-                            epochs=hyper.get("probe_epochs", 10),
-                            batch=hyper.get("probe_batch", 256),
-                            seed=derive_seed(cfg.seed, "probe"))
+    probe_cfg = ProbeConfig(seed=derive_seed(cfg.seed, "probe"), **{
+        f.name: hyper[f"probe_{f.name}"] for f in fields(ProbeConfig)
+        if f"probe_{f.name}" in hyper})
 
     batches, n_steps, held_out = experiment.data(cfg, hyper)
     history, diverged = _train(model, opt, batches, n_steps)
@@ -434,8 +434,7 @@ def emit_outputs(report: ExperimentReport, out_dir, images=()) -> list[Path]:
 
 
 def run_suite(seeds: list[int], variants: list[str], experiment: str,
-              out_dir=None, mnist_dir=None, alpha: float = 0.5,
-              overrides: dict | None = None) -> dict:
+              out_dir=None, mnist_dir=None, overrides: dict | None = None) -> dict:
     """Cross product of seeds and variants with per-variant means and
     ordering verdicts. Member failures are recorded, not fatal."""
     if not seeds:
@@ -443,7 +442,7 @@ def run_suite(seeds: list[int], variants: list[str], experiment: str,
     if not variants:
         raise ConfigError("suite needs at least one variant")
     configs = [
-        RunConfig(experiment, variant, alpha=alpha, seed=seed,
+        RunConfig(experiment, variant, seed=seed,
                   out_dir=None if out_dir is None
                   else str(Path(out_dir) / f"{experiment}-{variant}-s{seed}"),
                   mnist_dir=mnist_dir, overrides=dict(overrides or {}))
@@ -629,7 +628,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated integers, e.g. 0,1,2")
 
     for q in (rp, sp):
-        q.add_argument("--alpha", type=float, default=0.5)
         q.add_argument("--out", default=None)
         q.add_argument("--mnist-dir", default=None)
         q.add_argument("--steps", type=int, default=None)
@@ -668,12 +666,11 @@ def _keep_freed_heap() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _keep_freed_heap()
     try:
         if args.command == "run":
-            cfg = RunConfig(args.experiment, args.variant, alpha=args.alpha,
-                            seed=args.seed, out_dir=args.out,
-                            mnist_dir=args.mnist_dir, overrides=_overrides(args))
+            cfg = RunConfig(args.experiment, args.variant, seed=args.seed,
+                            out_dir=args.out, mnist_dir=args.mnist_dir,
+                            overrides=_overrides(args))
             report = run(cfg)
             print(f"final_train_loss={report.final_train_loss:.6f} "
                   f"proto_a={report.protocol_a_mse} proto_b={report.protocol_b_mse} "
@@ -683,8 +680,7 @@ def main(argv: list[str] | None = None) -> int:
             seeds = [int(s) for s in args.seeds.split(",") if s != ""]
             variants = [v for v in args.variants.split(",") if v != ""]
             result = run_suite(seeds, variants, args.experiment, out_dir=args.out,
-                               mnist_dir=args.mnist_dir, alpha=args.alpha,
-                               overrides=_overrides(args))
+                               mnist_dir=args.mnist_dir, overrides=_overrides(args))
             for variant, m in result["means"].items():
                 print(f"{variant}: {m}")
             for name, value in result["verdicts"].items():

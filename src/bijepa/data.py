@@ -131,18 +131,19 @@ def _advance(state: np.ndarray, cfg: LorenzConfig) -> np.ndarray:
 
 
 def integrate_lorenz(cfg: LorenzConfig, init, n_steps: int) -> np.ndarray:
-    """Trajectory of n_steps rows; row 0 is the initial condition and
-    each following row is one integration step from the previous."""
+    """Trajectories from a ``(..., 3)`` stack of initial states, shaped
+    ``(..., n_steps, 3)``; row 0 is the initial state and each following
+    row is one integration step from the previous."""
     state = np.asarray(init, dtype=np.float64)
-    if state.shape != (3,) or not np.all(np.isfinite(state)):
-        raise ValueError(f"init must be 3 finite values, got {init!r}")
-    out = np.empty((n_steps, 3))
-    out[0] = state
+    if state.ndim == 0 or state.shape[-1] != 3 or not np.all(np.isfinite(state)):
+        raise ValueError(f"init must be finite states of 3 values, got {init!r}")
+    out = np.empty(state.shape[:-1] + (n_steps, 3))
+    out[..., 0, :] = state
     for k in range(1, n_steps):
         state = _advance(state, cfg)
         if not np.all(np.isfinite(state)):
             raise ValueError(f"non-finite state at step {k}")
-        out[k] = state
+        out[..., k, :] = state
     return out
 
 
@@ -163,17 +164,9 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
     split only, then cut into a 20-row context and a 20-row target, each
     flattened (20*3 = 60 input values).
     """
-    rng = stream(seed, "data:lorenz")
     n_total = cfg.n_train + cfg.n_probe + cfg.n_test
-    lo, hi = cfg.init_range
-    state = rng.uniform(lo, hi, size=(n_total, 3))
-    traj = np.empty((n_total, cfg.T, 3))
-    traj[:, 0] = state
-    for k in range(1, cfg.T):
-        state = _advance(state, cfg)
-        if not np.all(np.isfinite(state)):
-            raise ValueError(f"non-finite state at step {k}")
-        traj[:, k] = state
+    init = stream(seed, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
+    traj = integrate_lorenz(cfg, init, cfg.T)
 
     train_raw = traj[:cfg.n_train]
     mean = train_raw.reshape(-1, 3).mean(axis=0)
@@ -200,11 +193,11 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
 # MNIST
 
 
-@dataclass
-class MnistConfig:
-    norm_mean: float = 0.1307
-    norm_std: float = 0.3081
-    split_col: int = 14
+# pixels in [0,1] are shifted and scaled by these; column 14 splits a
+# digit into its context (left) and target (right) halves
+MNIST_MEAN = 0.1307
+MNIST_STD = 0.3081
+MNIST_SPLIT_COL = 14
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -228,14 +221,12 @@ def _read_idx(path, magic: int, rank: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_mnist_idx(images_path, labels_path,
-                   cfg: MnistConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     """Images as (N,1,28,28) normalized float64, labels as (N,) int64.
 
     Pixels scale to [0,1] then shift by the fixed normalization
     constants, so pixel 0 maps to about -0.4242 and 255 to about 2.82.
     """
-    cfg = cfg or MnistConfig()
     images = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3)
     labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
@@ -247,19 +238,23 @@ def load_mnist_idx(images_path, labels_path,
     # transient footprint on the full train file
     pixels = images.astype(np.float64)
     pixels /= 255.0
-    pixels -= cfg.norm_mean
-    pixels /= cfg.norm_std
+    pixels -= MNIST_MEAN
+    pixels /= MNIST_STD
     return pixels[:, None, :, :], labels.astype(np.int64)
 
 
-def split_vertical(images: np.ndarray, labels: np.ndarray | None = None,
-                   cfg: MnistConfig | None = None) -> ViewBatch:
+def split_vertical(images: np.ndarray, labels: np.ndarray | None = None) -> ViewBatch:
     """Left half as context, right half as target: (N,1,28,28) ->
     two (N,1,28,14) views. Concatenating them restores the input."""
-    cfg = cfg or MnistConfig()
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1:] != (1, 28, 28):
         raise ValueError(f"expected (N,1,28,28) images, got {images.shape}")
-    c = cfg.split_col
+    c = MNIST_SPLIT_COL
     return ViewBatch(Tensor(images[:, :, :, :c]), Tensor(images[:, :, :, c:]),
                      labels=labels)
+
+
+def denormalize_to_u8(pixels: np.ndarray) -> np.ndarray:
+    """Invert the loader's normalization and quantize to [0,255]."""
+    v = (pixels * MNIST_STD + MNIST_MEAN) * 255.0
+    return np.clip(np.rint(v), 0, 255).astype(np.uint8)

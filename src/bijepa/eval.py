@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import MnistConfig, ViewBatch
+from .data import ViewBatch
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
 from .nn import Linear, Network, ReLU, init_parameters
 from .optim import AdamW
@@ -189,13 +189,6 @@ def forecast_table(test_batch: ViewBatch, result_a: ProbeResult,
 
 # ---------------------------------------------------------------------------
 # image dumps
-
-
-def denormalize_to_u8(pixels: np.ndarray, cfg: MnistConfig | None = None) -> np.ndarray:
-    """Invert the dataset normalization and quantize to [0,255]."""
-    cfg = cfg or MnistConfig()
-    v = (pixels * cfg.norm_std + cfg.norm_mean) * 255.0
-    return np.clip(np.rint(v), 0, 255).astype(np.uint8)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

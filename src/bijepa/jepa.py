@@ -27,8 +27,8 @@ from .optim import AdamW, EmaConfig, ema_update
 
 __all__ = [
     "ConstraintMode", "BiJepaModel", "StepMetrics", "sphere_project",
-    "forward_pass", "backward_pass", "total_loss", "train_step",
-    "encode_for_inference", "predict_forward_for_inference",
+    "total_loss", "train_step", "encode_for_inference",
+    "predict_forward_for_inference",
 ]
 
 
@@ -124,25 +124,6 @@ def _branch(model: BiJepaModel, src: Tensor, dst: Tensor, predictor: Network):
     pred = _maybe_project(model, predictor(s))
     tgt = ad.stop_gradient(_maybe_project(model, model.target_encoder(dst)))
     return s, pred, tgt
-
-
-def forward_pass(model: BiJepaModel, x: Tensor, y: Tensor):
-    """Predict the target embedding from the context view.
-
-    Returns (prediction, target); the target carries no gradient.
-    """
-    return _branch(model, x, y, model.p_fwd)[1:]
-
-
-def backward_pass(model: BiJepaModel, x: Tensor, y: Tensor):
-    """Predict the context embedding from the target view.
-
-    The target view feeds the online encoder here; gradients reach it
-    only through this branch's y input.
-    """
-    if model.p_bwd is None:
-        raise ValueError("backward pass undefined for alpha == 1 (no backward predictor)")
-    return _branch(model, y, x, model.p_bwd)[1:]
 
 
 def total_loss(model: BiJepaModel, x: Tensor, y: Tensor, step: int = 0):

@@ -1,4 +1,4 @@
-"""Layer specifications, network builders, initialization, and checkpoints.
+"""Layer specifications, network builders, initialization, and state copies.
 
 A Network is an ordered list of layers applied in sequence. Three builders
 cover every architecture used by the experiments: a two-hidden-layer MLP
@@ -9,7 +9,6 @@ half-image inputs.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
@@ -19,10 +18,6 @@ from .autodiff import RunningStats, Tensor
 
 class SpecMismatchError(ValueError):
     """Two networks whose layer specs disagree."""
-
-
-class CheckpointError(ValueError):
-    """Malformed or truncated checkpoint file."""
 
 
 class Layer:
@@ -199,9 +194,6 @@ class Network:
                 out.append((f"{i}.{name}", arr))
         return out
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         d = {name: t.values.copy() for name, t in self.named_parameters()}
         for name, arr in self.named_buffers():
@@ -304,61 +296,3 @@ def fingerprint(net: Network) -> str:
         h.update(name.encode("utf-8"))
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-#
-# Layout: magic "BJPA" | version u32 | tensor count u32, then per tensor:
-# name length u32 | UTF-8 name | rank u32 | dims u32[rank] | f64 values.
-# All integers and floats little-endian.
-
-_MAGIC = b"BJPA"
-_VERSION = 1
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        raw = f.read()
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(raw):
-            raise CheckpointError(f"truncated checkpoint: expected {what} at byte {offset}")
-        chunk = raw[offset:offset + n]
-        offset += n
-        return chunk
-
-    offset = 0
-    if take(4, "magic") != _MAGIC:
-        raise CheckpointError(f"bad magic in {path}: not a checkpoint file")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        n = int(np.prod(dims)) if rank else 1
-        values = np.frombuffer(take(8 * n, f"values of {name}"), dtype="<f8")
-        tensors[name] = values.reshape(dims).astype(np.float64)
-    if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes after last tensor")
-    return tensors

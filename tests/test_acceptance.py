@@ -34,12 +34,9 @@ from bijepa.seeding import stream
 
 SEEDS = (0, 1, 2)
 
-# the heap setting bijepa's entry point applies; without it every step
-# page-faults its freed graph back in
 _RUNNER = """\
 import json, sys
-from bijepa.cli import RunConfig, _keep_freed_heap, run
-_keep_freed_heap()
+from bijepa.cli import RunConfig, run
 report = run(RunConfig(**json.loads(sys.argv[1])))
 sys.stdout.write(report.to_json())
 """
@@ -57,7 +54,7 @@ def run_isolated(**cfg_kwargs) -> ExperimentReport:
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"isolated run {cfg_kwargs} failed:\n{proc.stderr[-2000:]}")
-    return ExperimentReport.from_json(proc.stdout)
+    return ExperimentReport(**json.loads(proc.stdout))
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:

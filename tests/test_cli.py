@@ -40,8 +40,27 @@ class TestEffectiveHyper:
                 effective_hyper(RunConfig(experiment, "bijepa-unconstrained"))
 
     def test_classic_forces_alpha_one(self):
-        hyper, _ = effective_hyper(RunConfig("sine", "classic", alpha=0.3))
+        hyper, _ = effective_hyper(RunConfig("sine", "classic"))
         assert hyper["alpha"] == 1.0
+
+    def test_alpha_is_an_override(self):
+        hyper, _ = effective_hyper(RunConfig("sine", "bijepa-expressive"))
+        assert hyper["alpha"] == 0.5
+        hyper, _ = effective_hyper(RunConfig("sine", "bijepa-expressive",
+                                             overrides={"alpha": "0.3"}))
+        assert hyper["alpha"] == 0.3
+
+    def test_classic_rejects_alpha_override(self, capsys):
+        # an alpha below 1 would build a backward predictor for a run
+        # reported as classic
+        with pytest.raises(ConfigError, match="classic"):
+            effective_hyper(RunConfig("sine", "classic", overrides={"alpha": 0.5}))
+        assert main(["run", "--experiment", "sine", "--variant", "classic",
+                     "--set", "alpha=0.5"]) == 2
+        assert "alpha" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["run", "--experiment", "sine", "--variant", "classic",
+                  "--alpha", "0.5"])  # not an option
 
     def test_variant_decay_wiring(self):
         h_u, _ = effective_hyper(RunConfig("sine", "bijepa-unconstrained"))
@@ -73,12 +92,15 @@ class TestEffectiveHyper:
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
-            effective_hyper(RunConfig("sine", "bijepa-expressive", alpha=1.5))
+            effective_hyper(RunConfig("sine", "bijepa-expressive",
+                                      overrides={"alpha": 1.5}))
 
     def test_coerce_rejects_garbage(self):
         for default, value in [(10, "many"), (0.1, "fast"),
                                (2000, 2.5), (2000, "2.5"), (2000, True),
-                               (2000, float("inf")), (1e-3, True), (1e-3, False)]:
+                               (2000, float("inf")), (1e-3, True), (1e-3, False),
+                               (1e-3, float("nan")), (1e-3, "inf"),
+                               (1e-3, float("-inf"))]:
             with pytest.raises(ConfigError):
                 type_coerce(default, value, "key")
 
@@ -129,7 +151,7 @@ class TestRunArtifacts:
 
     def test_json_round_trip(self, tiny_sine_report):
         report, _ = tiny_sine_report
-        back = ExperimentReport.from_json(report.to_json())
+        back = ExperimentReport(**json.loads(report.to_json()))
         assert back.final_train_loss == report.final_train_loss
         assert back.protocol_b_mse == report.protocol_b_mse
         assert back.loss_history == report.loss_history
@@ -157,6 +179,15 @@ class TestRunArtifacts:
         assert len(report.forecast) == TINY_SINE["test_batch"]
         rec = report.forecast[0]
         assert set(rec) == {"sample", "truth", "proto_a", "proto_b"}
+
+
+class TestHeapPolicy:
+    def test_run_keeps_freed_heap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+        run(RunConfig("sine", "classic", overrides={
+            "steps": 2, "probe_steps": 2, "probe_set_size": 8, "test_batch": 4}))
+        assert calls == [1]
 
 
 class TestDeterminism:

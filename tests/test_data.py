@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bijepa.data import (
-    IdxFormatError, LorenzConfig, LorenzDataset, MnistConfig, SineConfig,
-    ViewBatch, build_lorenz_dataset, gen_sine_batch, integrate_lorenz,
-    load_mnist_idx, split_vertical,
+    MNIST_MEAN, MNIST_STD, IdxFormatError, LorenzConfig, LorenzDataset,
+    SineConfig, ViewBatch, build_lorenz_dataset, gen_sine_batch,
+    integrate_lorenz, load_mnist_idx, split_vertical,
 )
 from bijepa.seeding import stream
 
@@ -130,6 +130,24 @@ class TestLorenzIntegration:
             integrate_lorenz(LorenzConfig(), (1.0, 2.0), 5)
         with pytest.raises(ValueError):
             integrate_lorenz(LorenzConfig(), (np.nan, 0.0, 0.0), 5)
+        with pytest.raises(ValueError):
+            integrate_lorenz(LorenzConfig(), [[1.0, 2.0, 3.0], [0.0, np.inf, 0.0]], 5)
+        with pytest.raises(ValueError):
+            integrate_lorenz(LorenzConfig(), 1.0, 5)
+
+    def test_batch_rows_match_single_runs(self):
+        inits = np.random.default_rng(7).uniform(-15, 15, (4, 3))
+        for integrator in ("euler", "rk4"):
+            cfg = LorenzConfig(integrator=integrator)
+            batch = integrate_lorenz(cfg, inits, 30)
+            assert batch.shape == (4, 30, 3)
+            for init, traj in zip(inits, batch):
+                assert np.array_equal(traj, integrate_lorenz(cfg, init, 30))
+
+    def test_blow_up_reported_at_its_step(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite state at step"):
+            integrate_lorenz(LorenzConfig(dt=1.0), [(1.0, 1.0, 1.0), (5.0, 5.0, 5.0)], 400)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +188,19 @@ class TestLorenzDataset:
             axis=-1)
         assert np.abs(stepped - raw[:, 1:]).max() < 1e-9
 
+    def test_rows_are_the_oracle_trajectories(self, ds):
+        # redraw the seed-0 starts and integrate a few with the criterion 5
+        # oracle: normalized and cut 20/20 they are the dataset's rows
+        cfg = LorenzConfig()
+        n_total = cfg.n_train + cfg.n_probe + cfg.n_test
+        inits = stream(0, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
+        for split, offset in ((ds.train, 0), (ds.probe, cfg.n_train),
+                              (ds.test, cfg.n_train + cfg.n_probe)):
+            for row in (0, 1, split.size - 1):
+                traj = (integrate_lorenz(cfg, inits[offset + row], cfg.T) - ds.mean) / ds.std
+                assert np.array_equal(traj[:20].reshape(-1), split.x.values[row])
+                assert np.array_equal(traj[20:].reshape(-1), split.y.values[row])
+
     def test_determinism_and_seed_sensitivity(self, ds):
         again = build_lorenz_dataset(LorenzConfig(), seed=0)
         assert np.array_equal(ds.train.x.values, again.train.x.values)
@@ -194,7 +225,7 @@ class TestMnistLoader:
         px, lb = load_mnist_idx(ipath, lpath)
         assert px.shape == (5, 1, 28, 28) and lb.dtype == np.int64
         assert np.array_equal(lb, labels)
-        expected = (images.astype(np.float64) / 255.0 - 0.1307) / 0.3081
+        expected = (images.astype(np.float64) / 255.0 - MNIST_MEAN) / MNIST_STD
         assert np.allclose(px[:, 0], expected, atol=1e-12)
 
     def test_pixel_extremes(self, tmp_path):

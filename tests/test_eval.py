@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor
-from bijepa.data import MnistConfig, ViewBatch
+from bijepa.data import MNIST_MEAN, MNIST_STD, ViewBatch, denormalize_to_u8
 from bijepa.eval import (
-    _embed, ProbeConfig, ProbeResult, denormalize_to_u8, forecast_table,
-    generative_decoder, linear_probe_classify, protocol_a, protocol_b,
-    write_pgm,
+    _embed, ProbeConfig, ProbeResult, forecast_table, generative_decoder,
+    linear_probe_classify, protocol_a, protocol_b, write_pgm,
 )
 from bijepa.jepa import BiJepaModel, ConstraintMode, encode_for_inference
 from bijepa.nn import (
@@ -210,8 +209,8 @@ class TestGenerativeDecoder:
         model = self.conv_free_model(10)
         base = generative_decoder(model, mn, ProbeConfig(epochs=1))
         scaled = generative_decoder(model, mn, ProbeConfig(epochs=1),
-                                    pixel_std=0.3081)
-        assert abs(scaled.mse - base.mse * 0.3081 ** 2) < 1e-15
+                                    pixel_std=MNIST_STD)
+        assert abs(scaled.mse - base.mse * MNIST_STD ** 2) < 1e-15
         assert np.array_equal(scaled.predictions, base.predictions)
 
 
@@ -243,10 +242,9 @@ class TestProbeResult:
 
 class TestImageDumps:
     def test_denormalize_round_trip(self):
-        cfg = MnistConfig()
         u8 = np.arange(256, dtype=np.uint8)
-        norm = (u8 / 255.0 - cfg.norm_mean) / cfg.norm_std
-        assert np.array_equal(denormalize_to_u8(norm, cfg), u8)
+        norm = (u8 / 255.0 - MNIST_MEAN) / MNIST_STD
+        assert np.array_equal(denormalize_to_u8(norm), u8)
 
     def test_denormalize_clips(self):
         assert denormalize_to_u8(np.array([-100.0]))[0] == 0

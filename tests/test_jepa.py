@@ -7,8 +7,8 @@ import pytest
 from bijepa import autodiff as ad
 from bijepa.autodiff import Tensor
 from bijepa.jepa import (
-    BiJepaModel, ConstraintMode, backward_pass, encode_for_inference,
-    forward_pass, predict_forward_for_inference, total_loss, train_step,
+    BiJepaModel, ConstraintMode, _branch, encode_for_inference,
+    predict_forward_for_inference, total_loss, train_step,
 )
 from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
     clone_into, fingerprint, init_parameters
@@ -286,13 +286,6 @@ class TestLossMetrics:
         expected = float(np.linalg.norm(s_x.values, axis=1).mean())
         assert abs(m.mean_embedding_norm - expected) < 1e-12
 
-    def test_backward_pass_refused_for_classic(self):
-        model, _ = make_model(alpha=1.0)
-        rng = np.random.default_rng(12)
-        x, y = batch(rng)
-        with pytest.raises(ValueError):
-            backward_pass(model, x, y)
-
     def test_step_index_recorded(self):
         model, opt = make_model()
         rng = np.random.default_rng(13)
@@ -306,9 +299,9 @@ class TestRestrictiveRegime:
         model, _ = make_model(mode=ConstraintMode.RESTRICTIVE)
         rng = np.random.default_rng(14)
         x, y = batch(rng)
-        pred, tgt = forward_pass(model, x, y)
-        bpred, btgt = backward_pass(model, Tensor(x.values), Tensor(y.values))
-        for t in (pred, tgt, bpred, btgt):
+        fwd = _branch(model, x, y, model.p_fwd)
+        bwd = _branch(model, Tensor(y.values), Tensor(x.values), model.p_bwd)
+        for t in (*fwd, *bwd):
             assert np.abs(np.linalg.norm(t.values, axis=1) - 1.0).max() < 1e-9
 
     def test_inference_embeddings_unit_norm(self):

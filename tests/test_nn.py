@@ -1,36 +1,39 @@
-"""Network construction, initialization, cloning, and checkpoint I/O."""
+"""Network construction, initialization, cloning, and state dicts."""
 
 import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor, sum_all
 from bijepa.nn import (
-    CheckpointError, Network, SpecMismatchError, build_conv_encoder,
-    build_mlp_encoder, build_predictor, clone_into, fingerprint,
-    init_parameters, load_checkpoint, save_checkpoint,
+    Network, SpecMismatchError, build_conv_encoder, build_mlp_encoder,
+    build_predictor, clone_into, fingerprint, init_parameters,
 )
+
+
+def param_count(net: Network) -> int:
+    return sum(p.size for p in net.parameters())
 
 
 class TestBuilders:
     def test_mlp_encoder_param_count(self):
         # 704 + 128 + 4160 + 128 + 1040
         net = build_mlp_encoder(10, 64, 16, with_ln=True)
-        assert net.param_count() == 6160
+        assert param_count(net) == 6160
 
     def test_mlp_encoder_without_ln(self):
         net = build_mlp_encoder(10, 64, 16, with_ln=False)
-        assert net.param_count() == 5904
+        assert param_count(net) == 5904
         assert all(kind != "layer_norm" for kind, *_ in net.spec())
 
     def test_predictor_param_count(self):
         # 1088 + 128 + 1040
         net = build_predictor(16, 64, with_ln=True)
-        assert net.param_count() == 2256
+        assert param_count(net) == 2256
 
     def test_conv_encoder_param_count(self):
         # 320 + 64 + 18496 + 128 + 229504 + 256 + 8256
         net = build_conv_encoder()
-        assert net.param_count() == 257024
+        assert param_count(net) == 257024
 
     def test_mlp_output_shape(self):
         net = build_mlp_encoder(10, 64, 16, with_ln=True)
@@ -162,60 +165,6 @@ class TestBuffers:
         d["0.w"] = np.zeros((3, 3))
         with pytest.raises(SpecMismatchError):
             net.load_state_dict(d)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
-        init_parameters(net, 5)
-        path = tmp_path / "enc.ckpt"
-        save_checkpoint(path, net.state_dict())
-        loaded = load_checkpoint(path)
-        for name, arr in net.state_dict().items():
-            assert np.array_equal(loaded[name], arr)
-
-    def test_magic_bytes(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"a": np.arange(3.0)})
-        assert path.read_bytes()[:4] == b"BJPA"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"a": np.arange(3.0)})
-        raw = bytearray(path.read_bytes())
-        raw[0] = ord(b"X")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_truncation_rejected(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"a": np.arange(10.0)})
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 8])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "x.ckpt"
-        save_checkpoint(path, {"a": np.arange(3.0)})
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
-
-    def test_preserves_rank_and_values(self, tmp_path):
-        tensors = {
-            "scalarish": np.array([3.25]),
-            "mat": np.arange(12.0).reshape(3, 4),
-            "cube": np.arange(8.0).reshape(2, 2, 2),
-        }
-        path = tmp_path / "mixed.ckpt"
-        save_checkpoint(path, tensors)
-        loaded = load_checkpoint(path)
-        assert set(loaded) == set(tensors)
-        for name, arr in tensors.items():
-            assert loaded[name].shape == arr.shape
-            assert np.array_equal(loaded[name], arr)
 
 
 class TestMode:
