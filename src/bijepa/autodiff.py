@@ -240,7 +240,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"linear: inner dims disagree for x {x.shape}, w {w.shape}, b {b.shape}")
     xv, wv = x.values, w.values
-    y = xv @ wv + b.values
+    y = xv @ wv
+    y += b.values
     need_x = _needs_grad(x)
 
     def vjp(g):
@@ -250,35 +251,57 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), bit-equal to ``np.where(x > 0, x, 0.0)``: ``fmax``
+    maps NaN to 0, and adding +0.0 turns the -0.0 it may keep into +0.0."""
     x = _as_tensor(x)
-    mask = x.values > 0.0
-    return _make("relu", (x,), np.where(mask, x.values, 0.0), lambda g: (g * mask,))
+    xv = x.values
+    y = np.fmax(xv, 0.0)
+    y += 0.0
+    return _make("relu", (x,), y, lambda g: (g * (xv > 0.0),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit biased variance, then affine."""
+    """Per-row normalization to zero mean / unit biased variance, then affine.
+
+    The statistics are the ufunc sequence of ``np.mean`` and ``np.var``
+    (a sum, then a divide by ``d``; subtract, square, sum, divide), with
+    the centred input computed once, so the bits are those of the
+    textbook form ``gamma * (x - mean) / sqrt(var + eps) + beta``.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 2:
         raise ShapeError(f"layer_norm expects (B,D), got {x.shape}")
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must be ({d},)")
-    xv = x.values
-    mu = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv_std
-    y = gamma.values * xhat + beta.values
-    gv = gamma.values
+    xv, gv = x.values, gamma.values
+    mu = xv.sum(axis=1, keepdims=True)
+    mu /= d
+    xhat = xv - mu
+    y = np.square(xhat)
+    inv_std = y.sum(axis=1, keepdims=True)  # the variance, until inverted below
+    inv_std /= d
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gv, out=y)
+    y += beta.values
 
     def vjp(g):
-        dxhat = g * gv
-        dx = (inv_std / d) * (
-            d * dxhat
-            - dxhat.sum(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
-        )
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        # dx = (inv_std / d) * (d*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)),
+        # dxhat = g * gamma, one operation per line in that order
+        dx = g * gv
+        buf = dx * xhat
+        s2 = buf.sum(axis=1, keepdims=True)
+        s1 = dx.sum(axis=1, keepdims=True)
+        dx *= d
+        dx -= s1
+        np.multiply(xhat, s2, out=buf)
+        dx -= buf
+        dx *= inv_std / d
+        np.multiply(g, xhat, out=buf)
+        return dx, buf.sum(axis=0), g.sum(axis=0)
 
     return _make("layer_norm", (x, gamma, beta), y, vjp)
 

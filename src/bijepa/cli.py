@@ -88,7 +88,8 @@ class ExperimentReport:
 
 def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
     """Merge defaults, variant constraints, and user overrides into the
-    fully explicit hyperparameter dict echoed by the report."""
+    fully explicit hyperparameter dict echoed by the report. Every value
+    is checked against its key's domain."""
     if cfg.experiment not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from {tuple(_EXPERIMENTS)}")
@@ -104,7 +105,8 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
         raise ConfigError("classic fixes alpha at 1 and has no backward "
                           "predictor; set alpha on a bijepa variant")
 
-    hyper = dict(_EXPERIMENTS[cfg.experiment].hyper)
+    experiment = _EXPERIMENTS[cfg.experiment]
+    hyper = dict(experiment.hyper)
     hyper["weight_decay"] = mode.weight_decay
     hyper["alpha"] = 1.0 if is_classic else 0.5
     for key, value in cfg.overrides.items():
@@ -112,34 +114,81 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
             raise ConfigError(
                 f"unknown override {key!r} for {cfg.experiment}; valid keys: "
                 f"{sorted(hyper)}")
-        hyper[key] = type_coerce(hyper[key], value, key)
-    if not 0.0 <= hyper["alpha"] <= 1.0:
-        raise ConfigError(f"alpha must lie in [0,1], got {hyper['alpha']}")
-    return hyper, mode
+        hyper[key] = value
+    domains = experiment.domains()
+    return {key: domains[key].check(key, value) for key, value in hyper.items()}, mode
 
 
-def type_coerce(default, value, key: str):
-    """Coerce an override onto its default's type.
+@dataclass(frozen=True)
+class Domain:
+    """The values one hyperparameter may take: a type, plus bounds or a
+    set of choices.
 
     Integer keys take integers, integral floats and integer strings;
     float keys take finite numbers and numeric strings; neither takes a
-    boolean. String keys take the value as given.
+    boolean. String keys take strings.
     """
-    if not isinstance(default, (int, float)):
-        return value
-    kind = type(default)
-    error = ConfigError(f"override {key} needs "
-                        f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
-    if isinstance(value, bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        raise error
-    try:
-        coerced = kind(value)
-    except (TypeError, ValueError):
-        raise error from None
-    if not math.isfinite(coerced):
-        raise error
-    return coerced
+
+    kind: type              # int, float or str
+    gt: float | None = None  # every value must exceed this
+    ge: float | None = None  # lowest allowed value
+    le: float | None = None  # highest allowed value
+    choices: tuple = ()
+
+    def check(self, key: str, value):
+        """``value`` coerced onto ``kind``; ConfigError outside the domain."""
+        v = self._coerce(key, value)
+        if ((self.choices and v not in self.choices)
+                or (self.gt is not None and not v > self.gt)
+                or (self.ge is not None and not v >= self.ge)
+                or (self.le is not None and not v <= self.le)):
+            raise ConfigError(f"{key} must be {self}, got {value!r}")
+        return v
+
+    def _coerce(self, key: str, value):
+        kind = self.kind
+        if kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{key} needs a string, got {value!r}")
+            return value
+        error = ConfigError(f"{key} needs "
+                            f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise error
+        try:
+            coerced = kind(value)
+        except (TypeError, ValueError):
+            raise error from None
+        if not math.isfinite(coerced):
+            raise error
+        return coerced
+
+    def __str__(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(map(str, self.choices))
+        bounds = [f"{op} {bound}" for op, bound in
+                  ((">", self.gt), (">=", self.ge), ("<=", self.le)) if bound is not None]
+        return " and ".join(bounds)
+
+
+_POSITIVE = Domain(float, gt=0.0)
+_NON_NEGATIVE = Domain(float, ge=0.0)
+_FRACTION = Domain(float, ge=0.0, le=1.0)
+_COUNT = Domain(int, ge=1)
+
+# The domain of every hyperparameter key. An experiment's own_domains
+# take precedence: its encoder input width is fixed by its data, and
+# MNIST's BatchNorm needs batches of two rows or more.
+_DOMAINS = {
+    "lr": _POSITIVE, "weight_decay": _NON_NEGATIVE, "tau": _FRACTION, "alpha": _FRACTION,
+    "steps": _COUNT, "epochs": _COUNT, "batch": _COUNT,
+    "enc_hidden": _COUNT, "emb_dim": _COUNT, "pred_hidden": _COUNT,
+    "noise_std": _NON_NEGATIVE, "integrator": Domain(str, choices=("euler", "rk4")),
+    "train_limit": Domain(int, ge=0),
+    "probe_lr": _POSITIVE, "probe_steps": _COUNT, "probe_epochs": _COUNT,
+    "probe_batch": _COUNT, "probe_set_size": _COUNT, "test_batch": _COUNT,
+}
 
 
 def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaModel:
@@ -314,6 +363,10 @@ class _Experiment:
     data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
     probes: Callable    # (model, held-out splits, ProbeConfig) -> (metrics, forecast, images)
     verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)
+    own_domains: dict   # domains that differ from _DOMAINS for this experiment
+
+    def domains(self) -> dict:
+        return {**_DOMAINS, **self.own_domains}
 
 
 _EXPERIMENTS = {
@@ -326,7 +379,8 @@ _EXPERIMENTS = {
             "probe_set_size": 1024, "test_batch": 64,
         },
         encoder=_mlp_encoder, data=_sine_data, probes=_regression_probes,
-        verdict=("protocol_b_mse", "protoB", operator.lt)),
+        verdict=("protocol_b_mse", "protoB", operator.lt),
+        own_domains={"enc_in": Domain(int, choices=(SineConfig.T // 2,))}),
     "lorenz": _Experiment(
         hyper={
             "lr": 5e-4, "steps": 3000, "batch": 64, "tau": 0.995,
@@ -335,7 +389,8 @@ _EXPERIMENTS = {
             "probe_lr": 1e-3, "probe_steps": 2000,
         },
         encoder=_mlp_encoder, data=_lorenz_data, probes=_regression_probes,
-        verdict=("protocol_b_mse", "protoB", operator.lt)),
+        verdict=("protocol_b_mse", "protoB", operator.lt),
+        own_domains={"enc_in": Domain(int, choices=(LorenzConfig.T // 2 * 3,))}),
     "mnist": _Experiment(
         hyper={
             "lr": 1e-3, "epochs": 10, "batch": 256, "tau": 0.99,
@@ -347,7 +402,8 @@ _EXPERIMENTS = {
             "probe_lr": 1e-2, "probe_epochs": 10, "probe_batch": 256,
         },
         encoder=_conv_encoder, data=_mnist_data, probes=_image_probes,
-        verdict=("accuracy", "accuracy", operator.gt)),
+        verdict=("accuracy", "accuracy", operator.gt),
+        own_domains={"batch": Domain(int, ge=2)}),
 }
 
 

@@ -134,7 +134,9 @@ def total_loss(model: BiJepaModel, x: Tensor, y: Tensor, step: int = 0):
     """
     s_x, pred, tgt = _branch(model, x, y, model.p_fwd)
     fwd = ad.mse_loss(pred, tgt)
-    norm = float(np.linalg.norm(s_x.values, axis=1).mean())
+    # np.linalg.norm(s, axis=1)'s own ufuncs, without its dispatch
+    sv = s_x.values
+    norm = float(np.sqrt(np.add.reduce(sv * sv, axis=1)).mean())
     if model.p_bwd is None:
         fwd_val = fwd.item()
         return fwd, StepMetrics(fwd_val, fwd_val, 0.0, norm, step)

@@ -49,33 +49,20 @@ class AdamW:
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("a parameter is listed more than once")
-        for p in self.params:
-            if p.values.base is not None:
-                raise ValueError(
-                    f"parameter of shape {p.shape} views another array (registered "
-                    "with another optimizer?); AdamW must own its storage")
+        self.flat = _pack(self.params, "AdamW")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        n = sum(p.size for p in self.params)
-        self.flat = np.empty(n)
+        n = self.flat.size
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._grad = np.empty(n)
         self._tmp = np.empty(n)
         self._update = np.empty(n)
         self._finite = np.empty(n, dtype=bool)
-        self._grad_views = []
-        offset = 0
-        for p in self.params:
-            end = offset + p.size
-            view = self.flat[offset:end].reshape(p.shape)
-            view[...] = p.values
-            p.values = view
-            self._grad_views.append(self._grad[offset:end].reshape(p.shape))
-            offset = end
+        self._grad_views = _views(self._grad, self.params)
         self.step_count = 0
         self.diverged = False
 
@@ -130,27 +117,102 @@ class AdamW:
         return True
 
 
-# Scratch arrays for ema_update, one per target parameter, kept for as
-# long as the target network lives. Contents never outlive one call.
-_EMA_SCRATCH: "weakref.WeakKeyDictionary[Network, list[np.ndarray]]" = \
-    weakref.WeakKeyDictionary()
+def _views(buf: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
+    """Views of ``buf`` shaped like ``params``, back to back."""
+    views, offset = [], 0
+    for p in params:
+        views.append(buf[offset:offset + p.size].reshape(p.shape))
+        offset += p.size
+    return views
+
+
+def _pack(params: list[Tensor], owner: str) -> np.ndarray:
+    """Copy ``params`` into one new contiguous float64 buffer and rebind
+    each tensor's ``values`` to its view of it; returns the buffer.
+
+    A parameter whose ``values`` already views another array is refused,
+    not repacked: rebinding it would silently cut that link.
+    """
+    for p in params:
+        if p.values.base is not None:
+            raise ValueError(
+                f"parameter of shape {p.shape} views another array (registered "
+                f"with another optimizer?); {owner} must own its storage")
+    flat = np.empty(sum(p.size for p in params))
+    for p, view in zip(params, _views(flat, params)):
+        view[...] = p.values
+        p.values = view
+    return flat
+
+
+def _runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """1-D views that cover ``arrays`` in order: one per run of arrays
+    lying back to back in one flat buffer (such as ``AdamW.flat``), else
+    one per array. No data is copied or moved."""
+    runs = []  # [buffer, start, stop], in elements
+    for a in arrays:
+        buf, start = a.base, 0
+        if buf is not None and buf.ndim == 1 and buf.dtype == a.dtype and buf.flags.c_contiguous:
+            start = (a.__array_interface__["data"][0]
+                     - buf.__array_interface__["data"][0]) // a.itemsize
+        else:
+            buf = a.reshape(-1)
+        if runs and runs[-1][0] is buf and runs[-1][2] == start:
+            runs[-1][2] += a.size
+        else:
+            runs.append([buf, start, start + a.size])
+    return [buf[start:stop] for buf, start, stop in runs]
+
+
+class _EmaPlan:
+    """What ``ema_update`` resolves once per (target, online) pair.
+
+    The target's parameters live in one arena; ``spans`` pairs each
+    contiguous run of the online parameters' storage with the aligned
+    slice of the arena and of a scratch buffer. The plan is reused while
+    the pair and every tensor's storage stay the same.
+    """
+
+    def __init__(self, target: Network, online: Network, arena: np.ndarray | None):
+        if target.spec() != online.spec():
+            raise SpecMismatchError("ema_update needs identical network specs")
+        t_params, o_params = target.parameters(), online.parameters()
+        if arena is None or any(p.values.base is not arena for p in t_params):
+            arena = _pack(t_params, "the EMA target")
+        self.arena = arena
+        self.online = weakref.ref(online)
+        self.bound = [(p, p.values) for p in t_params + o_params]
+        scratch = np.empty(arena.size)
+        self.spans, offset = [], 0
+        for run in _runs([p.values for p in o_params]):
+            end = offset + run.size
+            self.spans.append((arena[offset:end], run, scratch[offset:end]))
+            offset = end
+
+    def current(self, online: Network) -> bool:
+        return self.online() is online and all(p.values is v for p, v in self.bound)
+
+
+# One plan per target network, kept for as long as the target lives.
+_EMA_PLANS: "weakref.WeakKeyDictionary[Network, _EmaPlan]" = weakref.WeakKeyDictionary()
 
 
 def ema_update(target: Network, online: Network, cfg: EmaConfig) -> None:
     """p̄ ← τ·p̄ + (1−τ)·p for every parameter pair.
 
-    Computed in place as ``p̄ *= τ; p̄ += (1−τ)·p``, which rounds exactly
-    like ``tau * p_t + (1.0 - tau) * p_o``, and allocates nothing after
-    the first call for a given target.
+    The first call for a pair checks the specs and moves the target's
+    parameters into one contiguous arena (the online network's storage
+    is never moved). Each call then runs ``p̄ *= τ; p̄ += (1−τ)·p`` over
+    whole contiguous spans, one span when the online parameters are
+    registered with one ``AdamW``. That rounds exactly like
+    ``tau * p_t + (1.0 - tau) * p_o`` and allocates nothing.
     """
-    if target.spec() != online.spec():
-        raise SpecMismatchError("ema_update needs identical network specs")
+    plan = _EMA_PLANS.get(target)
+    if plan is None or not plan.current(online):
+        plan = _EMA_PLANS[target] = _EmaPlan(target, online,
+                                             None if plan is None else plan.arena)
     tau = cfg.tau
-    params = target.parameters()
-    scratch = _EMA_SCRATCH.get(target)
-    if scratch is None:
-        scratch = _EMA_SCRATCH[target] = [np.empty(p.shape) for p in params]
-    for p_t, p_o, tmp in zip(params, online.parameters(), scratch):
-        np.multiply(p_o.values, 1.0 - tau, out=tmp)
-        p_t.values *= tau
-        p_t.values += tmp
+    for p_t, p_o, tmp in plan.spans:
+        np.multiply(p_o, 1.0 - tau, out=tmp)
+        p_t *= tau
+        p_t += tmp

@@ -357,6 +357,80 @@ class TestGraphLifetime:
         assert node.output is None
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        np.frombuffer(a.tobytes(), np.uint8), np.frombuffer(b.tobytes(), np.uint8))
+
+
+def forward_and_grads(op, g, *arrays):
+    """``op`` over fresh leaf tensors, and the gradient of every input
+    for the upstream gradient ``g`` (sum(op(...) * g) passes g exactly)."""
+    ts = [Tensor(a, requires_grad=True) for a in arrays]
+    y = op(*ts)
+    sum_all(mul(y, Tensor(g))).backward()
+    return y.values, [t.grad for t in ts]
+
+
+class TestBitExactForms:
+    """The primitives' in-place forms give the bits of the textbook numpy
+    expressions, computed here in the same process (a golden hash could
+    differ across BLAS kernels)."""
+
+    @staticmethod
+    def textbook_layer_norm(x, gamma, beta, g, eps=1e-5):
+        d = x.shape[1]
+        mu = np.mean(x, axis=1, keepdims=True)
+        var = np.var(x, axis=1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu) * inv_std
+        dxhat = g * gamma
+        dx = (inv_std / d) * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
+                              - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+        return gamma * xhat + beta, [dx, (g * xhat).sum(axis=0), g.sum(axis=0)]
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 128), (256, 128), (7, 130), (3, 1)])
+    @pytest.mark.parametrize("case", ["normal", "constant_rows", "large", "tiny"])
+    def test_layer_norm(self, shape, case):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        if case == "constant_rows":
+            x[::2] = 5.0
+        elif case == "large":
+            x = x * 1e8 + 3e9
+        elif case == "tiny":
+            x = x * 1e-160
+        gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        g = rng.standard_normal(shape)
+        y, grads = forward_and_grads(layer_norm, g, x, gamma, beta)
+        y_ref, grads_ref = self.textbook_layer_norm(x, gamma, beta, g)
+        assert same_bits(y, y_ref)
+        assert all(same_bits(a, b) for a, b in zip(grads, grads_ref))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (64, 64), (7, 130)])
+    def test_relu_special_values(self, shape):
+        # a cycle of odd length puts every value at every SIMD lane and in
+        # the scalar tail, whose -0.0 handling differs
+        tiny = np.finfo(np.float64).tiny
+        specials = [-0.0, np.nan, -np.nan, 0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                    tiny, -tiny, tiny / 2, -tiny / 2, 1.0, -1.0, 1e308, -1e308]
+        rng = np.random.default_rng(40)
+        x = np.resize(np.concatenate([specials, rng.standard_normal(3)]), shape)
+        g = rng.standard_normal(shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss is inf*g; unused
+            y, (gx,) = forward_and_grads(relu, g, x)
+        assert same_bits(y, np.where(x > 0, x, 0.0))
+        assert same_bits(gx, g * (x > 0))
+
+    @pytest.mark.parametrize("dims", [(64, 10, 64), (64, 128, 128), (64, 128, 32), (5, 3, 1)])
+    def test_linear(self, dims):
+        b_, i, o = dims
+        rng = np.random.default_rng(b_ + i + o)
+        x, w, b = rng.standard_normal((b_, i)), rng.standard_normal((i, o)), rng.standard_normal(o)
+        y = linear(Tensor(x), Tensor(w), Tensor(b))
+        assert same_bits(y.values, x @ w + b)
+
+
 class TestUnusedInputGradients:
     """A vjp returns None for an input that needs no gradient."""
 

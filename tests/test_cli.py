@@ -13,9 +13,9 @@ import pytest
 
 from bijepa import cli
 from bijepa.cli import (
-    ConfigError, ExperimentReport, RunConfig, _final_loss, _parse_set,
+    ConfigError, Domain, ExperimentReport, RunConfig, _final_loss, _parse_set,
     effective_hyper, emit_outputs, fetch_mnist, main, resolve_mnist_dir, run,
-    run_suite, type_coerce,
+    run_suite,
 )
 
 from helpers import write_idx
@@ -88,7 +88,7 @@ class TestEffectiveHyper:
             "sine", "classic", overrides={"steps": "250", "lr": "0.01"}))
         assert hyper["steps"] == 250 and isinstance(hyper["steps"], int)
         assert hyper["lr"] == 0.01
-        assert type_coerce(2000, 250.0, "steps") == 250
+        assert Domain(int).check("steps", 250.0) == 250
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -96,13 +96,80 @@ class TestEffectiveHyper:
                                       overrides={"alpha": 1.5}))
 
     def test_coerce_rejects_garbage(self):
-        for default, value in [(10, "many"), (0.1, "fast"),
-                               (2000, 2.5), (2000, "2.5"), (2000, True),
-                               (2000, float("inf")), (1e-3, True), (1e-3, False),
-                               (1e-3, float("nan")), (1e-3, "inf"),
-                               (1e-3, float("-inf"))]:
+        for kind, value in [(int, "many"), (float, "fast"),
+                            (int, 2.5), (int, "2.5"), (int, True),
+                            (int, float("inf")), (float, True), (float, False),
+                            (float, float("nan")), (float, "inf"),
+                            (float, float("-inf")), (str, 1)]:
             with pytest.raises(ConfigError):
-                type_coerce(default, value, "key")
+                Domain(kind).check("key", value)
+
+
+def _edges(domain: Domain) -> tuple[list, list]:
+    """Values just inside and just outside ``domain``."""
+    if domain.choices:
+        if domain.kind is str:
+            return list(domain.choices), ["heun", domain.choices[0].upper()]
+        return list(domain.choices), [min(domain.choices) - 1, max(domain.choices) + 1]
+    step = (lambda v, d: v + d) if domain.kind is int else \
+        (lambda v, d: np.nextafter(v, v + d))
+    inside, outside = [], []
+    if domain.gt is not None:
+        inside.append(step(domain.gt, 1))
+        outside.append(domain.kind(domain.gt))
+    if domain.ge is not None:
+        inside.append(domain.kind(domain.ge))
+        outside.append(step(domain.ge, -1))
+    if domain.le is not None:
+        inside.append(domain.kind(domain.le))
+        outside.append(step(domain.le, 1))
+    return inside, outside
+
+
+class TestDomains:
+    """Every hyperparameter key has one domain, and effective_hyper
+    enforces it at its edges."""
+
+    @pytest.mark.parametrize("experiment", tuple(cli._EXPERIMENTS))
+    def test_every_key_has_a_domain(self, experiment):
+        spec = cli._EXPERIMENTS[experiment]
+        keys = set(spec.hyper) | {"weight_decay", "alpha"}
+        assert keys - set(spec.domains()) == set(), "keys without a domain"
+        assert set(spec.own_domains) <= keys
+        for variant in ("bijepa-expressive", "classic"):
+            hyper, _ = effective_hyper(RunConfig(experiment, variant))
+            for key, value in hyper.items():
+                assert type(value) is spec.domains()[key].kind, key
+
+    def test_no_domain_for_an_unknown_key(self):
+        keys = set().union(*(e.hyper for e in cli._EXPERIMENTS.values()))
+        assert set(cli._DOMAINS) <= keys | {"weight_decay", "alpha"}
+
+    @pytest.mark.parametrize("experiment", tuple(cli._EXPERIMENTS))
+    def test_edges(self, experiment):
+        domains = cli._EXPERIMENTS[experiment].domains()
+        defaults, _ = effective_hyper(RunConfig(experiment, "bijepa-expressive"))
+        for key in defaults:
+            inside, outside = _edges(domains[key])
+            assert inside and outside, key
+            for value in inside:
+                hyper, _ = effective_hyper(RunConfig(
+                    experiment, "bijepa-expressive", overrides={key: value}))
+                assert hyper[key] == value, (key, value)
+            for value in outside:
+                with pytest.raises(ConfigError, match=key):
+                    effective_hyper(RunConfig(
+                        experiment, "bijepa-expressive", overrides={key: value}))
+
+    @pytest.mark.parametrize("experiment,setting", [
+        ("sine", "steps=-5"), ("sine", "batch=0"), ("sine", "lr=-1"),
+        ("sine", "tau=1.5"), ("sine", "noise_std=-1"), ("sine", "probe_steps=-3"),
+        ("sine", "weight_decay=-0.1"), ("lorenz", "integrator=heun"),
+        ("mnist", "batch=1"), ("mnist", "train_limit=-1")])
+    def test_out_of_domain_exits_two(self, experiment, setting, capsys):
+        assert main(["run", "--experiment", experiment, "--variant", "classic",
+                     "--set", setting]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
 
 
 class TestParseSet:

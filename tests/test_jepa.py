@@ -286,6 +286,18 @@ class TestLossMetrics:
         expected = float(np.linalg.norm(s_x.values, axis=1).mean())
         assert abs(m.mean_embedding_norm - expected) < 1e-12
 
+    @pytest.mark.parametrize("mode", list(ConstraintMode))
+    def test_norm_metric_bits_equal_linalg_norm(self, mode):
+        rng = np.random.default_rng(12)
+        for scale in (1.0, 1e6, 1e-6):
+            model, _ = make_model(mode=mode)
+            x, y = batch(rng, n=64)
+            x = Tensor(x.values * scale)
+            _, m = total_loss(model, x, y)
+            s_x = encode_for_inference(model, Tensor(x.values))
+            expected = float(np.linalg.norm(s_x.values, axis=1).mean())
+            assert m.mean_embedding_norm.hex() == expected.hex()
+
     def test_step_index_recorded(self):
         model, opt = make_model()
         rng = np.random.default_rng(13)

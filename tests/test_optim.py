@@ -352,3 +352,86 @@ class TestEma:
             p.grad = np.ones_like(p.values)
         opt.step()
         assert fingerprint(target) == before
+
+
+class TestEmaArena:
+    """The target's parameters live in one buffer; the online network's
+    storage is never moved."""
+
+    @staticmethod
+    def pair():
+        online = build_mlp_encoder(4, 8, 3, with_ln=True)
+        target = build_mlp_encoder(4, 8, 3, with_ln=True)
+        init_parameters(online, 0)
+        init_parameters(target, 1)
+        return online, target
+
+    @staticmethod
+    def expected(target, online, tau):
+        return [tau * p_t.values + (1.0 - tau) * p_o.values
+                for p_t, p_o in zip(target.parameters(), online.parameters())]
+
+    @staticmethod
+    def assert_values(net, arrays):
+        assert all(np.array_equal(p.values, a) for p, a in zip(net.parameters(), arrays))
+
+    def test_target_parameters_view_one_buffer(self):
+        online, target = self.pair()
+        before = fingerprint(target)
+        ema_update(target, online, EmaConfig(tau=1.0))
+        assert fingerprint(target) == before
+        arena = target.parameters()[0].values.base
+        offset = 0
+        for p in target.parameters():
+            assert p.values.base is arena
+            assert np.shares_memory(p.values, arena[offset:offset + p.size])
+            offset += p.size
+        assert offset == arena.size
+        with pytest.raises(ValueError, match="another optimizer"):
+            AdamW(target.parameters(), lr=1e-3)  # the target stays unregistered
+
+    def test_registered_online_keeps_optimizer_storage(self):
+        online, target = self.pair()
+        p_fwd = build_predictor(3, 8, with_ln=True)
+        init_parameters(p_fwd, 2)
+        opt = AdamW(online.parameters() + p_fwd.parameters(), lr=1e-2)
+        for step in range(3):
+            for p in online.parameters() + p_fwd.parameters():
+                p.grad = np.full_like(p.values, step + 1.0)
+            assert opt.step()
+            want = self.expected(target, online, 0.9)
+            ema_update(target, online, EmaConfig(tau=0.9))
+            self.assert_values(target, want)
+            assert all(p.values.base is opt.flat for p in online.parameters())
+
+    def test_unregistered_online_can_register_after_ema(self):
+        online, target = self.pair()
+        want = self.expected(target, online, 0.9)
+        ema_update(target, online, EmaConfig(tau=0.9))
+        self.assert_values(target, want)
+        opt = AdamW(online.parameters(), lr=1e-2)
+        for p in online.parameters():
+            p.grad = np.ones_like(p.values)
+        assert opt.step()
+        want = self.expected(target, online, 0.9)
+        ema_update(target, online, EmaConfig(tau=0.9))  # follows the moved storage
+        self.assert_values(target, want)
+
+    def test_foreign_buffer_refused_not_repacked(self):
+        online, target = self.pair()
+        opt = AdamW(target.parameters(), lr=1e-2)
+        with pytest.raises(ValueError, match="views another array"):
+            ema_update(target, online, EmaConfig(tau=0.9))
+        assert all(p.values.base is opt.flat for p in target.parameters())
+
+    def test_new_online_network_rechecked(self):
+        online, target = self.pair()
+        ema_update(target, online, EmaConfig(tau=0.9))
+        other = build_predictor(4, 8, with_ln=True)
+        with pytest.raises(SpecMismatchError):
+            ema_update(target, other, EmaConfig(tau=0.9))
+        online2, _ = self.pair()
+        init_parameters(online2, 5)
+        want = self.expected(target, online2, 0.5)
+        ema_update(target, online2, EmaConfig(tau=0.5))
+        self.assert_values(target, want)
