@@ -178,7 +178,7 @@ _FRACTION = Domain(float, ge=0.0, le=1.0)
 _COUNT = Domain(int, ge=1)
 
 # The domain of every hyperparameter key. An experiment's own_domains
-# take precedence: its encoder input width is fixed by its data, and
+# take precedence: a Lorenz batch is at most the train split, and
 # MNIST's BatchNorm needs batches of two rows or more.
 _DOMAINS = {
     "lr": _POSITIVE, "weight_decay": _NON_NEGATIVE, "tau": _FRACTION, "alpha": _FRACTION,
@@ -247,9 +247,11 @@ def _final_loss(history: list) -> float:
 # see every call.
 
 
-def _mlp_encoder(hyper: dict, with_ln: bool):
-    return build_mlp_encoder(hyper["enc_in"], hyper["enc_hidden"],
-                             hyper["emb_dim"], with_ln)
+def _mlp_encoder(in_dim: int):
+    """Encoder builder for context windows ``in_dim`` values wide."""
+    def build(hyper: dict, with_ln: bool):
+        return build_mlp_encoder(in_dim, hyper["enc_hidden"], hyper["emb_dim"], with_ln)
+    return build
 
 
 def _conv_encoder(hyper: dict, with_ln: bool):
@@ -307,6 +309,11 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
         train_x, train_y = train_x[:hyper["train_limit"]], train_y[:hyper["train_limit"]]
     views = SimpleNamespace(train=split_vertical(train_x, train_y),
                             test=split_vertical(test_x, test_y))
+    if views.train.size % hyper["batch"] == 1:
+        raise ConfigError(
+            f"a train split of {views.train.size} images leaves a one-row last "
+            f"batch at batch={hyper['batch']}, and BatchNorm needs two rows; "
+            "change batch or train_limit")
     batches = _shuffled_batches(views.train, stream(cfg.seed, "data:batches"),
                                 hyper["batch"], drop_last=False)
     n_steps = hyper["epochs"] * math.ceil(views.train.size / hyper["batch"])
@@ -373,24 +380,24 @@ _EXPERIMENTS = {
     "sine": _Experiment(
         hyper={
             "lr": 1e-3, "steps": 2000, "batch": 64, "tau": 0.995,
-            "enc_in": 10, "enc_hidden": 64, "emb_dim": 16, "pred_hidden": 64,
+            "enc_hidden": 64, "emb_dim": 16, "pred_hidden": 64,
             "noise_std": 0.05,
             "probe_lr": 1e-3, "probe_steps": 2000,
             "probe_set_size": 1024, "test_batch": 64,
         },
-        encoder=_mlp_encoder, data=_sine_data, probes=_regression_probes,
-        verdict=("protocol_b_mse", "protoB", operator.lt),
-        own_domains={"enc_in": Domain(int, choices=(SineConfig.T // 2,))}),
+        encoder=_mlp_encoder(SineConfig.T // 2), data=_sine_data,
+        probes=_regression_probes, verdict=("protocol_b_mse", "protoB", operator.lt),
+        own_domains={}),
     "lorenz": _Experiment(
         hyper={
             "lr": 5e-4, "steps": 3000, "batch": 64, "tau": 0.995,
-            "enc_in": 60, "enc_hidden": 128, "emb_dim": 32, "pred_hidden": 128,
+            "enc_hidden": 128, "emb_dim": 32, "pred_hidden": 128,
             "integrator": "euler",
             "probe_lr": 1e-3, "probe_steps": 2000,
         },
-        encoder=_mlp_encoder, data=_lorenz_data, probes=_regression_probes,
-        verdict=("protocol_b_mse", "protoB", operator.lt),
-        own_domains={"enc_in": Domain(int, choices=(LorenzConfig.T // 2 * 3,))}),
+        encoder=_mlp_encoder(LorenzConfig.T // 2 * 3), data=_lorenz_data,
+        probes=_regression_probes, verdict=("protocol_b_mse", "protoB", operator.lt),
+        own_domains={"batch": Domain(int, ge=1, le=LorenzConfig.n_train)}),
     "mnist": _Experiment(
         hyper={
             "lr": 1e-3, "epochs": 10, "batch": 256, "tau": 0.99,
@@ -415,7 +422,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
     hyper, mode = effective_hyper(cfg)
     experiment = _EXPERIMENTS[cfg.experiment]
     model = _build_model(cfg, hyper, mode)
-    opt = AdamW(model.trainable_parameters(), lr=hyper["lr"],
+    opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
     probe_cfg = ProbeConfig(seed=derive_seed(cfg.seed, "probe"), **{
         f.name: hyper[f"probe_{f.name}"] for f in fields(ProbeConfig)

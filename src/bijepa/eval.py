@@ -65,7 +65,7 @@ def _train_regression_probe(feats: np.ndarray, targets: np.ndarray,
     """Full-batch AdamW fit of a linear probe mapping features to targets."""
     probe = Network([Linear(feats.shape[1], targets.shape[1])])
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
-    opt = AdamW(probe.parameters(), lr=cfg.lr, weight_decay=0.0)
+    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
     f = Tensor(feats)
     t = Tensor(targets)
     for _ in range(cfg.steps):
@@ -122,7 +122,7 @@ def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
     feats = _embed(model, mnist.train.x.values, through_predictor=False)
     probe = Network(layers(feats.shape[1]))
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
-    opt = AdamW(probe.parameters(), lr=cfg.lr, weight_decay=0.0)
+    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
     rng = stream(cfg.seed, "probe-shuffle")
     n = feats.shape[0]
     for _ in range(cfg.epochs):

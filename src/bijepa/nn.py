@@ -152,11 +152,32 @@ class Flatten(Layer):
 
 
 class Network:
-    """Ordered layer stack with an explicit train/eval mode."""
+    """Ordered layer stack with an explicit train/eval mode.
+
+    The network owns its parameters' storage: construction copies every
+    parameter into one contiguous float64 buffer, ``flat``, and makes
+    each tensor's ``values`` a view of it, in ``parameters()`` order.
+    That view is never rebound afterwards; whatever writes parameters
+    (AdamW, the EMA, ``load_state_dict``, ``clone_into``) writes into it.
+    A parameter that already views another array, because its layer is
+    in another network or listed twice, is refused, not repacked.
+    """
 
     def __init__(self, layers):
         self.layers = list(layers)
         self.mode = "train"
+        params = self.parameters()
+        self.flat = np.empty(sum(p.size for p in params))
+        offset = 0
+        for p in params:
+            if p.values.base is not None:
+                raise ValueError(
+                    f"parameter of shape {p.shape} already views another array "
+                    "(is its layer in another network, or listed twice?)")
+            view = self.flat[offset:offset + p.size].reshape(p.shape)
+            view[...] = p.values
+            p.values = view
+            offset += p.size
 
     def train(self) -> "Network":
         self.mode = "train"
@@ -285,7 +306,10 @@ def clone_into(src: Network, dst: Network) -> None:
     if src.spec() != dst.spec():
         raise SpecMismatchError(
             f"cannot clone between different specs:\n  {src.spec()}\n  {dst.spec()}")
-    dst.load_state_dict(src.state_dict())
+    dst.flat[...] = src.flat
+    for src_layer, dst_layer in zip(src.layers, dst.layers):
+        for name, arr in src_layer.buffers():
+            dst_layer.set_buffer(name, arr)
     dst.mode = src.mode
 
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import weakref
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
 from .nn import Network, SpecMismatchError
 
 
@@ -23,46 +22,50 @@ class EmaConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over an explicit parameter list.
+    """Decoupled-weight-decay Adam over the parameters of explicit networks.
 
-    Only registered parameters are ever touched; the target encoder is
-    never registered, which is the structural half of the stop-gradient
+    Only the listed networks are ever touched; the target encoder is
+    never listed, which is the structural half of the stop-gradient
     guarantee. A NaN/Inf gradient aborts the step and raises the
     ``diverged`` flag instead of corrupting parameters.
 
-    The optimizer owns its parameters' storage: registration copies every
-    parameter into one contiguous float64 buffer, ``flat``, and rebinds
-    each tensor's ``values`` to a view of it. ``m``, ``v``, the gathered
-    gradient and the scratch space are flat buffers of the same length,
-    so a step is a fixed sequence of in-place whole-buffer operations and
-    allocates nothing. Code that writes parameters must therefore write
-    into ``values`` (``values[...] = ...``), never rebind it. A parameter
-    whose ``values`` already views another array, such as one registered
-    with another optimizer, is rejected: rebinding it would silently cut
-    that link.
+    Each network owns its parameters' storage (``Network.flat``), and the
+    optimizer updates those buffers in place. ``m``, ``v``, the gathered
+    gradient and the scratch space are single flat buffers over all the
+    networks, so a step is a fixed sequence of in-place whole-buffer
+    operations, plus the weight-decay product and the final subtraction
+    once per network, and allocates nothing.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0,
+    def __init__(self, nets: list[Network], lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
-        self.params = list(params)
-        if len({id(p) for p in self.params}) != len(self.params):
-            raise ValueError("a parameter is listed more than once")
-        self.flat = _pack(self.params, "AdamW")
+        nets = list(nets)
+        if len({id(net) for net in nets}) != len(nets):
+            raise ValueError("a network is listed more than once")
+        self.params = [p for net in nets for p in net.parameters()]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        n = self.flat.size
+        n = sum(net.flat.size for net in nets)
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self._grad = np.empty(n)
         self._tmp = np.empty(n)
         self._update = np.empty(n)
         self._finite = np.empty(n, dtype=bool)
-        self._grad_views = _views(self._grad, self.params)
+        # per parameter, its gradient's slot in the gathered gradient; per
+        # network, its storage and its slices of the scratch and update buffers
+        self._grad_views, self._spans, offset = [], [], 0
+        for net in nets:
+            end = offset + net.flat.size
+            self._spans.append((net.flat, self._tmp[offset:end], self._update[offset:end]))
+            for p in net.parameters():
+                self._grad_views.append(self._grad[offset:offset + p.size].reshape(p.shape))
+                offset += p.size
         self.step_count = 0
         self.diverged = False
 
@@ -110,109 +113,33 @@ class AdamW:
         np.divide(m, bc1, out=update)
         update /= tmp
         if self.weight_decay != 0.0:
-            np.multiply(self.flat, self.weight_decay, out=tmp)
+            for flat, tmp_span, _ in self._spans:
+                np.multiply(flat, self.weight_decay, out=tmp_span)
             update += tmp
         update *= self.lr
-        self.flat -= update
+        for flat, _, update_span in self._spans:
+            flat -= update_span
         return True
 
 
-def _views(buf: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
-    """Views of ``buf`` shaped like ``params``, back to back."""
-    views, offset = [], 0
-    for p in params:
-        views.append(buf[offset:offset + p.size].reshape(p.shape))
-        offset += p.size
-    return views
-
-
-def _pack(params: list[Tensor], owner: str) -> np.ndarray:
-    """Copy ``params`` into one new contiguous float64 buffer and rebind
-    each tensor's ``values`` to its view of it; returns the buffer.
-
-    A parameter whose ``values`` already views another array is refused,
-    not repacked: rebinding it would silently cut that link.
-    """
-    for p in params:
-        if p.values.base is not None:
-            raise ValueError(
-                f"parameter of shape {p.shape} views another array (registered "
-                f"with another optimizer?); {owner} must own its storage")
-    flat = np.empty(sum(p.size for p in params))
-    for p, view in zip(params, _views(flat, params)):
-        view[...] = p.values
-        p.values = view
-    return flat
-
-
-def _runs(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """1-D views that cover ``arrays`` in order: one per run of arrays
-    lying back to back in one flat buffer (such as ``AdamW.flat``), else
-    one per array. No data is copied or moved."""
-    runs = []  # [buffer, start, stop], in elements
-    for a in arrays:
-        buf, start = a.base, 0
-        if buf is not None and buf.ndim == 1 and buf.dtype == a.dtype and buf.flags.c_contiguous:
-            start = (a.__array_interface__["data"][0]
-                     - buf.__array_interface__["data"][0]) // a.itemsize
-        else:
-            buf = a.reshape(-1)
-        if runs and runs[-1][0] is buf and runs[-1][2] == start:
-            runs[-1][2] += a.size
-        else:
-            runs.append([buf, start, start + a.size])
-    return [buf[start:stop] for buf, start, stop in runs]
-
-
-class _EmaPlan:
-    """What ``ema_update`` resolves once per (target, online) pair.
-
-    The target's parameters live in one arena; ``spans`` pairs each
-    contiguous run of the online parameters' storage with the aligned
-    slice of the arena and of a scratch buffer. The plan is reused while
-    the pair and every tensor's storage stay the same.
-    """
-
-    def __init__(self, target: Network, online: Network, arena: np.ndarray | None):
-        if target.spec() != online.spec():
-            raise SpecMismatchError("ema_update needs identical network specs")
-        t_params, o_params = target.parameters(), online.parameters()
-        if arena is None or any(p.values.base is not arena for p in t_params):
-            arena = _pack(t_params, "the EMA target")
-        self.arena = arena
-        self.online = weakref.ref(online)
-        self.bound = [(p, p.values) for p in t_params + o_params]
-        scratch = np.empty(arena.size)
-        self.spans, offset = [], 0
-        for run in _runs([p.values for p in o_params]):
-            end = offset + run.size
-            self.spans.append((arena[offset:end], run, scratch[offset:end]))
-            offset = end
-
-    def current(self, online: Network) -> bool:
-        return self.online() is online and all(p.values is v for p, v in self.bound)
-
-
-# One plan per target network, kept for as long as the target lives.
-_EMA_PLANS: "weakref.WeakKeyDictionary[Network, _EmaPlan]" = weakref.WeakKeyDictionary()
+@functools.lru_cache(maxsize=8)
+def _ema_scratch(size: int) -> np.ndarray:
+    """One scratch buffer per parameter count, reused by every EMA call.
+    Each call overwrites it before reading it, so nothing carries over."""
+    return np.empty(size)
 
 
 def ema_update(target: Network, online: Network, cfg: EmaConfig) -> None:
     """p̄ ← τ·p̄ + (1−τ)·p for every parameter pair.
 
-    The first call for a pair checks the specs and moves the target's
-    parameters into one contiguous arena (the online network's storage
-    is never moved). Each call then runs ``p̄ *= τ; p̄ += (1−τ)·p`` over
-    whole contiguous spans, one span when the online parameters are
-    registered with one ``AdamW``. That rounds exactly like
-    ``tau * p_t + (1.0 - tau) * p_o`` and allocates nothing.
+    Three whole-buffer ufuncs on the two networks' ``flat`` storage,
+    ``p̄ *= τ; p̄ += (1−τ)·p``, which round exactly like
+    ``tau * p_t + (1.0 - tau) * p_o`` and allocate nothing.
     """
-    plan = _EMA_PLANS.get(target)
-    if plan is None or not plan.current(online):
-        plan = _EMA_PLANS[target] = _EmaPlan(target, online,
-                                             None if plan is None else plan.arena)
+    if target.spec() != online.spec():
+        raise SpecMismatchError("ema_update needs identical network specs")
     tau = cfg.tau
-    for p_t, p_o, tmp in plan.spans:
-        np.multiply(p_o, 1.0 - tau, out=tmp)
-        p_t *= tau
-        p_t += tmp
+    tmp = _ema_scratch(online.flat.size)
+    np.multiply(online.flat, 1.0 - tau, out=tmp)
+    target.flat *= tau
+    target.flat += tmp

@@ -198,7 +198,7 @@ def test_criterion_02_ema_replay():
     cfg = RunConfig("sine", "bijepa-expressive", seed=7)
     hyper, mode = effective_hyper(cfg)
     model = _build_model(cfg, hyper, mode)
-    opt = AdamW(model.trainable_parameters(), lr=hyper["lr"],
+    opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
     tau = model.ema.tau
     online = model.online_encoder.parameters()
@@ -208,8 +208,8 @@ def test_criterion_02_ema_replay():
     data = stream(99, "acceptance:random-data")
     exact = clean = True
     for step in range(50):
-        x = Tensor(data.standard_normal((16, hyper["enc_in"])))
-        y = Tensor(data.standard_normal((16, hyper["enc_in"])))
+        x = Tensor(data.standard_normal((16, SineConfig.T // 2)))
+        y = Tensor(data.standard_normal((16, SineConfig.T // 2)))
         m = train_step(model, opt, x, y, step)
         assert not m.diverged
         for i, p_o in enumerate(online):
@@ -238,8 +238,8 @@ def test_criterion_03_classic_reduction():
         # tested away from the freshly-cloned special case
         init_parameters(model.target_encoder, 2000 + fixture)
 
-        x = rng.standard_normal((8, hyper["enc_in"]))
-        y = rng.standard_normal((8, hyper["enc_in"]))
+        x = rng.standard_normal((8, SineConfig.T // 2))
+        y = rng.standard_normal((8, SineConfig.T // 2))
         params = model.trainable_parameters()
 
         loss, _ = total_loss(model, Tensor(x), Tensor(y))

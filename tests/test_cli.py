@@ -165,7 +165,7 @@ class TestDomains:
         ("sine", "steps=-5"), ("sine", "batch=0"), ("sine", "lr=-1"),
         ("sine", "tau=1.5"), ("sine", "noise_std=-1"), ("sine", "probe_steps=-3"),
         ("sine", "weight_decay=-0.1"), ("lorenz", "integrator=heun"),
-        ("mnist", "batch=1"), ("mnist", "train_limit=-1")])
+        ("lorenz", "batch=2001"), ("mnist", "batch=1"), ("mnist", "train_limit=-1")])
     def test_out_of_domain_exits_two(self, experiment, setting, capsys):
         assert main(["run", "--experiment", experiment, "--variant", "classic",
                      "--set", setting]) == 2
@@ -308,6 +308,20 @@ class TestMnistRun:
         assert math.isfinite(report.decoder_mse)
         assert len(report.loss_history) == 1  # ceil(64/256)
         assert len(list(out.glob("recon_*.pgm"))) == 24
+
+    @pytest.mark.parametrize("n_train,settings", [
+        (65, ["batch=64"]), (257, []), (80, ["batch=64", "train_limit=65"])])
+    def test_one_row_last_batch_exits_two(self, tmp_path, capsys, n_train, settings):
+        # BatchNorm refuses a one-row batch; the split size must catch it
+        # before any step runs
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=n_train, n_test=16)
+        args = ["run", "--experiment", "mnist", "--variant", "classic",
+                "--mnist-dir", str(data), "--set", "epochs=1"]
+        for setting in settings:
+            args += ["--set", setting]
+        assert main(args) == 2
+        assert "one-row last batch" in capsys.readouterr().err
 
     def test_tiny_mnist_run(self, tmp_path, mnist_dir):
         cfg = RunConfig("mnist", "bijepa-expressive", seed=0,

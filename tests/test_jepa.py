@@ -38,7 +38,7 @@ def make_model(alpha=0.5, mode=ConstraintMode.EXPRESSIVE, tau=0.99, seed=0,
     model = BiJepaModel.create(
         enc, lambda: build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=mode.with_ln),
         p_fwd, p_bwd, alpha, EmaConfig(tau), mode)
-    opt = AdamW(model.trainable_parameters(), lr=lr,
+    opt = AdamW(model.trainable_networks(), lr=lr,
                 weight_decay=mode.weight_decay)
     return model, opt
 
@@ -234,7 +234,7 @@ class TestClassicReduction:
         enc_o, p_fwd, _ = make_networks(ConstraintMode.EXPRESSIVE, 7, False)
         enc_t = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
         clone_into(enc_o, enc_t)
-        ref_opt = AdamW(enc_o.parameters() + p_fwd.parameters(), lr=1e-3,
+        ref_opt = AdamW([enc_o, p_fwd], lr=1e-3,
                         weight_decay=ConstraintMode.EXPRESSIVE.weight_decay)
 
         rng = np.random.default_rng(6)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor, sum_all
+from bijepa.cli import RunConfig, _build_model, effective_hyper
+from bijepa.eval import ProbeConfig, _train_regression_probe
 from bijepa.nn import (
-    Network, SpecMismatchError, build_conv_encoder, build_mlp_encoder,
-    build_predictor, clone_into, fingerprint, init_parameters,
+    Linear, Network, ReLU, SpecMismatchError, build_conv_encoder,
+    build_mlp_encoder, build_predictor, clone_into, fingerprint, init_parameters,
 )
 
 
@@ -128,6 +130,72 @@ class TestCloneAndFingerprint:
         loss = sum_all(net(Tensor(x)))
         loss.backward()
         assert np.array_equal(net(Tensor(x)).values, y1)
+
+
+class TestStorage:
+    """Each network owns one flat buffer from construction, and every
+    parameter's values is a view of it, in parameter order."""
+
+    @staticmethod
+    def assert_owned(net: Network) -> None:
+        offset = 0
+        for p in net.parameters():
+            assert p.values.base is net.flat
+            assert np.shares_memory(p.values, net.flat[offset:offset + p.size])
+            assert np.array_equal(p.values.reshape(-1), net.flat[offset:offset + p.size])
+            offset += p.size
+        assert offset == net.flat.size
+
+    def test_construction_packs_values(self):
+        first, second = Linear(3, 2), Linear(2, 1)
+        first.w.values[...] = np.arange(6.0).reshape(3, 2)
+        second.b.values[...] = 7.0
+        net = Network([first, ReLU(), second])
+        self.assert_owned(net)
+        assert np.array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 7])
+
+    @pytest.mark.parametrize("experiment", ["sine", "lorenz", "mnist"])
+    @pytest.mark.parametrize("variant", ["bijepa-expressive", "classic"])
+    def test_experiment_networks_view_their_buffer(self, experiment, variant):
+        cfg = RunConfig(experiment, variant)
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        nets = [model.online_encoder, model.target_encoder, model.p_fwd, model.p_bwd]
+        assert (model.p_bwd is None) == (variant == "classic")
+        for net in filter(None, nets):
+            self.assert_owned(net)
+
+    def test_probe_network_views_its_buffer(self):
+        rng = np.random.default_rng(0)
+        probe = _train_regression_probe(rng.standard_normal((16, 4)),
+                                        rng.standard_normal((16, 3)),
+                                        ProbeConfig(steps=3))
+        self.assert_owned(probe)
+
+    def test_layer_in_second_network_refused_not_repacked(self):
+        first = build_predictor(4, 8, with_ln=True)
+        init_parameters(first, 0)
+        before = fingerprint(first)
+        with pytest.raises(ValueError, match="views another array"):
+            Network(first.layers)
+        self.assert_owned(first)
+        assert fingerprint(first) == before
+
+    def test_layer_listed_twice_refused(self):
+        layer = Linear(3, 3)
+        with pytest.raises(ValueError, match="views another array"):
+            Network([layer, layer])
+
+    def test_clone_copies_buffers_without_sharing(self):
+        src, dst = build_conv_encoder(), build_conv_encoder()
+        init_parameters(src, 0)
+        init_parameters(dst, 1)
+        src(Tensor(np.random.default_rng(2).standard_normal((4, 1, 28, 14))))
+        clone_into(src, dst)
+        assert fingerprint(src) == fingerprint(dst)
+        for (_, a), (_, b) in zip(src.named_buffers(), dst.named_buffers()):
+            assert not np.shares_memory(a, b)
+        self.assert_owned(dst)
 
 
 class TestBuffers:

@@ -6,13 +6,27 @@ import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor
-from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
-    clone_into, fingerprint, init_parameters
+from bijepa.nn import Layer, Network, SpecMismatchError, build_conv_encoder, \
+    build_mlp_encoder, build_predictor, clone_into, fingerprint, init_parameters
 from bijepa.optim import AdamW, EmaConfig, ema_update
 
 
 def scalar_param(value: float) -> Tensor:
     return Tensor(np.array([value]), requires_grad=True)
+
+
+class Holder(Layer):
+    """A layer that only holds the given tensors as its parameters."""
+
+    def __init__(self, *tensors):
+        self.tensors = tensors
+
+    def params(self):
+        return [(str(i), t) for i, t in enumerate(self.tensors)]
+
+
+def net_of(*params: Tensor) -> Network:
+    return Network([Holder(*params)])
 
 
 class ReferenceAdamW:
@@ -53,12 +67,15 @@ class ReferenceAdamW:
 class TestFlatAdamWMatchesReference:
     SHAPES = [(5, 3), (3,), (7,), (2, 4), (1,)]
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_fifty_random_steps_bit_equal(self, weight_decay):
+    def fifty_random_steps(self, groups, weight_decay):
+        """Fifty steps over SHAPES cut into networks of ``groups`` tensors
+        each, against the per-tensor reference."""
         rng = np.random.default_rng(11)
         params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in self.SHAPES]
         ref = ReferenceAdamW([p.values for p in params], lr=3e-3, weight_decay=weight_decay)
-        opt = AdamW(params, lr=3e-3, weight_decay=weight_decay)
+        bounds = np.cumsum([0, *groups])
+        nets = [net_of(*params[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        opt = AdamW(nets, lr=3e-3, weight_decay=weight_decay)
         for step in range(50):
             grads = [None if (step + i) % 4 == 0 else rng.standard_normal(s) * 10.0 ** (i - 2)
                      for i, s in enumerate(self.SHAPES)]
@@ -74,33 +91,44 @@ class TestFlatAdamWMatchesReference:
             assert np.array_equal(opt.m[offsets[i]:offsets[i + 1]], m.reshape(-1))
             assert np.array_equal(opt.v[offsets[i]:offsets[i + 1]], v.reshape(-1))
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_fifty_random_steps_bit_equal(self, weight_decay):
+        self.fifty_random_steps([len(self.SHAPES)], weight_decay)
+
+    @pytest.mark.parametrize("groups", [[2, 3], [1, 2, 1, 1]])
+    def test_several_networks_bit_equal(self, groups):
+        # weight decay and the final subtraction run once per network
+        self.fifty_random_steps(groups, weight_decay=1e-2)
+
     def test_nan_step_leaves_state_untouched(self):
         rng = np.random.default_rng(12)
         params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in self.SHAPES]
-        opt = AdamW(params, lr=1e-3, weight_decay=1e-4)
+        net = net_of(*params)
+        opt = AdamW([net], lr=1e-3, weight_decay=1e-4)
         for p in params:
             p.grad = rng.standard_normal(p.shape)
         assert opt.step()
-        before = (opt.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
+        before = (net.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
         for p in params:
             p.grad = rng.standard_normal(p.shape)
         params[-1].grad[0] = np.nan  # the last tensor: everything before it is gathered
         assert not opt.step()
         assert opt.diverged
-        assert np.array_equal(opt.flat, before[0])
+        assert np.array_equal(net.flat, before[0])
         assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
         assert opt.step_count == before[3]
 
 
 class TestParameterStorage:
-    """Registered tensors' values are views into the optimizer's buffer:
-    whatever writes parameters must write the storage step() updates."""
+    """Parameters' values are views into their network's buffer, which
+    AdamW updates in place: whatever writes parameters writes the storage
+    step() updates."""
 
     @staticmethod
     def registered_net():
         net = build_predictor(4, 8, with_ln=True)
         init_parameters(net, 0)
-        opt = AdamW(net.parameters(), lr=1e-2)
+        opt = AdamW([net], lr=1e-2)
         return net, opt
 
     @staticmethod
@@ -110,22 +138,22 @@ class TestParameterStorage:
             p.grad = np.ones_like(p.values)
         assert opt.step()
         assert fingerprint(net) != before
-        assert all(np.shares_memory(p.values, opt.flat) for p in net.parameters())
+        assert all(p.values.base is net.flat for p in net.parameters())
 
     def test_values_are_views_of_flat_buffer(self):
-        net, opt = self.registered_net()
+        net, _ = self.registered_net()
         offset = 0
         for p in net.parameters():
-            assert np.shares_memory(p.values, opt.flat)
-            assert np.array_equal(p.values.reshape(-1), opt.flat[offset:offset + p.size])
+            assert p.values.base is net.flat
+            assert np.array_equal(p.values.reshape(-1), net.flat[offset:offset + p.size])
             offset += p.size
-        assert offset == opt.flat.size
+        assert offset == net.flat.size
 
     def test_registration_keeps_values(self):
         net = build_predictor(4, 8, with_ln=True)
         init_parameters(net, 0)
         before = fingerprint(net)
-        AdamW(net.parameters(), lr=1e-2)
+        AdamW([net], lr=1e-2)
         assert fingerprint(net) == before
 
     def test_load_state_dict_writes_optimizer_storage(self):
@@ -133,7 +161,7 @@ class TestParameterStorage:
         other = build_predictor(4, 8, with_ln=True)
         init_parameters(other, 1)
         net.load_state_dict(other.state_dict())
-        assert np.array_equal(opt.flat, np.concatenate(
+        assert np.array_equal(net.flat, np.concatenate(
             [p.values.reshape(-1) for p in other.parameters()]))
         self.assert_step_moves(net, opt)
 
@@ -143,7 +171,7 @@ class TestParameterStorage:
         init_parameters(other, 2)
         clone_into(other, net)
         assert fingerprint(net) == fingerprint(other)
-        assert np.array_equal(opt.flat, np.concatenate(
+        assert np.array_equal(net.flat, np.concatenate(
             [p.values.reshape(-1) for p in other.parameters()]))
         self.assert_step_moves(net, opt)
 
@@ -158,16 +186,28 @@ class TestParameterStorage:
         assert fingerprint(net) == fingerprint(other)
         self.assert_step_moves(net, opt)
 
-    def test_second_optimizer_rejected(self):
-        net, opt = self.registered_net()
-        with pytest.raises(ValueError, match="another optimizer"):
-            AdamW(net.parameters(), lr=1e-3)
-        self.assert_step_moves(net, opt)  # the first keeps its storage
-
     def test_duplicate_parameter_rejected(self):
-        p = scalar_param(1.0)
+        net = net_of(scalar_param(1.0))
         with pytest.raises(ValueError, match="more than once"):
-            AdamW([p, p], lr=1e-3)
+            AdamW([net, net], lr=1e-3)
+
+    def test_updates_never_rebind_values(self):
+        online = build_mlp_encoder(4, 8, 3, with_ln=True)
+        target = build_mlp_encoder(4, 8, 3, with_ln=True)
+        p_fwd = build_predictor(3, 8, with_ln=True)
+        for seed, net in enumerate((online, target, p_fwd)):
+            init_parameters(net, seed)
+        nets = (online, target, p_fwd)
+        storage = [p.values for net in nets for p in net.parameters()]
+        opt = AdamW([online, p_fwd], lr=1e-2, weight_decay=1e-4)
+        for p in opt.params:
+            p.grad = np.ones_like(p.values)
+        assert opt.step()
+        ema_update(target, online, EmaConfig(tau=0.9))
+        clone_into(online, target)
+        assert fingerprint(target) == fingerprint(online)
+        assert all(p.values is s for p, s in
+                   zip([p for net in nets for p in net.parameters()], storage))
 
 
 class TestAdamWStep:
@@ -175,7 +215,7 @@ class TestAdamWStep:
         # bias correction makes m_hat = g, v_hat = g^2 on step one, so the
         # update is sign(g)/(1+eps) regardless of magnitude
         p = scalar_param(1.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         p.grad = np.array([1.0])
         assert opt.step()
         expected = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
@@ -185,14 +225,14 @@ class TestAdamWStep:
         # update is g/(|g| + eps), so the size of g barely matters
         for g in (0.5, 2.0, 100.0):
             p = scalar_param(0.0)
-            opt = AdamW([p], lr=1e-3)
+            opt = AdamW([net_of(p)], lr=1e-3)
             p.grad = np.array([g])
             opt.step()
             assert abs(p.values[0] + 1e-3 * g / (g + 1e-8)) < 1e-18
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(3.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         p.grad = np.array([0.0])
         opt.step()
         assert p.values[0] == 3.0
@@ -200,20 +240,20 @@ class TestAdamWStep:
     def test_decay_is_decoupled(self):
         # zero gradient isolates the decay term: theta *= (1 - lr*wd)
         p = scalar_param(1.0)
-        opt = AdamW([p], lr=1e-3, weight_decay=1e-4)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=1e-4)
         p.grad = np.array([0.0])
         opt.step()
         assert abs(p.values[0] - (1.0 - 1e-7)) < 1e-18
 
     def test_missing_grad_treated_as_zero(self):
         p = scalar_param(2.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         opt.step()
         assert p.values[0] == 2.0
 
     def test_quadratic_descent(self):
         p = scalar_param(5.0)
-        opt = AdamW([p], lr=1e-2)
+        opt = AdamW([net_of(p)], lr=1e-2)
         seen = []
         for _ in range(1000):
             opt.zero_grad()
@@ -226,7 +266,7 @@ class TestAdamWStep:
     def test_nan_grad_aborts(self):
         p = scalar_param(1.0)
         q = scalar_param(2.0)
-        opt = AdamW([p, q], lr=1e-3)
+        opt = AdamW([net_of(p, q)], lr=1e-3)
         p.grad = np.array([1.0])
         q.grad = np.array([np.nan])
         assert not opt.step()
@@ -236,14 +276,14 @@ class TestAdamWStep:
 
     def test_inf_grad_aborts(self):
         p = scalar_param(1.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         p.grad = np.array([np.inf])
         assert not opt.step()
         assert opt.diverged
 
     def test_zero_grad_clears_slots(self):
         p = scalar_param(1.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         p.grad = np.array([4.0])
         opt.zero_grad()
         assert p.grad is None
@@ -251,12 +291,12 @@ class TestAdamWStep:
     def test_negative_decay_rejected(self):
         p = scalar_param(1.0)
         with pytest.raises(ValueError):
-            AdamW([p], lr=1e-3, weight_decay=-1e-4)
+            AdamW([net_of(p)], lr=1e-3, weight_decay=-1e-4)
 
     def test_two_step_moments(self):
         # hand-rolled two iterations with g = 1 then g = -1
         p = scalar_param(0.0)
-        opt = AdamW([p], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3)
         theta, m, v = 0.0, 0.0, 0.0
         for t, g in ((1, 1.0), (2, -1.0)):
             m = 0.9 * m + 0.1 * g
@@ -347,16 +387,26 @@ class TestEma:
         # optimizing the online net leaves the target bit-identical
         online, target = self.pair()
         before = fingerprint(target)
-        opt = AdamW(online.parameters(), lr=1e-2)
+        opt = AdamW([online], lr=1e-2)
         for p in online.parameters():
             p.grad = np.ones_like(p.values)
         opt.step()
         assert fingerprint(target) == before
 
+    def test_conv_encoder_convex_combination(self):
+        online, target = build_conv_encoder(), build_conv_encoder()
+        init_parameters(online, 0)
+        init_parameters(target, 1)
+        tau = 0.99
+        want = [tau * p_t.values + (1.0 - tau) * p_o.values
+                for p_t, p_o in zip(target.parameters(), online.parameters())]
+        ema_update(target, online, EmaConfig(tau=tau))
+        assert all(np.array_equal(p.values, w) for p, w in zip(target.parameters(), want))
+
 
 class TestEmaArena:
-    """The target's parameters live in one buffer; the online network's
-    storage is never moved."""
+    """The EMA updates the target's and reads the online network's own
+    buffers in place; neither storage is ever moved."""
 
     @staticmethod
     def pair():
@@ -380,21 +430,18 @@ class TestEmaArena:
         before = fingerprint(target)
         ema_update(target, online, EmaConfig(tau=1.0))
         assert fingerprint(target) == before
-        arena = target.parameters()[0].values.base
         offset = 0
         for p in target.parameters():
-            assert p.values.base is arena
-            assert np.shares_memory(p.values, arena[offset:offset + p.size])
+            assert p.values.base is target.flat
+            assert np.shares_memory(p.values, target.flat[offset:offset + p.size])
             offset += p.size
-        assert offset == arena.size
-        with pytest.raises(ValueError, match="another optimizer"):
-            AdamW(target.parameters(), lr=1e-3)  # the target stays unregistered
+        assert offset == target.flat.size
 
     def test_registered_online_keeps_optimizer_storage(self):
         online, target = self.pair()
         p_fwd = build_predictor(3, 8, with_ln=True)
         init_parameters(p_fwd, 2)
-        opt = AdamW(online.parameters() + p_fwd.parameters(), lr=1e-2)
+        opt = AdamW([online, p_fwd], lr=1e-2)
         for step in range(3):
             for p in online.parameters() + p_fwd.parameters():
                 p.grad = np.full_like(p.values, step + 1.0)
@@ -402,27 +449,20 @@ class TestEmaArena:
             want = self.expected(target, online, 0.9)
             ema_update(target, online, EmaConfig(tau=0.9))
             self.assert_values(target, want)
-            assert all(p.values.base is opt.flat for p in online.parameters())
+            assert all(p.values.base is online.flat for p in online.parameters())
 
     def test_unregistered_online_can_register_after_ema(self):
         online, target = self.pair()
         want = self.expected(target, online, 0.9)
         ema_update(target, online, EmaConfig(tau=0.9))
         self.assert_values(target, want)
-        opt = AdamW(online.parameters(), lr=1e-2)
+        opt = AdamW([online], lr=1e-2)
         for p in online.parameters():
             p.grad = np.ones_like(p.values)
         assert opt.step()
         want = self.expected(target, online, 0.9)
-        ema_update(target, online, EmaConfig(tau=0.9))  # follows the moved storage
+        ema_update(target, online, EmaConfig(tau=0.9))
         self.assert_values(target, want)
-
-    def test_foreign_buffer_refused_not_repacked(self):
-        online, target = self.pair()
-        opt = AdamW(target.parameters(), lr=1e-2)
-        with pytest.raises(ValueError, match="views another array"):
-            ema_update(target, online, EmaConfig(tau=0.9))
-        assert all(p.values.base is opt.flat for p in target.parameters())
 
     def test_new_online_network_rechecked(self):
         online, target = self.pair()
