@@ -100,6 +100,7 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
         raise ConfigError(
             "the unconstrained variant is only defined for the sine experiment "
             "(its divergence study); pick expressive/restrictive/classic here")
+    _NATURAL.check("seed", cfg.seed)
 
     if is_classic and "alpha" in cfg.overrides:
         raise ConfigError("classic fixes alpha at 1 and has no backward "
@@ -176,6 +177,7 @@ _POSITIVE = Domain(float, gt=0.0)
 _NON_NEGATIVE = Domain(float, ge=0.0)
 _FRACTION = Domain(float, ge=0.0, le=1.0)
 _COUNT = Domain(int, ge=1)
+_NATURAL = Domain(int, ge=0)
 
 # The domain of every hyperparameter key. An experiment's own_domains
 # take precedence: a Lorenz batch is at most the train split, and
@@ -185,7 +187,7 @@ _DOMAINS = {
     "steps": _COUNT, "epochs": _COUNT, "batch": _COUNT,
     "enc_hidden": _COUNT, "emb_dim": _COUNT, "pred_hidden": _COUNT,
     "noise_std": _NON_NEGATIVE, "integrator": Domain(str, choices=("euler", "rk4")),
-    "train_limit": Domain(int, ge=0),
+    "train_limit": _NATURAL,
     "probe_lr": _POSITIVE, "probe_steps": _COUNT, "probe_epochs": _COUNT,
     "probe_batch": _COUNT, "probe_set_size": _COUNT, "test_batch": _COUNT,
 }
@@ -504,6 +506,9 @@ def run_suite(seeds: list[int], variants: list[str], experiment: str,
         raise ConfigError("suite needs at least one seed")
     if not variants:
         raise ConfigError("suite needs at least one variant")
+    for name, values in (("seeds", seeds), ("variants", variants)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"suite {name} repeat: {values}")
     configs = [
         RunConfig(experiment, variant, seed=seed,
                   out_dir=None if out_dir is None
@@ -740,7 +745,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"accuracy={report.accuracy} decoder_mse={report.decoder_mse} "
                   f"diverged={report.diverged}")
         elif args.command == "suite":
-            seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+            try:
+                seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+            except ValueError:
+                raise ConfigError(f"--seeds takes comma-separated integers, "
+                                  f"got {args.seeds!r}") from None
             variants = [v for v in args.variants.split(",") if v != ""]
             result = run_suite(seeds, variants, args.experiment, out_dir=args.out,
                                mnist_dir=args.mnist_dir, overrides=_overrides(args))

@@ -95,9 +95,6 @@ class BiJepaModel:
             nets.append(self.p_bwd)
         return nets
 
-    def trainable_parameters(self):
-        return [p for net in self.trainable_networks() for p in net.parameters()]
-
     def train_mode(self) -> None:
         for net in (self.online_encoder, self.target_encoder, self.p_fwd, self.p_bwd):
             if net is not None:

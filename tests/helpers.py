@@ -1,15 +1,18 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and run-output readers for the test suite.
 
 The gradient oracle is central finite differences with step 1e-5 over
 float64, compared elementwise by relative error with a 1e-6 floor.
 """
 
 import gc
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from bijepa.autodiff import Tensor, mul, sum_all
+from bijepa.cli import ExperimentReport
 
 H = 1e-5
 TOL = 1e-4
@@ -101,3 +104,8 @@ def write_idx(path, magic: int, arr: np.ndarray) -> None:
         f.write(struct.pack(">i", magic))
         f.write(struct.pack(f">{arr.ndim}i", *arr.shape))
         f.write(arr.astype(np.uint8).tobytes())
+
+
+def load_report(run_dir) -> ExperimentReport:
+    """The report.json a run wrote to ``run_dir`` (an exact float round trip)."""
+    return ExperimentReport(**json.loads((Path(run_dir) / "report.json").read_text()))

@@ -2,18 +2,17 @@
 printed verdict line each.
 
 Criteria 1-6 are fast deterministic properties of the numeric core.
-Criteria 7-13 train the experiment suite at real scale, three seeds per
-variant, so this file dominates the wall time of a full pytest run:
-minutes for the sine family, a couple of minutes per Lorenz run, and
-roughly ten minutes per MNIST run when the IDX files are available
-(criterion 12 is skipped otherwise). Their tests carry the ``slow``
-marker, so ``pytest -m "not slow"`` runs the fast gates alone.
+Criteria 7-13 train the suites at real scale through ``run_suite``, three
+seeds per variant, and check the report.json files it writes: minutes for
+the sine family, a couple of minutes per Lorenz run, and roughly ten
+minutes per MNIST run when the IDX files are available (criterion 12 is
+skipped otherwise). Their tests carry the ``slow`` marker, so
+``pytest -m "not slow"`` runs the fast gates alone.
 
 A criterion that fails is reported honestly; tolerances here are fixed
 and are not to be loosened to force a pass.
 """
 
-import json
 import subprocess
 import sys
 import time
@@ -22,10 +21,10 @@ import numpy as np
 import pytest
 
 import conftest
-from helpers import check_grads
+from helpers import check_grads, load_report
 from bijepa import autodiff as ad
 from bijepa.autodiff import RunningStats, Tensor
-from bijepa.cli import ExperimentReport, RunConfig, _build_model, effective_hyper
+from bijepa.cli import RunConfig, _build_model, effective_hyper, run_suite
 from bijepa.data import LorenzConfig, SineConfig, gen_sine_batch, integrate_lorenz
 from bijepa.jepa import total_loss, train_step
 from bijepa.nn import init_parameters
@@ -33,28 +32,6 @@ from bijepa.optim import AdamW
 from bijepa.seeding import stream
 
 SEEDS = (0, 1, 2)
-
-_RUNNER = """\
-import json, sys
-from bijepa.cli import RunConfig, run
-report = run(RunConfig(**json.loads(sys.argv[1])))
-sys.stdout.write(report.to_json())
-"""
-
-
-def run_isolated(**cfg_kwargs) -> ExperimentReport:
-    """Train one configuration in its own interpreter.
-
-    The suites below total 26 full experiment runs; in one process the
-    retained heap watermark eventually exceeds the sandbox's 6 GB, so
-    each run gets a fresh process and returns its report as JSON (an
-    exact float round trip).
-    """
-    proc = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(cfg_kwargs)],
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"isolated run {cfg_kwargs} failed:\n{proc.stderr[-2000:]}")
-    return ExperimentReport(**json.loads(proc.stdout))
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:
@@ -77,31 +54,41 @@ def fmt(values, spec=".4f") -> str:
 
 # ---------------------------------------------------------------- suites
 
+def trained_suite(out_dir, experiment, variants, seeds=SEEDS, **kwargs) -> dict:
+    """Train ``variants`` x ``seeds`` through ``run_suite`` and load each
+    member's report.json, keyed by (variant, seed). A failed member fails
+    the fixture with the error its row recorded."""
+    rows = run_suite(list(seeds), list(variants), experiment, out_dir=str(out_dir),
+                     **kwargs)["rows"]
+    failed = [r for r in rows if r["status"] != "ok"]
+    if failed:
+        pytest.fail("\n".join(f"{r['variant']} s{r['seed']}: {r['error']}" for r in failed))
+    return {(v, s): load_report(out_dir / f"{experiment}-{v}-s{s}")
+            for v in variants for s in seeds}
+
+
 @pytest.fixture(scope="module")
-def sine_suite():
+def sine_suite(tmp_path_factory):
     """All four sine variants over three seeds, full default settings."""
-    variants = ("bijepa-unconstrained", "bijepa-expressive",
-                "bijepa-restrictive", "classic")
-    return {(v, s): run_isolated(experiment="sine", variant=v, seed=s)
-            for v in variants for s in SEEDS}
+    return trained_suite(tmp_path_factory.mktemp("sine"), "sine", (
+        "bijepa-unconstrained", "bijepa-expressive", "bijepa-restrictive", "classic"))
 
 
 @pytest.fixture(scope="module")
-def lorenz_suite():
-    return {(v, s): run_isolated(experiment="lorenz", variant=v, seed=s)
-            for v in ("bijepa-expressive", "classic") for s in SEEDS}
+def lorenz_suite(tmp_path_factory):
+    return trained_suite(tmp_path_factory.mktemp("lorenz"), "lorenz",
+                         ("bijepa-expressive", "classic"))
 
 
 @pytest.fixture(scope="module")
-def mnist_suite(mnist_dir):
+def mnist_suite(tmp_path_factory, mnist_dir):
     """Six full-scale runs plus the reduced smoke configuration."""
-    reports = {(v, s): run_isolated(experiment="mnist", variant=v, seed=s,
-                                    mnist_dir=str(mnist_dir))
-               for v in ("bijepa-expressive", "classic") for s in SEEDS}
-    smoke = run_isolated(experiment="mnist", variant="bijepa-expressive",
-                         seed=0, mnist_dir=str(mnist_dir),
-                         overrides={"epochs": 1, "train_limit": 10000})
-    return reports, smoke
+    reports = trained_suite(tmp_path_factory.mktemp("mnist"), "mnist",
+                            ("bijepa-expressive", "classic"), mnist_dir=str(mnist_dir))
+    smoke = trained_suite(tmp_path_factory.mktemp("mnist-smoke"), "mnist",
+                          ("bijepa-expressive",), seeds=(0,), mnist_dir=str(mnist_dir),
+                          overrides={"epochs": 1, "train_limit": 10000})
+    return reports, smoke[("bijepa-expressive", 0)]
 
 
 # ---------------------------------------------------- 1: gradient fidelity
@@ -240,7 +227,7 @@ def test_criterion_03_classic_reduction():
 
         x = rng.standard_normal((8, SineConfig.T // 2))
         y = rng.standard_normal((8, SineConfig.T // 2))
-        params = model.trainable_parameters()
+        params = [p for net in model.trainable_networks() for p in net.parameters()]
 
         loss, _ = total_loss(model, Tensor(x), Tensor(y))
         loss.backward()
@@ -465,9 +452,14 @@ def test_criterion_12_mnist(mnist_suite):
 # -------------------------------------------------------- 13: determinism
 
 @pytest.mark.slow
-def test_criterion_13_determinism(sine_suite):
+def test_criterion_13_determinism(sine_suite, tmp_path):
     a = sine_suite[("bijepa-expressive", 0)]
-    b = run_isolated(experiment="sine", variant="bijepa-expressive", seed=0)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bijepa.cli", "run", "--experiment", "sine",
+         "--variant", "bijepa-expressive", "--seed", "0", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, f"repeat run failed:\n{proc.stderr[-2000:]}"
+    b = load_report(tmp_path)
     fields = ("config", "final_train_loss", "loss_history", "protocol_a_mse",
               "protocol_b_mse", "accuracy", "decoder_mse", "diverged", "forecast")
     diffs = [f for f in fields if getattr(a, f) != getattr(b, f)]

@@ -18,7 +18,7 @@ from bijepa.cli import (
     run_suite,
 )
 
-from helpers import write_idx
+from helpers import load_report, write_idx
 
 TINY_SINE = {"steps": 60, "probe_steps": 40, "probe_set_size": 64,
              "test_batch": 8}
@@ -386,14 +386,24 @@ class TestSuite:
         csv_lines = (tmp_path / "suite.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 1 + 4 + 2  # header + runs + means
         assert (tmp_path / "verdicts.json").exists()
-        # member artifacts land in per-run directories
-        assert (tmp_path / "sine-bijepa-expressive-s0" / "report.json").exists()
+        # every member's report.json, in its own directory, loads back and
+        # carries its row's metrics (the acceptance gates read these files)
+        keys = (*cli._METRICS, "diverged")
+        for row in result["rows"]:
+            report = load_report(tmp_path / f"sine-{row['variant']}-s{row['seed']}")
+            assert (report.config["variant"], report.config["seed"]) == (
+                row["variant"], row["seed"])
+            assert {k: getattr(report, k) for k in keys} == {k: row[k] for k in keys}
 
-    def test_empty_inputs_rejected(self):
+    @pytest.mark.parametrize("seeds, variants", [
+        ([], ["classic"]), ([0], []), ([0, 0], ["classic"]),
+        ([0], ["classic", "classic"]), ([0, -1], ["classic"]),
+    ], ids=["no-seeds", "no-variants", "repeated-seed", "repeated-variant",
+            "negative-seed"])
+    def test_empty_inputs_rejected(self, seeds, variants):
+        # refused before any member trains
         with pytest.raises(ConfigError):
-            run_suite([], ["classic"], "sine")
-        with pytest.raises(ConfigError):
-            run_suite([0], [], "sine")
+            run_suite(seeds, variants, "sine")
 
     def test_config_errors_fail_fast(self):
         # invalid override must abort before any member trains
@@ -420,10 +430,10 @@ class TestMainEntry:
         assert "final_train_loss=" in out
 
     def test_config_error_exits_two(self, capsys):
-        code = main(["run", "--experiment", "lorenz",
-                     "--variant", "bijepa-unconstrained"])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for argv in (["--experiment", "lorenz", "--variant", "bijepa-unconstrained"],
+                     ["--experiment", "sine", "--variant", "classic", "--seed", "-1"]):
+            assert main(["run", *argv]) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_runtime_error_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("BIJEPA_MNIST_DIR", raising=False)
@@ -439,10 +449,16 @@ class TestMainEntry:
                      "--seeds", "0", "--epochs", "1"])
         assert code == 1
 
-    def test_suite_unknown_variant_exits_two(self, capsys):
-        code = main(["suite", "--experiment", "sine", "--variants", "nope",
-                     "--seeds", "0"])
+    @pytest.mark.parametrize("variants, seeds", [
+        ("nope", "0"), ("classic", "0,x"), ("classic", "0,0"),
+        ("classic,classic", "0"), ("classic", "-1"),
+    ], ids=["unknown-variant", "non-integer-seed", "repeated-seed",
+            "repeated-variant", "negative-seed"])
+    def test_suite_unknown_variant_exits_two(self, capsys, variants, seeds):
+        code = main(["suite", "--experiment", "sine", "--variants", variants,
+                     "--seeds", seeds])
         assert code == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def serve_directory(directory):

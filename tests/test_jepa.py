@@ -224,7 +224,8 @@ class TestClassicReduction:
             assert metrics.fwd_loss == metrics.total_loss
             assert metrics.bwd_loss == 0.0
             ref_params = enc_o.parameters() + p_fwd.parameters()
-            for p_m, p_r in zip(model.trainable_parameters(), ref_params):
+            params = [p for net in model.trainable_networks() for p in net.parameters()]
+            for p_m, p_r in zip(params, ref_params):
                 assert np.array_equal(p_m.grad, p_r.grad)
 
     def test_five_step_trajectory_bit_identical(self):
