@@ -78,6 +78,12 @@ class ExperimentReport:
     wall_time: float
     protocol_a_mse: float | None = None
     protocol_b_mse: float | None = None
+    # diagnostics beside the gated probe MSEs: the least-squares probe's
+    # test MSE, and the AdamW probe's MSE on the probe split
+    protocol_a_mse_exact: float | None = None
+    protocol_b_mse_exact: float | None = None
+    protocol_a_train_mse: float | None = None
+    protocol_b_train_mse: float | None = None
     accuracy: float | None = None
     decoder_mse: float | None = None
     forecast: list = field(default_factory=list)
@@ -338,7 +344,11 @@ def _regression_probes(model: BiJepaModel, held_out, probe_cfg: ProbeConfig):
     """Protocols A and B; returns (metrics, forecast records, images)."""
     ra = protocol_a(model, held_out, probe_cfg)
     rb = protocol_b(model, held_out, probe_cfg)
-    metrics = {"protocol_a_mse": ra.mse, "protocol_b_mse": rb.mse}
+    metrics = {
+        "protocol_a_mse": ra.mse, "protocol_b_mse": rb.mse,
+        "protocol_a_mse_exact": ra.mse_exact, "protocol_b_mse_exact": rb.mse_exact,
+        "protocol_a_train_mse": ra.train_mse, "protocol_b_train_mse": rb.train_mse,
+    }
     return metrics, forecast_table(held_out.test, ra, rb), []
 
 

@@ -8,6 +8,17 @@ generative decoder on frozen left-half embeddings.
 
 Probes optimize only their own parameters; features are extracted once
 as plain arrays, so no gradient can reach the model under evaluation.
+
+The regression probe is fitted on sufficient statistics. Its full-batch
+MSE on features F and targets T is a quadratic in Θ = [W; bᵀ] whose
+gradient needs only G = AᵀA and C = AᵀT, A = [F, 1]; both are built once,
+and each AdamW step then costs a (d+1)×(d+1) by (d+1)×o product instead
+of two passes over the n probe rows and an autodiff graph. In exact
+arithmetic this is the same AdamW trajectory as autodiff on
+``mse_loss(linear(F), T)``; in float64 the summation order differs, so
+results differ from that fit in the last digits only. The same
+statistics give the probe's final train-split MSE and the exact
+least-squares fit, reported next to the gated AdamW figure.
 """
 
 from __future__ import annotations
@@ -36,15 +47,23 @@ class ProbeConfig:
 
 @dataclass
 class ProbeResult:
+    """``mse_exact`` (test MSE of the least-squares probe) and
+    ``train_mse`` (the fitted probe's MSE on its own split) are set by
+    the regression protocols only."""
+
     mse: float | None = None
     accuracy: float | None = None
     predictions: np.ndarray | None = None
+    mse_exact: float | None = None
+    train_mse: float | None = None
 
     def __post_init__(self):
         if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy out of [0,1]: {self.accuracy}")
-        if self.mse is not None and self.mse < 0.0:
-            raise ValueError(f"negative mse: {self.mse}")
+        for name in ("mse", "mse_exact", "train_mse"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise ValueError(f"negative {name}: {value}")
 
 
 def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
@@ -60,18 +79,71 @@ def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
     return np.concatenate(outs, axis=0)
 
 
-def _train_regression_probe(feats: np.ndarray, targets: np.ndarray,
-                            cfg: ProbeConfig) -> Network:
-    """Full-batch AdamW fit of a linear probe mapping features to targets."""
-    probe = Network([Linear(feats.shape[1], targets.shape[1])])
+@dataclass(frozen=True)
+class _ProbeStatistics:
+    """What a linear probe's full-batch MSE on features F (n×d) and
+    targets T (n×o) depends on. With A = [F, 1] and Θ = [W; bᵀ],
+
+        n·o·MSE(Θ) = tr(ΘᵀGΘ) − 2·tr(ΘᵀC) + ‖T‖²,  G = AᵀA,  C = AᵀT.
+    """
+
+    gram: np.ndarray   # G, (d+1)×(d+1)
+    cross: np.ndarray  # C, (d+1)×o
+    sq_norm: float     # ‖T‖²
+    size: int          # n·o
+
+    @classmethod
+    def of(cls, feats: np.ndarray, targets: np.ndarray) -> "_ProbeStatistics":
+        """Build G and C from F and T without forming A: G's corner is n,
+        its border F's column sums, and C's last row T's column sums."""
+        n, d = feats.shape
+        col_sums = feats.sum(axis=0)
+        gram = np.empty((d + 1, d + 1))
+        gram[:d, :d] = feats.T @ feats
+        gram[:d, d] = col_sums
+        gram[d, :d] = col_sums
+        gram[d, d] = n
+        cross = np.empty((d + 1, targets.shape[1]))
+        cross[:d] = feats.T @ targets
+        cross[d] = targets.sum(axis=0)
+        return cls(gram, cross, float(np.vdot(targets, targets)), targets.size)
+
+    def gradient(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """∂MSE/∂Θ = (2/(n·o))·(GΘ − C), written into ``out``."""
+        np.matmul(self.gram, theta, out=out)
+        out -= self.cross
+        out *= 2.0 / self.size
+        return out
+
+    def mse(self, theta: np.ndarray) -> float:
+        """MSE(Θ) on the split the statistics came from, from G, C and ‖T‖²
+        alone. Rounding in the cancellation can dip just below zero at an
+        exact fit; that reads as 0."""
+        quad = np.vdot(theta, self.gram @ theta) - 2.0 * np.vdot(theta, self.cross)
+        return max(0.0, float(quad + self.sq_norm) / self.size)
+
+    def least_squares(self) -> np.ndarray:
+        """The Θ that minimizes the MSE: a solution of GΘ = C (the
+        minimum-norm one when G is singular)."""
+        return np.linalg.lstsq(self.gram, self.cross, rcond=None)[0]
+
+
+def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Network:
+    """Full-batch AdamW fit of a linear probe, with every gradient taken
+    from the sufficient statistics (no autodiff graph)."""
+    d, o = stats.cross.shape[0] - 1, stats.cross.shape[1]
+    probe = Network([Linear(d, o)])
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
+    # Network packs w then b, row-major, so its storage read as a
+    # (d+1)×o matrix is Θ = [W; bᵀ]; AdamW's updates land in it
+    theta = probe.flat.reshape(d + 1, o)
+    assert theta.base is probe.flat, "Θ must view the probe's storage"
+    lin = probe.layers[0]
+    grad = np.empty_like(theta)
+    lin.w.grad, lin.b.grad = grad[:d], grad[d]
     opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
-    f = Tensor(feats)
-    t = Tensor(targets)
     for _ in range(cfg.steps):
-        loss = ad.mse_loss(probe(f), t)
-        opt.zero_grad()
-        loss.backward()
+        stats.gradient(theta, out=grad)
         opt.step()
     opt.zero_grad()
     return probe
@@ -84,12 +156,20 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
 def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
                          through_predictor: bool) -> ProbeResult:
     """Fit a probe on the frozen features of the probe split, report its
-    MSE on the test split."""
+    MSE on the test split, with the least-squares probe's test MSE and
+    the fitted probe's probe-split MSE beside it."""
     feats = _embed(model, dataset.probe.x.values, through_predictor)
-    probe = _train_regression_probe(feats, dataset.probe.y.values, cfg)
+    stats = _ProbeStatistics.of(feats, dataset.probe.y.values)
+    probe = _train_regression_probe(stats, cfg)
     test_feats = _embed(model, dataset.test.x.values, through_predictor)
+    test_targets = dataset.test.y.values
     preds = probe(Tensor(test_feats)).values
-    return ProbeResult(mse=_mse(preds, dataset.test.y.values), predictions=preds)
+    exact = stats.least_squares()
+    exact_preds = test_feats @ exact[:-1] + exact[-1]
+    return ProbeResult(
+        mse=_mse(preds, test_targets), predictions=preds,
+        mse_exact=_mse(exact_preds, test_targets),
+        train_mse=stats.mse(probe.flat.reshape(exact.shape)))
 
 
 def protocol_a(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:

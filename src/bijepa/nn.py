@@ -161,10 +161,13 @@ class Network:
     (AdamW, the EMA, ``load_state_dict``, ``clone_into``) writes into it.
     A parameter that already views another array, because its layer is
     in another network or listed twice, is refused, not repacked.
+
+    The layer list is fixed at construction, so its spec is computed once.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self._spec = tuple(layer.spec() for layer in self.layers)
         self.mode = "train"
         params = self.parameters()
         self.flat = np.empty(sum(p.size for p in params))
@@ -196,7 +199,7 @@ class Network:
     __call__ = forward
 
     def spec(self) -> tuple:
-        return tuple(layer.spec() for layer in self.layers)
+        return self._spec
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = []

@@ -1,7 +1,9 @@
 """Shared oracles and run-output readers for the test suite.
 
 The gradient oracle is central finite differences with step 1e-5 over
-float64, compared elementwise by relative error with a 1e-6 floor.
+float64, compared elementwise by relative error with a 1e-6 floor. The
+regression-probe oracle is the full-batch autodiff fit that the
+sufficient-statistics probe replaces.
 """
 
 import gc
@@ -11,8 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from bijepa.autodiff import Tensor, mul, sum_all
+from bijepa.autodiff import Tensor, mse_loss, mul, sum_all
 from bijepa.cli import ExperimentReport
+from bijepa.eval import ProbeConfig
+from bijepa.nn import Linear, Network, init_parameters
+from bijepa.optim import AdamW
+from bijepa.seeding import derive_seed
 
 H = 1e-5
 TOL = 1e-4
@@ -65,6 +71,26 @@ def check_grads(op, arrays: list[np.ndarray], rng, tol: float = TOL) -> float:
         worst = max(worst, err)
         assert err < tol, f"input {i}: relative error {err:.3e} >= {tol}"
     return worst
+
+
+def reference_probe_fit(feats: np.ndarray, targets: np.ndarray,
+                        cfg: ProbeConfig) -> Network:
+    """The regression probe fitted through the autodiff engine: each step
+    builds ``mse_loss(linear(F), T)`` over the whole split and
+    back-propagates it. Same init, seed stream and optimizer as
+    ``eval._train_regression_probe``."""
+    probe = Network([Linear(feats.shape[1], targets.shape[1])])
+    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
+    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
+    f = Tensor(feats)
+    t = Tensor(targets)
+    for _ in range(cfg.steps):
+        loss = mse_loss(probe(f), t)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    opt.zero_grad()
+    return probe
 
 
 def naive_conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray,

@@ -210,6 +210,10 @@ class TestRunArtifacts:
         assert math.isfinite(report.final_train_loss)
         assert report.protocol_a_mse is not None
         assert report.protocol_b_mse is not None
+        for name in ("protocol_a", "protocol_b"):
+            for diagnostic in ("mse_exact", "train_mse"):
+                value = getattr(report, f"{name}_{diagnostic}")
+                assert math.isfinite(value) and value >= 0.0
         assert report.accuracy is None and report.decoder_mse is None
         assert len(report.loss_history) == TINY_SINE["steps"]
         assert all(len(row) == 5 for row in report.loss_history)
@@ -221,6 +225,8 @@ class TestRunArtifacts:
         back = ExperimentReport(**json.loads(report.to_json()))
         assert back.final_train_loss == report.final_train_loss
         assert back.protocol_b_mse == report.protocol_b_mse
+        assert back.protocol_a_mse_exact == report.protocol_a_mse_exact
+        assert back.protocol_b_train_mse == report.protocol_b_train_mse
         assert back.loss_history == report.loss_history
         assert back.config == report.config
         assert back.forecast == report.forecast
@@ -332,6 +338,7 @@ class TestMnistRun:
         assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
         assert report.decoder_mse is not None
         assert report.protocol_a_mse is None
+        assert report.protocol_a_mse_exact is None and report.protocol_b_train_mse is None
         assert len(report.loss_history) == 2  # ceil(512/256)
         for i in range(8):
             for part in ("input", "gen", "truth"):

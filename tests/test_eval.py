@@ -5,11 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bijepa import autodiff as ad, eval as ev
 from bijepa.autodiff import Tensor
 from bijepa.data import MNIST_MEAN, MNIST_STD, ViewBatch, denormalize_to_u8
 from bijepa.eval import (
-    _embed, ProbeConfig, ProbeResult, forecast_table, generative_decoder,
-    linear_probe_classify, protocol_a, protocol_b, write_pgm,
+    _embed, _ProbeStatistics, _train_regression_probe, ProbeConfig,
+    ProbeResult, forecast_table, generative_decoder, linear_probe_classify,
+    protocol_a, protocol_b, write_pgm,
 )
 from bijepa.jepa import BiJepaModel, ConstraintMode, encode_for_inference
 from bijepa.nn import (
@@ -19,7 +21,7 @@ from bijepa.nn import (
 from bijepa.optim import EmaConfig
 from bijepa.seeding import derive_seed
 
-from helpers import garbage_cycles_after
+from helpers import garbage_cycles_after, reference_probe_fit
 
 IN_DIM, EMB, HIDDEN = 6, 8, 16
 
@@ -52,6 +54,116 @@ def regression_dataset(model, rng, out_dim=4, realizable=True):
         yp = rng.standard_normal((256, out_dim))
         yt = rng.standard_normal((64, out_dim))
     return SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xt, yt))
+
+
+def probe_problem(seed, n=200, d=7, o=3, constant_column=False):
+    """Features and noisy, offset linear targets for a probe fit; with
+    constant_column the last feature duplicates the bias direction, so
+    G = AᵀA is singular."""
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((n, d))
+    if constant_column:
+        feats[:, -1] = 1.5
+    targets = (feats @ rng.standard_normal((d, o)) + 1.0
+               + 0.3 * rng.standard_normal((n, o)))
+    return feats, targets
+
+
+class TestSufficientStatisticsProbe:
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_gradient_matches_autodiff(self, constant_column):
+        feats, targets = probe_problem(11, constant_column=constant_column)
+        d, o = feats.shape[1], targets.shape[1]
+        lin = Linear(d, o)
+        rng = np.random.default_rng(12)
+        lin.w.values[...] = rng.standard_normal((d, o))
+        lin.b.values[...] = rng.standard_normal(o)
+        ad.mse_loss(lin.forward(Tensor(feats), True), Tensor(targets)).backward()
+        expected = np.vstack([lin.w.grad, lin.b.grad])
+        theta = np.vstack([lin.w.values, lin.b.values])
+        grad = _ProbeStatistics.of(feats, targets).gradient(
+            theta, out=np.empty_like(theta))
+        assert np.linalg.norm(grad - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_fit_matches_autodiff_reference(self):
+        feats, targets = probe_problem(13)
+        cfg = ProbeConfig(lr=1e-2, steps=200, seed=5)
+        probe = _train_regression_probe(_ProbeStatistics.of(feats, targets), cfg)
+        reference = reference_probe_fit(feats, targets, cfg)
+        np.testing.assert_allclose(probe.flat, reference.flat, rtol=1e-9)
+
+    def test_theta_is_the_probe_storage(self, monkeypatch):
+        seen = []
+        gradient = _ProbeStatistics.gradient
+
+        def recording(self, theta, out):
+            seen.append(theta)
+            return gradient(self, theta, out)
+
+        monkeypatch.setattr(_ProbeStatistics, "gradient", recording)
+        feats, targets = probe_problem(14)
+        probe = _train_regression_probe(_ProbeStatistics.of(feats, targets),
+                                        ProbeConfig(steps=3))
+        assert len(seen) == 3
+        assert all(np.shares_memory(theta, probe.flat) for theta in seen)
+
+    def test_fit_builds_no_graph_and_steps_once_per_iteration(self, monkeypatch):
+        # the optimizer is looked up as eval's module global at call time,
+        # and stepped once per iteration: the benchmark's probe timing
+        # hooks there
+        nodes, steps = [], []
+
+        class CountingNode(ad.Node):
+            def __init__(self, op, *args):
+                nodes.append(op)
+                super().__init__(op, *args)
+
+        class CountingAdamW(ev.AdamW):
+            def step(self):
+                steps.append(self.step_count)
+                return super().step()
+
+        monkeypatch.setattr(ad, "Node", CountingNode)
+        monkeypatch.setattr(ev, "AdamW", CountingAdamW)
+        feats, targets = probe_problem(15)
+        _train_regression_probe(_ProbeStatistics.of(feats, targets),
+                                ProbeConfig(steps=37))
+        assert nodes == []
+        assert steps == list(range(37))
+        reference_probe_fit(feats, targets, ProbeConfig(steps=1))
+        assert nodes, "the counting Node sees autodiff graphs"
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_train_mse_from_statistics(self, constant_column):
+        feats, targets = probe_problem(16, constant_column=constant_column)
+        stats = _ProbeStatistics.of(feats, targets)
+        probe = _train_regression_probe(stats, ProbeConfig(steps=50))
+        direct = float(np.mean((probe(Tensor(feats)).values - targets) ** 2))
+        theta = probe.flat.reshape(-1, targets.shape[1])
+        assert stats.mse(theta) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("constant_column", [False, True])
+    def test_least_squares_matches_design_matrix_fit(self, constant_column):
+        feats, targets = probe_problem(17, constant_column=constant_column)
+        design = np.hstack([feats, np.ones((feats.shape[0], 1))])
+        expected = design @ np.linalg.lstsq(design, targets, rcond=None)[0]
+        fitted = design @ _ProbeStatistics.of(feats, targets).least_squares()
+        assert np.linalg.norm(fitted - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_protocol_reports_exact_and_train_mse(self):
+        model = make_model(seed=6)
+        ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
+        r = protocol_b(model, ds, ProbeConfig(steps=100))
+        feats = _embed(model, ds.probe.x.values, through_predictor=True)
+        test_feats = _embed(model, ds.test.x.values, through_predictor=True)
+        ones = np.ones((feats.shape[0], 1))
+        coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y.values,
+                               rcond=None)[0]
+        exact = float(np.mean((test_feats @ coef[:-1] + coef[-1] - ds.test.y.values) ** 2))
+        assert r.mse_exact == pytest.approx(exact, rel=1e-9)
+        # the least-squares fit is the floor on the probe split
+        floor = _ProbeStatistics.of(feats, ds.probe.y.values)
+        assert r.train_mse >= floor.mse(floor.least_squares()) > 0.0
 
 
 class TestFeatureGraphs:
@@ -238,6 +350,10 @@ class TestProbeResult:
             ProbeResult(accuracy=1.2)
         with pytest.raises(ValueError):
             ProbeResult(mse=-0.1)
+        with pytest.raises(ValueError):
+            ProbeResult(mse_exact=-0.1)
+        with pytest.raises(ValueError):
+            ProbeResult(train_mse=-0.1)
 
 
 class TestImageDumps:

@@ -5,7 +5,7 @@ import pytest
 
 from bijepa.autodiff import Tensor, sum_all
 from bijepa.cli import RunConfig, _build_model, effective_hyper
-from bijepa.eval import ProbeConfig, _train_regression_probe
+from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
     Linear, Network, ReLU, SpecMismatchError, build_conv_encoder,
     build_mlp_encoder, build_predictor, clone_into, fingerprint, init_parameters,
@@ -167,9 +167,9 @@ class TestStorage:
 
     def test_probe_network_views_its_buffer(self):
         rng = np.random.default_rng(0)
-        probe = _train_regression_probe(rng.standard_normal((16, 4)),
-                                        rng.standard_normal((16, 3)),
-                                        ProbeConfig(steps=3))
+        stats = _ProbeStatistics.of(rng.standard_normal((16, 4)),
+                                    rng.standard_normal((16, 3)))
+        probe = _train_regression_probe(stats, ProbeConfig(steps=3))
         self.assert_owned(probe)
 
     def test_layer_in_second_network_refused_not_repacked(self):
