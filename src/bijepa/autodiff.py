@@ -9,9 +9,14 @@ and are rebuilt on every forward pass.
 A graph holds no reference cycle: a tensor owns the node that made it,
 a node owns its inputs and its vjp, and refers to its output only
 weakly. So reference counting frees a graph as soon as nothing reaches
-it, whether or not it was ever differentiated (target passes, probe
-features, eval forwards). A vjp returns ``None`` for an input that
+it, whether or not it was ever differentiated (the target passes of a
+training step). A vjp returns ``None`` for an input that
 needs no gradient; whether it does is fixed when the node is recorded.
+
+Inside ``no_grad()`` nothing is recorded: each primitive returns a plain
+tensor, so the context its vjp would have saved is freed as soon as the
+next op has used its output. Inference forwards (probe features and
+predictions) run there.
 
 The primitive set is exactly what the encoder/predictor architectures and
 probes need: dense linear maps, ReLU, layer/batch normalization, strided
@@ -20,8 +25,10 @@ probes need: dense linear maps, ReLU, layer/batch normalization, strided
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import weakref
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +178,30 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+_RECORDING: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block.
+
+    Every primitive called inside returns a tensor with ``node is None``
+    and ``requires_grad`` False, whatever its inputs require, and keeps
+    no vjp. Only recording stops: the forward values are bit-identical,
+    and modes are untouched (``batch_norm2d`` in train mode still folds
+    its batch statistics into the running stats). The previous state
+    comes back on exit, also from nested blocks and when the body raises.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
 def _make(op: str, inputs: tuple[Tensor, ...], values: np.ndarray, vjp) -> Tensor:
+    if not _RECORDING.get():
+        return Tensor(values)
     out = Tensor(values, requires_grad=any(_needs_grad(t) for t in inputs))
     if out.requires_grad:
         out.node = Node(op, inputs, out, vjp)

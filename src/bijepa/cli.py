@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import gzip
 import json
 import math
 import operator
 import os
 import sys
 import time
-import urllib.request
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -87,9 +85,6 @@ class ExperimentReport:
     accuracy: float | None = None
     decoder_mse: float | None = None
     forecast: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
@@ -472,29 +467,32 @@ def _echo_config(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> dict:
 def emit_outputs(report: ExperimentReport, out_dir, images=()) -> list[Path]:
     """Write report.json, loss.csv, forecast.csv, and the given
     reconstruction images, (file name, uint8 array) pairs, into out_dir.
-    Returns the written paths."""
+    Returns the written paths.
+
+    report.json and the CSVs are streamed into their files as they are
+    encoded; report.json is the report's fields (the values themselves,
+    not deep copies) as indented JSON with sorted keys."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     path = out / "report.json"
-    path.write_text(report.to_json(), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({fd.name: getattr(report, fd.name) for fd in fields(report)}, fh,
+                  indent=2, sort_keys=True)
     written.append(path)
 
     path = out / "loss.csv"
-    lines = ["step,total,fwd,bwd,emb_norm"]
-    for step, total, fwd, bwd, norm in report.loss_history:
-        lines.append(f"{step},{total!r},{fwd!r},{bwd!r},{norm!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "step,total,fwd,bwd,emb_norm", (
+        f"{step},{total!r},{fwd!r},{bwd!r},{norm!r}"
+        for step, total, fwd, bwd, norm in report.loss_history))
     written.append(path)
 
     if report.forecast:
         path = out / "forecast.csv"
-        lines = ["sample,truth,proto_a,proto_b"]
-        for rec in report.forecast:
-            lines.append(f"{rec['sample']},{rec['truth']!r},"
-                         f"{rec['proto_a']!r},{rec['proto_b']!r}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(path, "sample,truth,proto_a,proto_b", (
+            f"{rec['sample']},{rec['truth']!r},{rec['proto_a']!r},{rec['proto_b']!r}"
+            for rec in report.forecast))
         written.append(path)
 
     for name, image in images:
@@ -502,6 +500,13 @@ def emit_outputs(report: ExperimentReport, out_dir, images=()) -> list[Path]:
         write_pgm(path, image)
         written.append(path)
     return written
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header`` and then each row, one per line, streamed."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        f.writelines(row + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +636,10 @@ def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
     mismatched downloads never leave partial files behind. A connect or
     read that stalls for ``_FETCH_TIMEOUT_S`` seconds fails the download.
     """
+    # imported here so that no other command loads the network stack
+    import gzip
+    import urllib.request
+
     expected_sizes = expected_sizes or _MNIST_FILES
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -171,7 +171,9 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
     train_raw = traj[:cfg.n_train]
     mean = train_raw.reshape(-1, 3).mean(axis=0)
     std = train_raw.reshape(-1, 3).std(axis=0)
-    traj = (traj - mean) / std
+    # in place: rounds exactly like (traj - mean) / std, without its temporaries
+    traj -= mean
+    traj /= std
 
     half = cfg.T // 2
 

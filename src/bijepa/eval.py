@@ -8,6 +8,9 @@ generative decoder on frozen left-half embeddings.
 
 Probes optimize only their own parameters; features are extracted once
 as plain arrays, so no gradient can reach the model under evaluation.
+Feature extraction and the probes' test predictions run under
+``autodiff.no_grad``: no graph is recorded, so no forward context is
+kept beyond the op that uses it.
 
 The regression probe is fitted on sufficient statistics. Its full-batch
 MSE on features F and targets T is a quadratic in Θ = [W; bᵀ] whose
@@ -69,14 +72,21 @@ class ProbeResult:
 def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
            chunk: int = 1024) -> np.ndarray:
     """Frozen features for a stack of context views, extracted in eval
-    mode and detached from any graph."""
+    mode without recording a graph."""
     model.eval_mode()
     fn = predict_forward_for_inference if through_predictor else encode_for_inference
     outs = []
-    for start in range(0, x_values.shape[0], chunk):
-        part = Tensor(x_values[start:start + chunk])
-        outs.append(fn(model, part).values)
+    with ad.no_grad():
+        for start in range(0, x_values.shape[0], chunk):
+            part = Tensor(x_values[start:start + chunk])
+            outs.append(fn(model, part).values)
     return np.concatenate(outs, axis=0)
+
+
+def _predict(probe: Network, feats: np.ndarray) -> np.ndarray:
+    """A fitted probe's outputs on ``feats``, without recording a graph."""
+    with ad.no_grad():
+        return probe(Tensor(feats)).values
 
 
 @dataclass(frozen=True)
@@ -163,7 +173,7 @@ def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
     probe = _train_regression_probe(stats, cfg)
     test_feats = _embed(model, dataset.test.x.values, through_predictor)
     test_targets = dataset.test.y.values
-    preds = probe(Tensor(test_feats)).values
+    preds = _predict(probe, test_feats)
     exact = stats.least_squares()
     exact_preds = test_feats @ exact[:-1] + exact[-1]
     return ProbeResult(
@@ -215,7 +225,7 @@ def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
             opt.step()
     opt.zero_grad()
     test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
-    return probe(Tensor(test_feats)).values
+    return _predict(probe, test_feats)
 
 
 def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResult:

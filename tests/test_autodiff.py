@@ -372,6 +372,89 @@ def forward_and_grads(op, g, *arrays):
     return y.values, [t.grad for t in ts]
 
 
+def _bn_train(x, gamma, beta):
+    return batch_norm2d(x, gamma, beta, RunningStats.for_channels(2), training=True)
+
+
+def _bn_eval(x, gamma, beta):
+    stats = RunningStats(np.array([0.5, -1.0]), np.array([2.0, 0.25]))
+    return batch_norm2d(x, gamma, beta, stats, training=False)
+
+
+# every primitive, as (op over tensors, input shapes)
+_PRIMITIVES = {
+    "linear": (linear, [(5, 3), (3, 2), (2,)]),
+    "layer_norm": (layer_norm, [(4, 6), (6,), (6,)]),
+    "relu": (relu, [(3, 4)]),
+    "conv2d": (conv2d, [(2, 1, 6, 4), (2, 1, 3, 3), (2,)]),
+    "batch_norm2d_train": (_bn_train, [(3, 2, 4, 4), (2,), (2,)]),
+    "batch_norm2d_eval": (_bn_eval, [(3, 2, 4, 4), (2,), (2,)]),
+    "mse_loss": (mse_loss, [(4, 3), (4, 3)]),
+    "softmax_cross_entropy": (
+        lambda z: softmax_cross_entropy(z, np.array([0, 2, 1, 2])), [(4, 3)]),
+    "sphere_project": (sphere_project, [(4, 3)]),
+    "add": (add, [(2, 3), (2, 3)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "scale": (lambda x: scale(x, -1.5), [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "flatten": (flatten, [(2, 3, 4)]),
+}
+
+
+class TestNoGrad:
+    @staticmethod
+    def leaves(shapes, seed=50):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+    @staticmethod
+    def records() -> bool:
+        return relu(Tensor([1.0], requires_grad=True)).node is not None
+
+    @pytest.mark.parametrize("name", list(_PRIMITIVES))
+    def test_forward_bits_without_a_graph(self, name):
+        op, shapes = _PRIMITIVES[name]
+        recorded = op(*self.leaves(shapes))
+        assert recorded.node is not None
+        with ad.no_grad():
+            out = op(*self.leaves(shapes))
+        assert same_bits(out.values, recorded.values)
+        assert out.node is None and not out.requires_grad
+
+    def test_modes_unchanged(self):
+        x, gamma, beta = self.leaves([(3, 2, 4, 4), (2,), (2,)])
+        recorded, free = RunningStats.for_channels(2), RunningStats.for_channels(2)
+        batch_norm2d(x, gamma, beta, recorded, training=True)
+        with ad.no_grad():
+            batch_norm2d(x, gamma, beta, free, training=True)
+        assert not np.array_equal(free.mean, np.zeros(2))
+        assert same_bits(free.mean, recorded.mean) and same_bits(free.var, recorded.var)
+
+    def test_state_restored(self):
+        assert self.records()
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not self.records()
+            assert not self.records()
+        assert self.records()
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_grad():
+                1 / 0
+        assert self.records()
+
+    def test_graph_after_block_backpropagates(self):
+        def grads():
+            x, w, b = self.leaves([(5, 3), (3, 2), (2,)])
+            sum_all(relu(linear(x, w, b))).backward()
+            return [t.grad for t in (x, w, b)]
+
+        before = grads()
+        with ad.no_grad():
+            x, w, b = self.leaves([(5, 3), (3, 2), (2,)])
+            relu(linear(x, w, b))
+        assert all(same_bits(g, ref) for g, ref in zip(grads(), before))
+
+
 class TestBitExactForms:
     """The primitives' in-place forms give the bits of the textbook numpy
     expressions, computed here in the same process (a golden hash could

@@ -1,12 +1,17 @@
 """Runner behavior: config validation, artifacts, determinism, suite
 aggregation, and the MNIST fetch helper."""
 
+import dataclasses
 import gzip
 import http.server
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,8 +226,8 @@ class TestRunArtifacts:
         assert report.config["steps"] == TINY_SINE["steps"]
 
     def test_json_round_trip(self, tiny_sine_report):
-        report, _ = tiny_sine_report
-        back = ExperimentReport(**json.loads(report.to_json()))
+        report, out = tiny_sine_report
+        back = ExperimentReport(**json.loads((out / "report.json").read_text()))
         assert back.final_train_loss == report.final_train_loss
         assert back.protocol_b_mse == report.protocol_b_mse
         assert back.protocol_a_mse_exact == report.protocol_a_mse_exact
@@ -252,6 +257,43 @@ class TestRunArtifacts:
         assert len(report.forecast) == TINY_SINE["test_batch"]
         rec = report.forecast[0]
         assert set(rec) == {"sample", "truth", "proto_a", "proto_b"}
+
+
+class TestEmitOutputs:
+    def test_bytes_of_the_buffered_forms(self, tmp_path):
+        """report.json is the deep-copied report's indented JSON, and the
+        CSVs are their line-joined forms, byte for byte."""
+        report = ExperimentReport(
+            config={"experiment": "sine", "nested": {"b": [1, 2.5], "a": None}},
+            final_train_loss=0.1, diverged=False, wall_time=1.25,
+            loss_history=[[0, 1.0, 0.5, 0.5, 2.0], [1, math.nan, 0.1 / 3, math.inf, 1e-300]],
+            protocol_b_mse=0.2,
+            forecast=[{"sample": i, "truth": i / 7, "proto_a": -i / 3, "proto_b": 0.1 * i}
+                      for i in range(3)])
+        emit_outputs(report, tmp_path)
+        expected_json = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+        assert (tmp_path / "report.json").read_bytes() == expected_json.encode()
+        lines = ["step,total,fwd,bwd,emb_norm"]
+        for step, total, fwd, bwd, norm in report.loss_history:
+            lines.append(f"{step},{total!r},{fwd!r},{bwd!r},{norm!r}")
+        assert (tmp_path / "loss.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        lines = ["sample,truth,proto_a,proto_b"]
+        for rec in report.forecast:
+            lines.append(f"{rec['sample']},{rec['truth']!r},"
+                         f"{rec['proto_a']!r},{rec['proto_b']!r}")
+        assert (tmp_path / "forecast.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_import_leaves_network_stack_unloaded():
+    """Only fetch-mnist needs urllib and gzip; importing the CLI loads
+    neither them nor what urllib.request pulls in."""
+    code = ("import sys, bijepa.cli; "
+            "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', 'gzip') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestHeapPolicy:

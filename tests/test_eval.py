@@ -1,5 +1,6 @@
 """Probe protocols against frozen models, plus image dump formats."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,6 +174,37 @@ class TestFeatureGraphs:
         for through_predictor in (False, True):
             assert garbage_cycles_after(
                 lambda: _embed(model, x, through_predictor, chunk=128)) == 0
+
+    @pytest.mark.parametrize("through_predictor", [False, True])
+    def test_embed_records_no_graph(self, monkeypatch, through_predictor):
+        """A Lorenz-size embed of 1000 rows builds no node and holds at most
+        four 1000×128 activations at once; a recorded graph keeps every
+        op's saved context until the features are read."""
+        enc = build_mlp_encoder(60, 128, 32, with_ln=True)
+        init_parameters(enc, derive_seed(0, "init:encoder"))
+        p_fwd = build_predictor(32, 128, with_ln=True)
+        init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
+        model = BiJepaModel.create(
+            enc, lambda: build_mlp_encoder(60, 128, 32, with_ln=True), p_fwd, None,
+            1.0, EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+        x = np.random.default_rng(42).standard_normal((1000, 60))
+        nodes = []
+
+        class CountingNode(ad.Node):
+            def __init__(self, op, *args):
+                nodes.append(op)
+                super().__init__(op, *args)
+
+        monkeypatch.setattr(ad, "Node", CountingNode)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _embed(model, x, through_predictor)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert nodes == []
+        assert peak < 4 * 1000 * 128 * 8
 
 
 class TestRegressionProtocols:
