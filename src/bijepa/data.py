@@ -8,6 +8,7 @@ split at column 14.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -18,7 +19,8 @@ from .seeding import stream
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file: bad magic, truncation, or count mismatch."""
+    """Malformed IDX file: bad magic, negative dims, truncation, or count
+    mismatch."""
 
 
 @dataclass
@@ -72,15 +74,14 @@ class SineConfig:
             raise ValueError("T must be even for the half/half split")
 
 
-def gen_sine_batch(cfg: SineConfig, rng) -> ViewBatch:
+def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
     """Fresh batch of noisy sinusoids on the unit time grid t_i = i.
 
     Per sequence: omega ~ U(omega_range), phase ~ U(phase_range),
     S_i = sin(omega*i + phase) + N(0, noise_std). First half is the
-    context view, second half the target view.
+    context view, second half the target view. ``rng`` is a named
+    stream (``seeding.stream``); a bare seed is not accepted.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     b, t = cfg.batch, cfg.T
     omega = rng.uniform(*cfg.omega_range, size=(b, 1))
     phase = rng.uniform(*cfg.phase_range, size=(b, 1))
@@ -216,7 +217,9 @@ def _read_idx(path, magic: int, rank: int) -> np.ndarray:
     if got != magic:
         raise IdxFormatError(f"{path}: magic 0x{got:08x}, expected 0x{magic:08x}")
     dims = struct.unpack(f">{rank}i", raw[4:header])
-    n = int(np.prod(dims))
+    if any(d < 0 for d in dims):
+        raise IdxFormatError(f"{path}: negative dims {dims}")
+    n = math.prod(dims)
     if len(raw) != header + n:
         raise IdxFormatError(
             f"{path}: payload is {len(raw) - header} bytes, dims {dims} need {n}")

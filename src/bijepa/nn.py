@@ -8,8 +8,6 @@ half-image inputs.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from . import autodiff as ad
@@ -158,7 +156,7 @@ class Network:
     parameter into one contiguous float64 buffer, ``flat``, and makes
     each tensor's ``values`` a view of it, in ``parameters()`` order.
     That view is never rebound afterwards; whatever writes parameters
-    (AdamW, the EMA, ``load_state_dict``, ``clone_into``) writes into it.
+    (AdamW, the EMA, ``clone_into``) writes into it.
     A parameter that already views another array, because its layer is
     in another network or listed twice, is refused, not repacked.
 
@@ -210,41 +208,6 @@ class Network:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
-
-    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.buffers():
-                out.append((f"{i}.{name}", arr))
-        return out
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        d = {name: t.values.copy() for name, t in self.named_parameters()}
-        for name, arr in self.named_buffers():
-            d[name] = arr.copy()
-        return d
-
-    def load_state_dict(self, d: dict[str, np.ndarray]) -> None:
-        expected = {name for name, _ in self.named_parameters()}
-        expected |= {name for name, _ in self.named_buffers()}
-        if expected != set(d):
-            missing = expected - set(d)
-            extra = set(d) - expected
-            raise SpecMismatchError(
-                f"state dict mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}")
-        for name, t in self.named_parameters():
-            src = np.asarray(d[name], dtype=np.float64)
-            if src.shape != t.shape:
-                raise SpecMismatchError(
-                    f"shape mismatch for {name}: {src.shape} vs {t.shape}")
-            t.values[...] = src
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.buffers():
-                src = np.asarray(d[f"{i}.{name}"], dtype=np.float64)
-                if src.shape != arr.shape:
-                    raise SpecMismatchError(
-                        f"shape mismatch for {i}.{name}: {src.shape} vs {arr.shape}")
-                layer.set_buffer(name, src)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +278,3 @@ def clone_into(src: Network, dst: Network) -> None:
             dst_layer.set_buffer(name, arr)
     dst.mode = src.mode
 
-
-def fingerprint(net: Network) -> str:
-    """Digest of all parameter and buffer values; changes iff they do."""
-    h = hashlib.sha256()
-    for name, arr in sorted(net.state_dict().items()):
-        h.update(name.encode("utf-8"))
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return h.hexdigest()

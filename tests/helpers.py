@@ -1,4 +1,5 @@
-"""Shared oracles and run-output readers for the test suite.
+"""Shared oracles, a network fingerprint and run-output readers for the
+test suite.
 
 The gradient oracle is central finite differences with step 1e-5 over
 float64, compared elementwise by relative error with a 1e-6 floor. The
@@ -7,6 +8,7 @@ sufficient-statistics probe replaces.
 """
 
 import gc
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -122,6 +124,18 @@ def garbage_cycles_after(fn) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+def fingerprint(net: Network) -> str:
+    """Digest of a network's whole state: ``net.flat``, then every layer
+    buffer (BatchNorm running statistics) in layer order, as
+    little-endian float64 bytes. Changes iff a parameter or a buffer
+    entry does."""
+    h = hashlib.sha256(np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
+    for layer in net.layers:
+        for _, arr in layer.buffers():
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def write_idx(path, magic: int, arr: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Data generators: sine views, Lorenz trajectories, MNIST IDX loading."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,23 @@ class TestMnistLoader:
         write_idx(tmp_path / "l6", 0x801, np.zeros(6, dtype=np.uint8))
         with pytest.raises(IdxFormatError):
             load_mnist_idx(ipath, tmp_path / "l6")
+
+    def test_negative_dims_rejected(self, idx_pair, tmp_path):
+        # -28 * -28 = 784 matches the payload, so only the sign check stops it
+        _, lpath, *_ = idx_pair
+        bad = tmp_path / "neg.idx"
+        bad.write_bytes(struct.pack(">4i", 0x803, 1, -28, -28) + bytes(784))
+        with pytest.raises(IdxFormatError, match="negative dims"):
+            load_mnist_idx(bad, lpath)
+
+    def test_huge_dims_state_exact_size(self, idx_pair, tmp_path):
+        # the product overflows int64; the message states it exactly
+        _, lpath, *_ = idx_pair
+        big = 2**31 - 1
+        bad = tmp_path / "big.idx"
+        bad.write_bytes(struct.pack(">4i", 0x803, big, big, big))
+        with pytest.raises(IdxFormatError, match=f"need {big**3}$"):
+            load_mnist_idx(bad, lpath)
 
     def test_wrong_image_size_rejected(self, tmp_path):
         write_idx(tmp_path / "i", 0x803, np.zeros((2, 14, 14), dtype=np.uint8))

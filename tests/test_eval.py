@@ -16,13 +16,12 @@ from bijepa.eval import (
 )
 from bijepa.jepa import BiJepaModel, ConstraintMode, encode_for_inference
 from bijepa.nn import (
-    Linear, Network, ReLU, build_mlp_encoder, build_predictor, fingerprint,
-    init_parameters,
+    Linear, Network, ReLU, build_mlp_encoder, build_predictor, init_parameters,
 )
 from bijepa.optim import EmaConfig
 from bijepa.seeding import derive_seed
 
-from helpers import garbage_cycles_after, reference_probe_fit
+from helpers import fingerprint, garbage_cycles_after, reference_probe_fit
 
 IN_DIM, EMB, HIDDEN = 6, 8, 16
 

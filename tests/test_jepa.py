@@ -11,11 +11,11 @@ from bijepa.jepa import (
     predict_forward_for_inference, total_loss, train_step,
 )
 from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
-    clone_into, fingerprint, init_parameters
+    clone_into, init_parameters
 from bijepa.optim import AdamW, EmaConfig, ema_update
 from bijepa.seeding import derive_seed
 
-from helpers import garbage_cycles_after
+from helpers import fingerprint, garbage_cycles_after
 
 IN_DIM, HIDDEN, EMB = 6, 16, 8
 

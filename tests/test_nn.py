@@ -1,4 +1,4 @@
-"""Network construction, initialization, cloning, and state dicts."""
+"""Network construction, initialization, cloning, and buffers."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,11 @@ from bijepa.autodiff import Tensor, sum_all
 from bijepa.cli import RunConfig, _build_model, effective_hyper
 from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
-    Linear, Network, ReLU, SpecMismatchError, build_conv_encoder,
-    build_mlp_encoder, build_predictor, clone_into, fingerprint, init_parameters,
+    BatchNorm2d, Linear, Network, ReLU, SpecMismatchError, build_conv_encoder,
+    build_mlp_encoder, build_predictor, clone_into, init_parameters,
 )
+
+from helpers import fingerprint
 
 
 def param_count(net: Network) -> int:
@@ -122,6 +124,13 @@ class TestCloneAndFingerprint:
         net.parameters()[-1].values[0] += 1e-9
         assert fingerprint(net) != before
 
+        conv = build_conv_encoder()
+        init_parameters(conv, 0)
+        before = fingerprint(conv)
+        bn = next(layer for layer in conv.layers if isinstance(layer, BatchNorm2d))
+        dict(bn.buffers())["running_mean"][0] += 1e-9
+        assert fingerprint(conv) != before
+
     def test_forward_ignores_grad_state(self):
         net = build_mlp_encoder(10, 64, 16, with_ln=True)
         init_parameters(net, 0)
@@ -193,8 +202,9 @@ class TestStorage:
         src(Tensor(np.random.default_rng(2).standard_normal((4, 1, 28, 14))))
         clone_into(src, dst)
         assert fingerprint(src) == fingerprint(dst)
-        for (_, a), (_, b) in zip(src.named_buffers(), dst.named_buffers()):
-            assert not np.shares_memory(a, b)
+        for src_layer, dst_layer in zip(src.layers, dst.layers):
+            for (_, a), (_, b) in zip(src_layer.buffers(), dst_layer.buffers()):
+                assert not np.shares_memory(a, b)
         self.assert_owned(dst)
 
 
@@ -202,37 +212,10 @@ class TestBuffers:
     def test_bn_stats_are_buffers_not_params(self):
         net = build_conv_encoder()
         pnames = {n for n, _ in net.named_parameters()}
-        bnames = {n for n, _ in net.named_buffers()}
+        bnames = {f"{i}.{n}" for i, layer in enumerate(net.layers)
+                  for n, _ in layer.buffers()}
         assert "1.running_mean" in bnames and "1.running_var" in bnames
         assert not pnames & bnames
-
-    def test_state_dict_round_trip_includes_buffers(self):
-        a = build_conv_encoder()
-        init_parameters(a, 0)
-        rng = np.random.default_rng(0)
-        a(Tensor(rng.standard_normal((4, 1, 28, 14))))  # updates running stats
-        b = build_conv_encoder()
-        b.load_state_dict(a.state_dict())
-        assert fingerprint(a) == fingerprint(b)
-        da, db = dict(a.named_buffers()), dict(b.named_buffers())
-        for name in da:
-            assert np.array_equal(da[name], db[name])
-
-    def test_load_rejects_missing_key(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
-        init_parameters(net, 0)
-        d = net.state_dict()
-        d.pop("0.w")
-        with pytest.raises(SpecMismatchError):
-            net.load_state_dict(d)
-
-    def test_load_rejects_bad_shape(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
-        init_parameters(net, 0)
-        d = net.state_dict()
-        d["0.w"] = np.zeros((3, 3))
-        with pytest.raises(SpecMismatchError):
-            net.load_state_dict(d)
 
 
 class TestMode:

@@ -7,8 +7,10 @@ import pytest
 
 from bijepa.autodiff import Tensor
 from bijepa.nn import Layer, Network, SpecMismatchError, build_conv_encoder, \
-    build_mlp_encoder, build_predictor, clone_into, fingerprint, init_parameters
+    build_mlp_encoder, build_predictor, clone_into, init_parameters
 from bijepa.optim import AdamW, EmaConfig, ema_update
+
+from helpers import fingerprint
 
 
 def scalar_param(value: float) -> Tensor:
@@ -156,15 +158,6 @@ class TestParameterStorage:
         AdamW([net], lr=1e-2)
         assert fingerprint(net) == before
 
-    def test_load_state_dict_writes_optimizer_storage(self):
-        net, opt = self.registered_net()
-        other = build_predictor(4, 8, with_ln=True)
-        init_parameters(other, 1)
-        net.load_state_dict(other.state_dict())
-        assert np.array_equal(net.flat, np.concatenate(
-            [p.values.reshape(-1) for p in other.parameters()]))
-        self.assert_step_moves(net, opt)
-
     def test_clone_into_writes_optimizer_storage(self):
         net, opt = self.registered_net()
         other = build_predictor(4, 8, with_ln=True)
@@ -173,17 +166,6 @@ class TestParameterStorage:
         assert fingerprint(net) == fingerprint(other)
         assert np.array_equal(net.flat, np.concatenate(
             [p.values.reshape(-1) for p in other.parameters()]))
-        self.assert_step_moves(net, opt)
-
-    def test_checkpoint_load_writes_optimizer_storage(self, tmp_path):
-        net, opt = self.registered_net()
-        other = build_predictor(4, 8, with_ln=True)
-        init_parameters(other, 3)
-        # a state saved with numpy and read back, as a caller would
-        np.savez(tmp_path / "c.npz", **other.state_dict())
-        with np.load(tmp_path / "c.npz") as saved:
-            net.load_state_dict(saved)
-        assert fingerprint(net) == fingerprint(other)
         self.assert_step_moves(net, opt)
 
     def test_duplicate_parameter_rejected(self):
