@@ -153,7 +153,7 @@ def backward(loss: Tensor) -> None:
         node.consumed = True
         if out_grad is not None:
             for t, g in zip(node.inputs, node.vjp(out_grad)):
-                if g is None or not _needs_grad(t):
+                if g is None or not t.requires_grad:
                     continue
                 prev = grads.get(t)
                 grads[t] = g if prev is None else prev + g
@@ -172,10 +172,6 @@ def _deposit(t: Tensor, g: np.ndarray) -> None:
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
 
 
 _RECORDING: ContextVar[bool] = ContextVar("recording", default=True)
@@ -202,7 +198,7 @@ def no_grad():
 def _make(op: str, inputs: tuple[Tensor, ...], values: np.ndarray, vjp) -> Tensor:
     if not _RECORDING.get():
         return Tensor(values)
-    out = Tensor(values, requires_grad=any(_needs_grad(t) for t in inputs))
+    out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     if out.requires_grad:
         out.node = Node(op, inputs, out, vjp)
     return out
@@ -272,7 +268,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xv, wv = x.values, w.values
     y = xv @ wv
     y += b.values
-    need_x = _needs_grad(x)
+    need_x = x.requires_grad
 
     def vjp(g):
         return (g @ wv.T if need_x else None), xv.T @ g, g.sum(axis=0)
@@ -336,17 +332,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make("layer_norm", (x, gamma, beta), y, vjp)
 
 
+# weight of a batch's statistics in the running statistics
+BN_MOMENTUM = 0.1
+
+
 @dataclass
 class RunningStats:
     """Per-channel running mean/variance for batch norm in eval mode."""
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
 
     @classmethod
-    def for_channels(cls, c: int, momentum: float = 0.1) -> "RunningStats":
-        return cls(np.zeros(c), np.ones(c), momentum)
+    def for_channels(cls, c: int) -> "RunningStats":
+        return cls(np.zeros(c), np.ones(c))
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
@@ -370,7 +369,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
             raise ShapeError("batch_norm2d train mode needs batch size >= 2")
         mu = xv.mean(axis=(0, 2, 3))
         var = xv.var(axis=(0, 2, 3))
-        m = stats.momentum
+        m = BN_MOMENTUM
         stats.mean = (1.0 - m) * stats.mean + m * mu
         stats.var = (1.0 - m) * stats.var + m * var
         inv_std = 1.0 / np.sqrt(var + eps)
@@ -400,10 +399,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
     return _make("batch_norm2d", (x, gamma, beta), y, vjp_eval)
 
 
-def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
-    """Strided 3x3 cross-correlation with zero padding.
+def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """3x3 cross-correlation at stride 2 with zero padding 1.
 
-    Output spatial dims: H' = floor((H + 2*pad - 3)/stride) + 1, same for W.
+    Output spatial dims: H' = floor((H - 1)/2) + 1, same for W.
     """
     x, k, b = _as_tensor(x), _as_tensor(k), _as_tensor(b)
     if x.values.ndim != 4:
@@ -417,8 +416,8 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias must be ({cout},)")
 
-    xp = np.pad(x.values, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+    xp = np.pad(x.values, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
     ho, wo = win.shape[2], win.shape[3]
     # im2col: one matmul carries the whole batch
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(bs * ho * wo, cin * 9)
@@ -426,7 +425,7 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
     y = (cols @ wmat + b.values).reshape(bs, ho, wo, cout).transpose(0, 3, 1, 2)
 
     hp, wp = xp.shape[2], xp.shape[3]
-    need_x = _needs_grad(x)
+    need_x = x.requires_grad
 
     def vjp(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(bs * ho * wo, cout)
@@ -438,9 +437,9 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Te
         gxp = np.zeros((bs, cin, hp, wp))
         for kh in range(3):
             for kw in range(3):
-                gxp[:, :, kh:kh + stride * ho:stride,
-                    kw:kw + stride * wo:stride] += gwin[:, :, :, :, kh, kw]
-        gx = gxp[:, :, pad:pad + h, pad:pad + w]
+                gxp[:, :, kh:kh + 2 * ho:2,
+                    kw:kw + 2 * wo:2] += gwin[:, :, :, :, kh, kw]
+        gx = gxp[:, :, 1:1 + h, 1:1 + w]
         return gx, gw, gb
 
     return _make("conv2d", (x, k, b), np.ascontiguousarray(y), vjp)
@@ -458,7 +457,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.values - target.values
     n = diff.size
     loss = np.asarray((diff * diff).sum() / n)
-    need_target = _needs_grad(target)
+    need_target = target.requires_grad
 
     def vjp(g):
         s = g.reshape(-1)[0] * 2.0 / n

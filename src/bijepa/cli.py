@@ -18,15 +18,15 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .data import (
-    MNIST_STD, LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset,
-    denormalize_to_u8, gen_sine_batch, load_mnist_idx, split_vertical,
+    LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset, denormalize_to_u8,
+    gen_sine_batch, load_mnist_idx, split_vertical,
 )
 from .eval import (
     ProbeConfig, forecast_table, generative_decoder, linear_probe_classify,
@@ -123,25 +123,22 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
 
 @dataclass(frozen=True)
 class Domain:
-    """The values one hyperparameter may take: a type, plus bounds or a
-    set of choices.
+    """The values one hyperparameter may take: a number type plus bounds.
 
     Integer keys take integers, integral floats and integer strings;
     float keys take finite numbers and numeric strings; neither takes a
-    boolean. String keys take strings.
+    boolean.
     """
 
-    kind: type              # int, float or str
+    kind: type              # int or float
     gt: float | None = None  # every value must exceed this
     ge: float | None = None  # lowest allowed value
     le: float | None = None  # highest allowed value
-    choices: tuple = ()
 
     def check(self, key: str, value):
         """``value`` coerced onto ``kind``; ConfigError outside the domain."""
         v = self._coerce(key, value)
-        if ((self.choices and v not in self.choices)
-                or (self.gt is not None and not v > self.gt)
+        if ((self.gt is not None and not v > self.gt)
                 or (self.ge is not None and not v >= self.ge)
                 or (self.le is not None and not v <= self.le)):
             raise ConfigError(f"{key} must be {self}, got {value!r}")
@@ -149,10 +146,6 @@ class Domain:
 
     def _coerce(self, key: str, value):
         kind = self.kind
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{key} needs a string, got {value!r}")
-            return value
         error = ConfigError(f"{key} needs "
                             f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
         if isinstance(value, bool) or (
@@ -167,8 +160,6 @@ class Domain:
         return coerced
 
     def __str__(self) -> str:
-        if self.choices:
-            return "one of " + ", ".join(map(str, self.choices))
         bounds = [f"{op} {bound}" for op, bound in
                   ((">", self.gt), (">=", self.ge), ("<=", self.le)) if bound is not None]
         return " and ".join(bounds)
@@ -187,8 +178,7 @@ _DOMAINS = {
     "lr": _POSITIVE, "weight_decay": _NON_NEGATIVE, "tau": _FRACTION, "alpha": _FRACTION,
     "steps": _COUNT, "epochs": _COUNT, "batch": _COUNT,
     "enc_hidden": _COUNT, "emb_dim": _COUNT, "pred_hidden": _COUNT,
-    "noise_std": _NON_NEGATIVE, "integrator": Domain(str, choices=("euler", "rk4")),
-    "train_limit": _NATURAL,
+    "noise_std": _NON_NEGATIVE, "train_limit": _NATURAL,
     "probe_lr": _POSITIVE, "probe_steps": _COUNT, "probe_epochs": _COUNT,
     "probe_batch": _COUNT, "probe_set_size": _COUNT, "test_batch": _COUNT,
 }
@@ -294,7 +284,7 @@ def _sine_data(cfg: RunConfig, hyper: dict):
 
 def _lorenz_data(cfg: RunConfig, hyper: dict):
     """Shuffled batches of the train split, full batches only."""
-    dataset = build_lorenz_dataset(LorenzConfig(integrator=hyper["integrator"]), cfg.seed)
+    dataset = build_lorenz_dataset(LorenzConfig(), cfg.seed)
     batches = _shuffled_batches(dataset.train, stream(cfg.seed, "data:batches"),
                                 hyper["batch"], drop_last=True)
     return batches, hyper["steps"], dataset
@@ -324,15 +314,17 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
 
 
 def resolve_mnist_dir(explicit: str | None) -> Path:
-    """--mnist-dir flag, then BIJEPA_MNIST_DIR, then ./mnist-data."""
-    for candidate in (explicit, os.environ.get("BIJEPA_MNIST_DIR"), "mnist-data"):
-        if candidate:
-            d = Path(candidate)
-            if (d / "train-images-idx3-ubyte").exists():
-                return d
+    """The --mnist-dir flag when given, and nothing else; without it,
+    BIJEPA_MNIST_DIR, then ./mnist-data."""
+    candidates = [explicit] if explicit else [
+        d for d in (os.environ.get("BIJEPA_MNIST_DIR"), "mnist-data") if d]
+    for candidate in candidates:
+        d = Path(candidate)
+        if (d / "train-images-idx3-ubyte").exists():
+            return d
     raise FileNotFoundError(
-        "MNIST IDX files not found; pass --mnist-dir, set BIJEPA_MNIST_DIR, "
-        "or run `bijepa fetch-mnist --out mnist-data`")
+        f"MNIST IDX files not found in {', '.join(candidates)}; pass --mnist-dir, "
+        "set BIJEPA_MNIST_DIR, or run `bijepa fetch-mnist --out mnist-data`")
 
 
 def _regression_probes(model: BiJepaModel, held_out, probe_cfg: ProbeConfig):
@@ -351,16 +343,16 @@ def _image_probes(model: BiJepaModel, views, probe_cfg: ProbeConfig):
     """Digit classifier and right-half decoder; returns (metrics, forecast
     records, images)."""
     racc = linear_probe_classify(model, views, probe_cfg)
-    rdec = generative_decoder(model, views, probe_cfg, pixel_std=MNIST_STD)
+    rdec = generative_decoder(model, views, probe_cfg)
     metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
     return metrics, [], _triptychs(views.test, rdec.predictions)
 
 
-def _triptychs(test_views: ViewBatch, generated: np.ndarray, count: int = 8) -> list:
-    """Per-sample image trio: context half, generated half, true half."""
+def _triptychs(test_views: ViewBatch, generated: np.ndarray) -> list:
+    """Per-sample image trio (context half, generated half, true half)
+    for the first 8 test samples."""
     images = []
-    n = min(count, test_views.size)
-    for i in range(n):
+    for i in range(min(8, test_views.size)):
         ctx = denormalize_to_u8(test_views.x.values[i, 0])
         gen = denormalize_to_u8(generated[i].reshape(28, 14))
         tru = denormalize_to_u8(test_views.y.values[i, 0])
@@ -399,7 +391,6 @@ _EXPERIMENTS = {
         hyper={
             "lr": 5e-4, "steps": 3000, "batch": 64, "tau": 0.995,
             "enc_hidden": 128, "emb_dim": 32, "pred_hidden": 128,
-            "integrator": "euler",
             "probe_lr": 1e-3, "probe_steps": 2000,
         },
         encoder=_mlp_encoder(LorenzConfig.T // 2 * 3), data=_lorenz_data,
@@ -427,6 +418,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     _keep_freed_heap()
     hyper, mode = effective_hyper(cfg)
+    cfg = replace(cfg, seed=_NATURAL.check("seed", cfg.seed))  # 1.0 and "1" echo as 1
     experiment = _EXPERIMENTS[cfg.experiment]
     model = _build_model(cfg, hyper, mode)
     opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
@@ -521,6 +513,8 @@ def run_suite(seeds: list[int], variants: list[str], experiment: str,
         raise ConfigError("suite needs at least one seed")
     if not variants:
         raise ConfigError("suite needs at least one variant")
+    # coerced first, so that 0 and "0" count as a repeat
+    seeds = [_NATURAL.check("seed", seed) for seed in seeds]
     for name, values in (("seeds", seeds), ("variants", variants)):
         if len(set(values)) != len(values):
             raise ConfigError(f"suite {name} repeat: {values}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,15 +64,11 @@ class ViewBatch:
 
 @dataclass
 class SineConfig:
-    T: int = 20
-    omega_range: tuple[float, float] = (0.8, 1.2)
-    phase_range: tuple[float, float] = (0.0, 2.0 * np.pi)
+    T: ClassVar[int] = 20
+    omega_range: ClassVar[tuple[float, float]] = (0.8, 1.2)
+    phase_range: ClassVar[tuple[float, float]] = (0.0, 2.0 * np.pi)
     noise_std: float = 0.05
     batch: int = 64
-
-    def __post_init__(self):
-        if self.T % 2 != 0:
-            raise ValueError("T must be even for the half/half split")
 
 
 def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
@@ -97,16 +94,18 @@ def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
 
 @dataclass
 class LorenzConfig:
-    sigma: float = 10.0
-    rho: float = 28.0
-    beta: float = 8.0 / 3.0
+    """The Lorenz system and its dataset; only the Euler step ``dt`` is
+    settable."""
+
+    sigma: ClassVar[float] = 10.0
+    rho: ClassVar[float] = 28.0
+    beta: ClassVar[float] = 8.0 / 3.0
+    T: ClassVar[int] = 40
+    init_range: ClassVar[tuple[float, float]] = (-15.0, 15.0)
+    n_train: ClassVar[int] = 2000
+    n_probe: ClassVar[int] = 1000
+    n_test: ClassVar[int] = 20
     dt: float = 0.01
-    T: int = 40
-    init_range: tuple[float, float] = (-15.0, 15.0)
-    n_train: int = 2000
-    n_probe: int = 1000
-    n_test: int = 20
-    integrator: str = "euler"
 
 
 def _lorenz_deriv(state: np.ndarray, cfg: LorenzConfig) -> np.ndarray:
@@ -118,30 +117,17 @@ def _lorenz_deriv(state: np.ndarray, cfg: LorenzConfig) -> np.ndarray:
     ], axis=-1)
 
 
-def _advance(state: np.ndarray, cfg: LorenzConfig) -> np.ndarray:
-    dt = cfg.dt
-    if cfg.integrator == "euler":
-        return state + dt * _lorenz_deriv(state, cfg)
-    if cfg.integrator == "rk4":
-        k1 = _lorenz_deriv(state, cfg)
-        k2 = _lorenz_deriv(state + 0.5 * dt * k1, cfg)
-        k3 = _lorenz_deriv(state + 0.5 * dt * k2, cfg)
-        k4 = _lorenz_deriv(state + dt * k3, cfg)
-        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    raise ValueError(f"unknown integrator {cfg.integrator!r}")
-
-
 def integrate_lorenz(cfg: LorenzConfig, init, n_steps: int) -> np.ndarray:
     """Trajectories from a ``(..., 3)`` stack of initial states, shaped
     ``(..., n_steps, 3)``; row 0 is the initial state and each following
-    row is one integration step from the previous."""
+    row is one forward Euler step from the previous."""
     state = np.asarray(init, dtype=np.float64)
     if state.ndim == 0 or state.shape[-1] != 3 or not np.all(np.isfinite(state)):
         raise ValueError(f"init must be finite states of 3 values, got {init!r}")
     out = np.empty(state.shape[:-1] + (n_steps, 3))
     out[..., 0, :] = state
     for k in range(1, n_steps):
-        state = _advance(state, cfg)
+        state = state + cfg.dt * _lorenz_deriv(state, cfg)
         if not np.all(np.isfinite(state)):
             raise ValueError(f"non-finite state at step {k}")
         out[..., k, :] = state

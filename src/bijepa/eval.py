@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import ViewBatch
+from .data import MNIST_STD, ViewBatch
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
 from .nn import Linear, Network, ReLU, init_parameters
 from .optim import AdamW
@@ -243,15 +243,14 @@ def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeR
     return ProbeResult(accuracy=accuracy, predictions=pred_labels)
 
 
-def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig,
-                       pixel_std: float = 1.0) -> ProbeResult:
+def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResult:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
     A small MLP (hidden 256) regresses the normalized right half.
-    The reported test MSE is rescaled by pixel_std**2 so it reads in
-    raw [0,1] pixel units when the caller passes the normalization std
-    (MSE is invariant to the mean shift, so the factor is exact).
-    Predictions stay in normalized units for image dumps.
+    The reported test MSE is rescaled by MNIST_STD**2 so it reads in
+    raw [0,1] pixel units (MSE is invariant to the mean shift, so the
+    factor is exact). Predictions stay in normalized units for image
+    dumps.
     """
     targets = mnist.train.y.values.reshape(mnist.train.size, -1)
     preds = _fit_epochs(
@@ -259,7 +258,7 @@ def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig,
         lambda dim: [Linear(dim, 256), ReLU(), Linear(256, targets.shape[1])],
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])), cfg)
     test_targets = mnist.test.y.values.reshape(mnist.test.size, -1)
-    return ProbeResult(mse=_mse(preds, test_targets) * pixel_std ** 2,
+    return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
                        predictions=preds)
 
 

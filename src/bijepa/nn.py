@@ -60,9 +60,8 @@ class Linear(Layer):
 
 
 class LayerNorm(Layer):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.eps = eps
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
@@ -77,7 +76,7 @@ class LayerNorm(Layer):
         self.beta.values[...] = 0.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class ReLU(Layer):
@@ -106,16 +105,15 @@ class Conv2d(Layer):
         self.b.values[...] = 0.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.conv2d(x, self.k, self.b, stride=2, pad=1)
+        return ad.conv2d(x, self.k, self.b)
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.stats = RunningStats.for_channels(channels, momentum)
+        self.stats = RunningStats.for_channels(channels)
 
     def spec(self):
         return ("BatchNorm2d", self.channels)
@@ -141,7 +139,7 @@ class BatchNorm2d(Layer):
         self.stats.var[...] = 1.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batch_norm2d(x, self.gamma, self.beta, self.stats, training, self.eps)
+        return ad.batch_norm2d(x, self.gamma, self.beta, self.stats, training)
 
 
 class Flatten(Layer):

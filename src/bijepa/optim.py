@@ -9,6 +9,11 @@ import numpy as np
 
 from .nn import Network, SpecMismatchError
 
+# Adam's moment decay rates and the denominator's guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class EmaConfig:
@@ -37,8 +42,7 @@ class AdamW:
     once per network, and allocates nothing.
     """
 
-    def __init__(self, nets: list[Network], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, nets: list[Network], lr: float, weight_decay: float = 0.0):
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
         nets = list(nets)
@@ -46,9 +50,6 @@ class AdamW:
             raise ValueError("a network is listed more than once")
         self.params = [p for net in nets for p in net.parameters()]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         n = sum(net.flat.size for net in nets)
         self.m = np.zeros(n)
@@ -92,7 +93,7 @@ class AdamW:
 
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         m, v, tmp, update = self.m, self.v, self._tmp, self._update
@@ -109,7 +110,7 @@ class AdamW:
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         np.divide(m, bc1, out=update)
         update /= tmp
         if self.weight_decay != 0.0:

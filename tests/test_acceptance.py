@@ -116,7 +116,7 @@ def _grad_cases():
                  rng.standard_normal(7)])
 
     def conv2d(rng):
-        return (lambda x, k, b: ad.conv2d(x, k, b, stride=2, pad=1),
+        return (lambda x, k, b: ad.conv2d(x, k, b),
                 [rng.standard_normal((2, 2, 5, 4)),
                  rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)])
 

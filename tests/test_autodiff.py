@@ -173,7 +173,7 @@ class TestBatchNorm2d:
 
     def test_running_stats_update(self):
         x = np.array([0.0, 2.0]).reshape(2, 1, 1, 1)
-        stats = RunningStats.for_channels(1, momentum=0.1)
+        stats = RunningStats.for_channels(1)
         batch_norm2d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
                      stats, training=True)
         # 0.9*0 + 0.1*1 and 0.9*1 + 0.1*1

@@ -105,17 +105,13 @@ class TestEffectiveHyper:
                             (int, 2.5), (int, "2.5"), (int, True),
                             (int, float("inf")), (float, True), (float, False),
                             (float, float("nan")), (float, "inf"),
-                            (float, float("-inf")), (str, 1)]:
+                            (float, float("-inf"))]:
             with pytest.raises(ConfigError):
                 Domain(kind).check("key", value)
 
 
 def _edges(domain: Domain) -> tuple[list, list]:
     """Values just inside and just outside ``domain``."""
-    if domain.choices:
-        if domain.kind is str:
-            return list(domain.choices), ["heun", domain.choices[0].upper()]
-        return list(domain.choices), [min(domain.choices) - 1, max(domain.choices) + 1]
     step = (lambda v, d: v + d) if domain.kind is int else \
         (lambda v, d: np.nextafter(v, v + d))
     inside, outside = [], []
@@ -169,7 +165,7 @@ class TestDomains:
     @pytest.mark.parametrize("experiment,setting", [
         ("sine", "steps=-5"), ("sine", "batch=0"), ("sine", "lr=-1"),
         ("sine", "tau=1.5"), ("sine", "noise_std=-1"), ("sine", "probe_steps=-3"),
-        ("sine", "weight_decay=-0.1"), ("lorenz", "integrator=heun"),
+        ("sine", "weight_decay=-0.1"), ("lorenz", "integrator=rk4"),
         ("lorenz", "batch=2001"), ("mnist", "batch=1"), ("mnist", "train_limit=-1")])
     def test_out_of_domain_exits_two(self, experiment, setting, capsys):
         assert main(["run", "--experiment", experiment, "--variant", "classic",
@@ -322,6 +318,14 @@ class TestDeterminism:
         b = run(RunConfig("sine", "bijepa-expressive", seed=4, overrides=cfg))
         assert a.loss_history != b.loss_history
 
+    def test_integral_seed_runs_and_echoes_as_int(self):
+        cfg = dict(TINY_SINE)
+        a = run(RunConfig("sine", "classic", seed=1, overrides=cfg))
+        b = run(RunConfig("sine", "classic", seed=1.0, overrides=cfg))
+        assert type(b.config["seed"]) is int
+        assert b.config == a.config
+        assert b.loss_history == a.loss_history
+
 
 class TestLorenzRun:
     def test_tiny_lorenz_run(self, tmp_path):
@@ -419,6 +423,18 @@ class TestResolveMnistDir:
         with pytest.raises(FileNotFoundError):
             resolve_mnist_dir(None)
 
+    def test_explicit_dir_is_the_only_candidate(self, tmp_path, monkeypatch):
+        # a flag naming a directory without the IDX files fails; it does
+        # not fall through to the environment's directory
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            d.mkdir()
+        (b / "train-images-idx3-ubyte").write_bytes(b"")
+        monkeypatch.setenv("BIJEPA_MNIST_DIR", str(b))
+        with pytest.raises(FileNotFoundError) as excinfo:
+            resolve_mnist_dir(str(a))
+        assert str(a) in str(excinfo.value)
+
 
 class TestSuite:
     def test_cross_product_and_verdicts(self, tmp_path):
@@ -447,8 +463,9 @@ class TestSuite:
     @pytest.mark.parametrize("seeds, variants", [
         ([], ["classic"]), ([0], []), ([0, 0], ["classic"]),
         ([0], ["classic", "classic"]), ([0, -1], ["classic"]),
+        ([0, "0"], ["classic"]),
     ], ids=["no-seeds", "no-variants", "repeated-seed", "repeated-variant",
-            "negative-seed"])
+            "negative-seed", "repeated-seed-as-string"])
     def test_empty_inputs_rejected(self, seeds, variants):
         # refused before any member trains
         with pytest.raises(ConfigError):

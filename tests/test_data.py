@@ -49,10 +49,6 @@ class TestSine:
         vb = gen_sine_batch(SineConfig(), stream(0, "t"))
         assert vb.x.shape == (64, 10) and vb.y.shape == (64, 10)
 
-    def test_odd_window_rejected(self):
-        with pytest.raises(ValueError):
-            SineConfig(T=7)
-
     def test_determinism(self):
         a = gen_sine_batch(SineConfig(), stream(5, "t"))
         b = gen_sine_batch(SineConfig(), stream(5, "t"))
@@ -96,10 +92,8 @@ class TestLorenzIntegration:
                                  0.9697111111111111]).max() < 1e-12
 
     def test_origin_is_exact_fixed_point(self):
-        for integrator in ("euler", "rk4"):
-            cfg = LorenzConfig(integrator=integrator)
-            traj = integrate_lorenz(cfg, (0.0, 0.0, 0.0), 10)
-            assert np.array_equal(traj, np.zeros((10, 3)))
+        traj = integrate_lorenz(LorenzConfig(), (0.0, 0.0, 0.0), 10)
+        assert np.array_equal(traj, np.zeros((10, 3)))
 
     def test_boundedness_envelope(self):
         cfg = LorenzConfig()
@@ -109,23 +103,6 @@ class TestLorenzIntegration:
             assert np.abs(traj[:, 0]).max() < 60.0
             assert np.abs(traj[:, 1]).max() < 60.0
             assert traj[:, 2].min() > -30.0 and traj[:, 2].max() < 110.0
-
-    def test_rk4_beats_euler_at_same_dt(self):
-        # both approximate a fine-step reference over t = 0.1; the
-        # fourth-order scheme must win by orders of magnitude
-        init = (1.0, 1.0, 1.0)
-        fine = integrate_lorenz(LorenzConfig(dt=1e-5, integrator="rk4"),
-                                init, 10001)[-1]
-        eul = integrate_lorenz(LorenzConfig(dt=0.01), init, 11)[-1]
-        rk4 = integrate_lorenz(LorenzConfig(dt=0.01, integrator="rk4"),
-                               init, 11)[-1]
-        err_e = np.abs(eul - fine).max()
-        err_r = np.abs(rk4 - fine).max()
-        assert err_r < err_e * 1e-3
-
-    def test_bad_integrator_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_lorenz(LorenzConfig(integrator="heun"), (1, 1, 1), 2)
 
     def test_bad_init_rejected(self):
         with pytest.raises(ValueError):
@@ -139,12 +116,11 @@ class TestLorenzIntegration:
 
     def test_batch_rows_match_single_runs(self):
         inits = np.random.default_rng(7).uniform(-15, 15, (4, 3))
-        for integrator in ("euler", "rk4"):
-            cfg = LorenzConfig(integrator=integrator)
-            batch = integrate_lorenz(cfg, inits, 30)
-            assert batch.shape == (4, 30, 3)
-            for init, traj in zip(inits, batch):
-                assert np.array_equal(traj, integrate_lorenz(cfg, init, 30))
+        cfg = LorenzConfig()
+        batch = integrate_lorenz(cfg, inits, 30)
+        assert batch.shape == (4, 30, 3)
+        for init, traj in zip(inits, batch):
+            assert np.array_equal(traj, integrate_lorenz(cfg, init, 30))
 
     def test_blow_up_reported_at_its_step(self):
         with np.errstate(over="ignore", invalid="ignore"), \
