@@ -26,8 +26,10 @@ import numpy as np
 
 from .data import (
     LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset, denormalize_to_u8,
-    gen_sine_batch, load_mnist_idx, split_vertical,
+    gen_sine_batch, load_mnist_halves,
 )
+# no run calls these, but perfbench/tracer.py wraps them by name here
+from .data import load_mnist_idx, split_vertical  # noqa: F401
 from .eval import (
     ProbeConfig, forecast_table, generative_decoder, linear_probe_classify,
     protocol_a, protocol_b, write_pgm,
@@ -294,14 +296,11 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
     """Shuffled batches of the (optionally truncated) train halves for a
     whole number of epochs, the last batch of each epoch partial."""
     d = resolve_mnist_dir(cfg.mnist_dir)
-    train_x, train_y = load_mnist_idx(d / "train-images-idx3-ubyte",
-                                      d / "train-labels-idx1-ubyte")
-    test_x, test_y = load_mnist_idx(d / "t10k-images-idx3-ubyte",
-                                    d / "t10k-labels-idx1-ubyte")
-    if hyper["train_limit"]:
-        train_x, train_y = train_x[:hyper["train_limit"]], train_y[:hyper["train_limit"]]
-    views = SimpleNamespace(train=split_vertical(train_x, train_y),
-                            test=split_vertical(test_x, test_y))
+    views = SimpleNamespace(
+        train=load_mnist_halves(d / "train-images-idx3-ubyte",
+                                d / "train-labels-idx1-ubyte", hyper["train_limit"]),
+        test=load_mnist_halves(d / "t10k-images-idx3-ubyte",
+                               d / "t10k-labels-idx1-ubyte", 0))
     if views.train.size % hyper["batch"] == 1:
         raise ConfigError(
             f"a train split of {views.train.size} images leaves a one-row last "

@@ -150,29 +150,35 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
     normalized per coordinate using mean/std computed over the train
     split only, then cut into a 20-row context and a 20-row target, each
     flattened (20*3 = 60 input values).
+
+    All starts come from one draw; the splits are then integrated,
+    normalized and cut one at a time, train first, so only one split's
+    trajectories are ever held beside the views already cut.
     """
     n_total = cfg.n_train + cfg.n_probe + cfg.n_test
     init = stream(seed, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
-    traj = integrate_lorenz(cfg, init, cfg.T)
-
-    train_raw = traj[:cfg.n_train]
-    mean = train_raw.reshape(-1, 3).mean(axis=0)
-    std = train_raw.reshape(-1, 3).std(axis=0)
-    # in place: rounds exactly like (traj - mean) / std, without its temporaries
-    traj -= mean
-    traj /= std
-
     half = cfg.T // 2
 
-    def cut(rows: np.ndarray) -> ViewBatch:
-        n = rows.shape[0]
-        return ViewBatch(Tensor(rows[:, :half].reshape(n, -1)),
-                         Tensor(rows[:, half:].reshape(n, -1)))
+    def trajectories(start: int, stop: int) -> np.ndarray:
+        return integrate_lorenz(cfg, init[start:stop], cfg.T)
 
+    def cut(traj: np.ndarray) -> ViewBatch:
+        # in place: rounds exactly like (traj - mean) / std, without its temporaries
+        traj -= mean
+        traj /= std
+        n = traj.shape[0]
+        return ViewBatch(Tensor(traj[:, :half].reshape(n, -1)),
+                         Tensor(traj[:, half:].reshape(n, -1)))
+
+    traj = trajectories(0, cfg.n_train)
+    mean = traj.reshape(-1, 3).mean(axis=0)
+    std = traj.reshape(-1, 3).std(axis=0)
+    train = cut(traj)
+    del traj  # freed before the next split is integrated
     return LorenzDataset(
-        train=cut(traj[:cfg.n_train]),
-        probe=cut(traj[cfg.n_train:cfg.n_train + cfg.n_probe]),
-        test=cut(traj[cfg.n_train + cfg.n_probe:]),
+        train=train,
+        probe=cut(trajectories(cfg.n_train, cfg.n_train + cfg.n_probe)),
+        test=cut(trajectories(cfg.n_train + cfg.n_probe, n_total)),
         mean=mean,
         std=std,
     )
@@ -212,12 +218,8 @@ def _read_idx(path, magic: int, rank: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
-    """Images as (N,1,28,28) normalized float64, labels as (N,) int64.
-
-    Pixels scale to [0,1] then shift by the fixed normalization
-    constants, so pixel 0 maps to about -0.4242 and 255 to about 2.82.
-    """
+def _read_mnist(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """The raw (N,28,28) uint8 images and (N,) uint8 labels of an IDX pair."""
     images = _read_idx(images_path, _IDX_IMAGE_MAGIC, 3)
     labels = _read_idx(labels_path, _IDX_LABEL_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
@@ -225,18 +227,52 @@ def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
     if images.shape[1:] != (28, 28):
         raise IdxFormatError(f"expected 28x28 images, got {images.shape[1:]}")
-    # in-place: the temporaries of the naive expression triple the
-    # transient footprint on the full train file
-    pixels = images.astype(np.float64)
+    return images, labels
+
+
+def _normalize_pixels(pixels: np.ndarray) -> None:
+    """Scale float64 grey levels to [0,1] and shift and scale them by the
+    fixed constants, in place: the temporaries of the naive expression
+    would triple the transient footprint."""
     pixels /= 255.0
     pixels -= MNIST_MEAN
     pixels /= MNIST_STD
+
+
+def load_mnist_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Images as (N,1,28,28) normalized float64, labels as (N,) int64.
+
+    Pixels scale to [0,1] then shift by the fixed normalization
+    constants, so pixel 0 maps to about -0.4242 and 255 to about 2.82.
+    """
+    images, labels = _read_mnist(images_path, labels_path)
+    pixels = images.astype(np.float64)
+    _normalize_pixels(pixels)
     return pixels[:, None, :, :], labels.astype(np.int64)
+
+
+def load_mnist_halves(images_path, labels_path, limit: int) -> ViewBatch:
+    """The first ``limit`` images of an IDX pair (all of them when
+    ``limit`` is 0), split as by ``split_vertical`` and normalized as by
+    ``load_mnist_idx``, with int64 labels.
+
+    Rows and columns are cut from the uint8 file, so each half is
+    converted to float64 once and the whole file never is. The
+    normalization is elementwise, so the bits equal those of splitting
+    ``load_mnist_idx``'s output.
+    """
+    images, labels = _read_mnist(images_path, labels_path)
+    if limit:
+        images, labels = images[:limit], labels[:limit]
+    views = split_vertical(images[:, None, :, :], labels.astype(np.int64))
+    _normalize_pixels(views.x.values)
+    _normalize_pixels(views.y.values)
+    return views
 
 
 def split_vertical(images: np.ndarray, labels: np.ndarray | None = None) -> ViewBatch:
     """Left half as context, right half as target: (N,1,28,28) ->
-    two (N,1,28,14) views. Concatenating them restores the input."""
+    two (N,1,28,14) float64 views. Concatenating them restores the input."""
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1:] != (1, 28, 28):
         raise ValueError(f"expected (N,1,28,28) images, got {images.shape}")

@@ -70,16 +70,28 @@ class ProbeResult:
 
 
 def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
-           chunk: int = 1024) -> np.ndarray:
+           chunk: int = 256) -> np.ndarray:
     """Frozen features for a stack of context views, extracted in eval
-    mode without recording a graph."""
+    mode without recording a graph, ``chunk`` rows at a time.
+
+    The chunk size bounds the transient working set. A last chunk of
+    fewer than ``chunk // 2`` rows joins the one before it, so every
+    product has at least that many rows unless the input is smaller:
+    BLAS can round products with few rows differently (one row runs as a
+    matrix-vector product, and OpenBLAS sends products of under about
+    10^6 multiply-adds to a small-matrix kernel). With chunks that large
+    the features' bits do not depend on the chunk size."""
     model.eval_mode()
     fn = predict_forward_for_inference if through_predictor else encode_for_inference
-    outs = []
+    n = x_values.shape[0]
+    outs, start = [], 0
     with ad.no_grad():
-        for start in range(0, x_values.shape[0], chunk):
-            part = Tensor(x_values[start:start + chunk])
-            outs.append(fn(model, part).values)
+        while start < n:
+            stop = start + chunk
+            if n - stop < chunk // 2:
+                stop = n
+            outs.append(fn(model, Tensor(x_values[start:stop])).values)
+            start = stop
     return np.concatenate(outs, axis=0)
 
 

@@ -36,10 +36,11 @@ class AdamW:
 
     Each network owns its parameters' storage (``Network.flat``), and the
     optimizer updates those buffers in place. ``m``, ``v``, the gathered
-    gradient and the scratch space are single flat buffers over all the
+    gradient and one scratch buffer are single flat buffers over all the
     networks, so a step is a fixed sequence of in-place whole-buffer
     operations, plus the weight-decay product and the final subtraction
-    once per network, and allocates nothing.
+    once per network, and allocates nothing. Once both moments have read
+    the gradient, the update is built in the gradient buffer itself.
     """
 
     def __init__(self, nets: list[Network], lr: float, weight_decay: float = 0.0):
@@ -56,14 +57,14 @@ class AdamW:
         self.v = np.zeros(n)
         self._grad = np.empty(n)
         self._tmp = np.empty(n)
-        self._update = np.empty(n)
         self._finite = np.empty(n, dtype=bool)
         # per parameter, its gradient's slot in the gathered gradient; per
-        # network, its storage and its slices of the scratch and update buffers
+        # network, its storage and its slices of the scratch and gradient
+        # buffers (the latter holds the update by the end of a step)
         self._grad_views, self._spans, offset = [], [], 0
         for net in nets:
             end = offset + net.flat.size
-            self._spans.append((net.flat, self._tmp[offset:end], self._update[offset:end]))
+            self._spans.append((net.flat, self._tmp[offset:end], self._grad[offset:end]))
             for p in net.parameters():
                 self._grad_views.append(self._grad[offset:offset + p.size].reshape(p.shape))
                 offset += p.size
@@ -96,11 +97,12 @@ class AdamW:
         b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
-        m, v, tmp, update = self.m, self.v, self._tmp, self._update
+        m, v, tmp = self.m, self.v, self._tmp
         # Each line is one elementwise operation of
         #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
         #   update = (m/bc1) / (sqrt(v/bc2) + eps) [+ wd*p];  p -= lr*update
         # in that order, so the result is bit-equal to the per-tensor form.
+        # g is last read by v's line, so the update overwrites it.
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
         m += tmp
@@ -111,7 +113,7 @@ class AdamW:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += EPS
-        np.divide(m, bc1, out=update)
+        update = np.divide(m, bc1, out=g)
         update /= tmp
         if self.weight_decay != 0.0:
             for flat, tmp_span, _ in self._spans:

@@ -11,6 +11,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,23 @@ class TestMnistRun:
         assert math.isfinite(report.decoder_mse)
         assert len(report.loss_history) == 1  # ceil(64/256)
         assert len(list(out.glob("recon_*.pgm"))) == 24
+
+    def test_train_limit_build_never_converts_the_whole_file(self, tmp_path):
+        # rows and halves are cut from the uint8 file, so a 512-image
+        # build from a 4096-image file stays below one float64 copy of it
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=4096, n_test=16)
+        cfg = RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data))
+        hyper = {"train_limit": 512, "batch": 256, "epochs": 1}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, views = cli._mnist_data(cfg, hyper)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert views.train.size == 512 and views.test.size == 16
+        assert peak < 4096 * 28 * 28 * 8
 
     @pytest.mark.parametrize("n_train,settings", [
         (65, ["batch=64"]), (257, []), (80, ["batch=64", "train_limit=65"])])

@@ -1,6 +1,7 @@
 """Data generators: sine views, Lorenz trajectories, MNIST IDX loading."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from bijepa.data import (
     MNIST_MEAN, MNIST_STD, IdxFormatError, LorenzConfig, LorenzDataset,
     SineConfig, ViewBatch, build_lorenz_dataset, gen_sine_batch,
-    integrate_lorenz, load_mnist_idx, split_vertical,
+    integrate_lorenz, load_mnist_halves, load_mnist_idx, split_vertical,
 )
 from bijepa.seeding import stream
 
@@ -179,6 +180,21 @@ class TestLorenzDataset:
                 assert np.array_equal(traj[:20].reshape(-1), split.x.values[row])
                 assert np.array_equal(traj[20:].reshape(-1), split.y.values[row])
 
+    def test_build_holds_one_split_at_a_time(self, ds):
+        # integrating every split at once held all trajectories beside
+        # their cut views (2.0-2.3x the data); one split at a time stays
+        # near the data itself
+        split_bytes = sum(v.x.values.nbytes + v.y.values.nbytes
+                          for v in (ds.train, ds.probe, ds.test))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_lorenz_dataset(LorenzConfig(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * split_bytes
+
     def test_determinism_and_seed_sensitivity(self, ds):
         again = build_lorenz_dataset(LorenzConfig(), seed=0)
         assert np.array_equal(ds.train.x.values, again.train.x.values)
@@ -263,6 +279,26 @@ class TestMnistLoader:
         write_idx(tmp_path / "l", 0x801, np.zeros(2, dtype=np.uint8))
         with pytest.raises(IdxFormatError):
             load_mnist_idx(tmp_path / "i", tmp_path / "l")
+
+
+class TestMnistHalves:
+    @pytest.mark.parametrize("limit", [0, 3, 5, 9])
+    def test_bits_equal_split_of_full_load(self, idx_pair, limit):
+        ipath, lpath, *_ = idx_pair
+        views = load_mnist_halves(ipath, lpath, limit)
+        px, lb = load_mnist_idx(ipath, lpath)
+        rows = slice(None, limit or None)
+        expected = split_vertical(px[rows], lb[rows])
+        assert views.x.values.dtype == np.float64 and views.labels.dtype == np.int64
+        assert np.array_equal(views.x.values, expected.x.values)
+        assert np.array_equal(views.y.values, expected.y.values)
+        assert np.array_equal(views.labels, expected.labels)
+
+    def test_format_errors_raised(self, idx_pair, tmp_path):
+        ipath, _, _, _ = idx_pair
+        write_idx(tmp_path / "l6", 0x801, np.zeros(6, dtype=np.uint8))
+        with pytest.raises(IdxFormatError):
+            load_mnist_halves(ipath, tmp_path / "l6", 0)
 
 
 class TestSplitVertical:

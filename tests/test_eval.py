@@ -16,7 +16,8 @@ from bijepa.eval import (
 )
 from bijepa.jepa import BiJepaModel, ConstraintMode, encode_for_inference
 from bijepa.nn import (
-    Linear, Network, ReLU, build_mlp_encoder, build_predictor, init_parameters,
+    Linear, Network, ReLU, build_conv_encoder, build_mlp_encoder, build_predictor,
+    init_parameters,
 )
 from bijepa.optim import EmaConfig
 from bijepa.seeding import derive_seed
@@ -174,18 +175,24 @@ class TestFeatureGraphs:
             assert garbage_cycles_after(
                 lambda: _embed(model, x, through_predictor, chunk=128)) == 0
 
-    @pytest.mark.parametrize("through_predictor", [False, True])
-    def test_embed_records_no_graph(self, monkeypatch, through_predictor):
-        """A Lorenz-size embed of 1000 rows builds no node and holds at most
-        four 1000×128 activations at once; a recorded graph keeps every
-        op's saved context until the features are read."""
+    @staticmethod
+    def lorenz_size_model():
         enc = build_mlp_encoder(60, 128, 32, with_ln=True)
         init_parameters(enc, derive_seed(0, "init:encoder"))
         p_fwd = build_predictor(32, 128, with_ln=True)
         init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
-        model = BiJepaModel.create(
+        return BiJepaModel.create(
             enc, lambda: build_mlp_encoder(60, 128, 32, with_ln=True), p_fwd, None,
             1.0, EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+
+    @pytest.mark.parametrize("through_predictor", [False, True])
+    def test_embed_records_no_graph(self, monkeypatch, through_predictor):
+        """A Lorenz-size embed of 1000 rows builds no node, and beside its
+        output holds less than 1 MB at once: a few activations of one
+        256-row chunk. A recorded graph keeps every op's saved context
+        until the features are read, and a single 1000-row chunk holds
+        about 3 MB."""
+        model = self.lorenz_size_model()
         x = np.random.default_rng(42).standard_normal((1000, 60))
         nodes = []
 
@@ -198,12 +205,41 @@ class TestFeatureGraphs:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _embed(model, x, through_predictor)
+            feats = _embed(model, x, through_predictor)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert nodes == []
-        assert peak < 4 * 1000 * 128 * 8
+        assert peak - feats.nbytes < 1_000_000
+
+    # chunks of 7 leave one row over from 519 and from 15 rows, which a
+    # one-row product would round differently; 519 rows are also more
+    # than two chunks of 256
+    CHUNKS = (7, 256)
+
+    @pytest.mark.parametrize("through_predictor", [False, True])
+    def test_chunk_size_leaves_mlp_features_unchanged(self, through_predictor):
+        model = self.lorenz_size_model()
+        x = np.random.default_rng(43).standard_normal((519, 60))
+        whole = _embed(model, x, through_predictor, chunk=x.shape[0] + 1)
+        for chunk in self.CHUNKS:
+            assert np.array_equal(_embed(model, x, through_predictor, chunk=chunk), whole)
+
+    def test_chunk_size_leaves_conv_features_unchanged(self):
+        enc = build_conv_encoder()
+        init_parameters(enc, derive_seed(0, "init:encoder"))
+        p_fwd = build_predictor(64, HIDDEN, with_ln=True)
+        init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
+        model = BiJepaModel.create(enc, build_conv_encoder, p_fwd, None, 1.0,
+                                   EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+        x = np.random.default_rng(44).standard_normal((15, 1, 28, 14))
+        # one train-mode pass moves the running statistics eval mode uses
+        with ad.no_grad():
+            enc(Tensor(x * 2.0 + 0.5))
+        whole = _embed(model, x, False, chunk=x.shape[0] + 1)
+        assert enc.mode == "eval"
+        for chunk in self.CHUNKS:
+            assert np.array_equal(_embed(model, x, False, chunk=chunk), whole)
 
 
 class TestRegressionProtocols:

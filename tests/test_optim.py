@@ -168,6 +168,27 @@ class TestParameterStorage:
             [p.values.reshape(-1) for p in other.parameters()]))
         self.assert_step_moves(net, opt)
 
+    def test_four_flat_buffers_and_a_step_allocates_none(self):
+        # m, v, one scratch buffer and the gathered gradient, which the
+        # update overwrites once both moments have read it
+        net = build_predictor(32, 128, with_ln=True)
+        init_parameters(net, 0)
+        nbytes = net.flat.nbytes
+        tracemalloc.start()
+        try:
+            opt = AdamW([net], lr=1e-3, weight_decay=1e-4)
+            held = tracemalloc.get_traced_memory()[0]
+            for p in net.parameters():
+                p.grad = np.ones_like(p.values)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert opt.step()
+            step_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4.5 * nbytes
+        assert step_peak < nbytes // 4
+
     def test_duplicate_parameter_rejected(self):
         net = net_of(scalar_param(1.0))
         with pytest.raises(ValueError, match="more than once"):
