@@ -29,7 +29,6 @@ import contextlib
 import itertools
 import weakref
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,7 +93,7 @@ class Node:
     acyclic; ``output`` is ``None`` once nothing else holds the tensor.
     """
 
-    __slots__ = ("op", "inputs", "_output", "vjp", "seq", "consumed")
+    __slots__ = ("op", "inputs", "_output", "vjp", "seq")
 
     def __init__(self, op, inputs, output, vjp):
         self.op = op
@@ -102,7 +101,6 @@ class Node:
         self._output = weakref.ref(output)
         self.vjp = vjp
         self.seq = next(_SEQ)
-        self.consumed = False
 
     @property
     def output(self) -> Tensor | None:
@@ -134,7 +132,8 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar. Each graph supports exactly one backward
     pass. Every node's inputs and vjp (with the forward context it saved)
     are released as the pass reaches it, so only the root node stays
-    reachable from ``loss``, to reject a second pass.
+    reachable from ``loss``, and its missing vjp rejects a second pass
+    (every recorded node has one until then).
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -143,14 +142,13 @@ def backward(loss: Tensor) -> None:
             _deposit(loss, np.ones_like(loss.values))
         return
     nodes = trace(loss)
-    if any(n.consumed for n in nodes):
+    if any(n.vjp is None for n in nodes):
         raise GraphConsumedError("graph already consumed by a previous backward pass")
 
     # keyed by tensor (identity hash); holding the key keeps it alive
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.values)}
     for node in reversed(nodes):
         out_grad = grads.pop(node.output, None)
-        node.consumed = True
         if out_grad is not None:
             for t, g in zip(node.inputs, node.vjp(out_grad)):
                 if g is None or not t.requires_grad:
@@ -185,7 +183,7 @@ def no_grad():
     and ``requires_grad`` False, whatever its inputs require, and keeps
     no vjp. Only recording stops: the forward values are bit-identical,
     and modes are untouched (``batch_norm2d`` in train mode still folds
-    its batch statistics into the running stats). The previous state
+    its batch statistics into the running statistics). The previous state
     comes back on exit, also from nested blocks and when the body raises.
     """
     token = _RECORDING.set(False)
@@ -286,13 +284,19 @@ def relu(x: Tensor) -> Tensor:
     return _make("relu", (x,), y, lambda g: (g * (xv > 0.0),))
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+# added to the variance by both normalizations
+NORM_EPS = 1e-5
+# weight of a batch's statistics in the running statistics
+BN_MOMENTUM = 0.1
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization to zero mean / unit biased variance, then affine.
 
     The statistics are the ufunc sequence of ``np.mean`` and ``np.var``
     (a sum, then a divide by ``d``; subtract, square, sum, divide), with
     the centred input computed once, so the bits are those of the
-    textbook form ``gamma * (x - mean) / sqrt(var + eps) + beta``.
+    textbook form ``gamma * (x - mean) / sqrt(var + NORM_EPS) + beta``.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 2:
@@ -307,7 +311,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     y = np.square(xhat)
     inv_std = y.sum(axis=1, keepdims=True)  # the variance, until inverted below
     inv_std /= d
-    inv_std += eps
+    inv_std += NORM_EPS
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
@@ -332,28 +336,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make("layer_norm", (x, gamma, beta), y, vjp)
 
 
-# weight of a batch's statistics in the running statistics
-BN_MOMENTUM = 0.1
-
-
-@dataclass
-class RunningStats:
-    """Per-channel running mean/variance for batch norm in eval mode."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @classmethod
-    def for_channels(cls, c: int) -> "RunningStats":
-        return cls(np.zeros(c), np.ones(c))
-
-
-def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
-                 training: bool, eps: float = 1e-5) -> Tensor:
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                 running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel normalization over (B,H,W) with biased variance.
 
-    Train mode normalizes with batch statistics and folds them into
-    ``stats``; eval mode normalizes with the running statistics.
+    Train mode normalizes with batch statistics and folds them into the
+    running statistics in place, with the bits of
+    ``(1 - m) * running + m * batch`` for ``m = BN_MOMENTUM``; eval mode
+    normalizes with the running statistics.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 4:
@@ -370,9 +360,11 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
         mu = xv.mean(axis=(0, 2, 3))
         var = xv.var(axis=(0, 2, 3))
         m = BN_MOMENTUM
-        stats.mean = (1.0 - m) * stats.mean + m * mu
-        stats.var = (1.0 - m) * stats.var + m * var
-        inv_std = 1.0 / np.sqrt(var + eps)
+        running_mean *= 1.0 - m
+        running_mean += m * mu
+        running_var *= 1.0 - m
+        running_var += m * var
+        inv_std = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (xv - mu[None, :, None, None]) * inv_std[None, :, None, None]
         y = gv[None, :, None, None] * xhat + beta.values[None, :, None, None]
         n = b * h * w
@@ -388,8 +380,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats,
 
         return _make("batch_norm2d", (x, gamma, beta), y, vjp)
 
-    inv_std = 1.0 / np.sqrt(stats.var + eps)
-    xhat = (xv - stats.mean[None, :, None, None]) * inv_std[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(running_var + NORM_EPS)
+    xhat = (xv - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
     y = gv[None, :, None, None] * xhat + beta.values[None, :, None, None]
 
     def vjp_eval(g):

@@ -286,7 +286,7 @@ def _sine_data(cfg: RunConfig, hyper: dict):
 
 def _lorenz_data(cfg: RunConfig, hyper: dict):
     """Shuffled batches of the train split, full batches only."""
-    dataset = build_lorenz_dataset(LorenzConfig(), cfg.seed)
+    dataset = build_lorenz_dataset(cfg.seed)
     batches = _shuffled_batches(dataset.train, stream(cfg.seed, "data:batches"),
                                 hyper["batch"], drop_last=True)
     return batches, hyper["steps"], dataset
@@ -301,6 +301,9 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
                                 d / "train-labels-idx1-ubyte", hyper["train_limit"]),
         test=load_mnist_halves(d / "t10k-images-idx3-ubyte",
                                d / "t10k-labels-idx1-ubyte", 0))
+    for name, split in (("train", views.train), ("t10k", views.test)):
+        if split.size == 0:
+            raise ConfigError(f"the {name} split in {d} has no images")
     if views.train.size % hyper["batch"] == 1:
         raise ConfigError(
             f"a train split of {views.train.size} images leaves a one-row last "
@@ -621,9 +624,9 @@ _DEFAULT_MNIST_URL = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 _FETCH_TIMEOUT_S = 60.0
 
 
-def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
-                expected_sizes: dict | None = None) -> list[Path]:
-    """Download, decompress, and size-verify the four IDX files.
+def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL) -> list[Path]:
+    """Download, decompress, and size-verify the four IDX files of
+    ``_MNIST_FILES``.
 
     Already-present files of the right size are left alone; failed or
     mismatched downloads never leave partial files behind. A connect or
@@ -633,11 +636,10 @@ def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL,
     import gzip
     import urllib.request
 
-    expected_sizes = expected_sizes or _MNIST_FILES
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     placed = []
-    for name, size in expected_sizes.items():
+    for name, size in _MNIST_FILES.items():
         dest = out / name
         if dest.exists() and dest.stat().st_size == size:
             placed.append(dest)

@@ -94,30 +94,30 @@ def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
 
 @dataclass
 class LorenzConfig:
-    """The Lorenz system and its dataset; only the Euler step ``dt`` is
-    settable."""
+    """The Lorenz system, its forward Euler step and its dataset, all
+    fixed."""
 
     sigma: ClassVar[float] = 10.0
     rho: ClassVar[float] = 28.0
     beta: ClassVar[float] = 8.0 / 3.0
+    dt: ClassVar[float] = 0.01
     T: ClassVar[int] = 40
     init_range: ClassVar[tuple[float, float]] = (-15.0, 15.0)
     n_train: ClassVar[int] = 2000
     n_probe: ClassVar[int] = 1000
     n_test: ClassVar[int] = 20
-    dt: float = 0.01
 
 
-def _lorenz_deriv(state: np.ndarray, cfg: LorenzConfig) -> np.ndarray:
+def _lorenz_deriv(state: np.ndarray) -> np.ndarray:
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
     return np.stack([
-        cfg.sigma * (y - x),
-        x * (cfg.rho - z) - y,
-        x * y - cfg.beta * z,
+        LorenzConfig.sigma * (y - x),
+        x * (LorenzConfig.rho - z) - y,
+        x * y - LorenzConfig.beta * z,
     ], axis=-1)
 
 
-def integrate_lorenz(cfg: LorenzConfig, init, n_steps: int) -> np.ndarray:
+def integrate_lorenz(init, n_steps: int) -> np.ndarray:
     """Trajectories from a ``(..., 3)`` stack of initial states, shaped
     ``(..., n_steps, 3)``; row 0 is the initial state and each following
     row is one forward Euler step from the previous."""
@@ -127,7 +127,7 @@ def integrate_lorenz(cfg: LorenzConfig, init, n_steps: int) -> np.ndarray:
     out = np.empty(state.shape[:-1] + (n_steps, 3))
     out[..., 0, :] = state
     for k in range(1, n_steps):
-        state = state + cfg.dt * _lorenz_deriv(state, cfg)
+        state = state + LorenzConfig.dt * _lorenz_deriv(state)
         if not np.all(np.isfinite(state)):
             raise ValueError(f"non-finite state at step {k}")
         out[..., k, :] = state
@@ -143,7 +143,7 @@ class LorenzDataset:
     std: np.ndarray = field(default_factory=lambda: np.ones(3))
 
 
-def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
+def build_lorenz_dataset(seed: int) -> LorenzDataset:
     """Sampled trajectories normalized with train-split statistics.
 
     Each trajectory is T rows integrated from a U(init_range)^3 start,
@@ -155,12 +155,13 @@ def build_lorenz_dataset(cfg: LorenzConfig, seed: int) -> LorenzDataset:
     normalized and cut one at a time, train first, so only one split's
     trajectories are ever held beside the views already cut.
     """
+    cfg = LorenzConfig
     n_total = cfg.n_train + cfg.n_probe + cfg.n_test
     init = stream(seed, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
     half = cfg.T // 2
 
     def trajectories(start: int, stop: int) -> np.ndarray:
-        return integrate_lorenz(cfg, init[start:stop], cfg.T)
+        return integrate_lorenz(init[start:stop], cfg.T)
 
     def cut(traj: np.ndarray) -> ViewBatch:
         # in place: rounds exactly like (traj - mean) / std, without its temporaries

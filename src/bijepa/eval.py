@@ -69,26 +69,29 @@ class ProbeResult:
                 raise ValueError(f"negative {name}: {value}")
 
 
-def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool,
-           chunk: int = 256) -> np.ndarray:
+# rows per feature-extraction forward
+_EMBED_CHUNK = 256
+
+
+def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool) -> np.ndarray:
     """Frozen features for a stack of context views, extracted in eval
-    mode without recording a graph, ``chunk`` rows at a time.
+    mode without recording a graph, ``_EMBED_CHUNK`` rows at a time.
 
     The chunk size bounds the transient working set. A last chunk of
-    fewer than ``chunk // 2`` rows joins the one before it, so every
-    product has at least that many rows unless the input is smaller:
-    BLAS can round products with few rows differently (one row runs as a
+    fewer than half a chunk joins the one before it, so every product
+    has at least that many rows unless the input is smaller: BLAS can
+    round products with few rows differently (one row runs as a
     matrix-vector product, and OpenBLAS sends products of under about
     10^6 multiply-adds to a small-matrix kernel). With chunks that large
-    the features' bits do not depend on the chunk size."""
+    the features have the bits of one unchunked forward."""
     model.eval_mode()
     fn = predict_forward_for_inference if through_predictor else encode_for_inference
     n = x_values.shape[0]
     outs, start = [], 0
     with ad.no_grad():
         while start < n:
-            stop = start + chunk
-            if n - stop < chunk // 2:
+            stop = start + _EMBED_CHUNK
+            if n - stop < _EMBED_CHUNK // 2:
                 stop = n
             outs.append(fn(model, Tensor(x_values[start:stop])).values)
             start = stop

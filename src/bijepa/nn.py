@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import RunningStats, Tensor
+from .autodiff import Tensor
 
 
 class SpecMismatchError(ValueError):
@@ -109,11 +109,15 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
+    """Owns its running statistics: train-mode forwards and ``clone_into``
+    write into the same two arrays, which are never rebound."""
+
     def __init__(self, channels: int):
         self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.stats = RunningStats.for_channels(channels)
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
 
     def spec(self):
         return ("BatchNorm2d", self.channels)
@@ -122,24 +126,17 @@ class BatchNorm2d(Layer):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
     def buffers(self):
-        return [("running_mean", self.stats.mean), ("running_var", self.stats.var)]
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        if name == "running_mean":
-            self.stats.mean = value.copy()
-        elif name == "running_var":
-            self.stats.var = value.copy()
-        else:
-            raise KeyError(name)
+        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
     def init(self, rng) -> None:
         self.gamma.values[...] = 1.0
         self.beta.values[...] = 0.0
-        self.stats.mean[...] = 0.0
-        self.stats.var[...] = 1.0
+        self.running_mean[...] = 0.0
+        self.running_var[...] = 1.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return ad.batch_norm2d(x, self.gamma, self.beta, self.stats, training)
+        return ad.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
+                               self.running_var, training)
 
 
 class Flatten(Layer):
@@ -266,13 +263,14 @@ def init_parameters(net: Network, seed: int) -> None:
 
 
 def clone_into(src: Network, dst: Network) -> None:
-    """Copy src parameter and buffer values into dst. No gradient linkage."""
+    """Copy src parameter and buffer values into dst's own arrays. No
+    gradient linkage."""
     if src.spec() != dst.spec():
         raise SpecMismatchError(
             f"cannot clone between different specs:\n  {src.spec()}\n  {dst.spec()}")
     dst.flat[...] = src.flat
     for src_layer, dst_layer in zip(src.layers, dst.layers):
-        for name, arr in src_layer.buffers():
-            dst_layer.set_buffer(name, arr)
+        for (_, arr), (_, dst_arr) in zip(src_layer.buffers(), dst_layer.buffers()):
+            dst_arr[...] = arr
     dst.mode = src.mode
 

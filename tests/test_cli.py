@@ -393,6 +393,19 @@ class TestMnistRun:
         assert main(args) == 2
         assert "one-row last batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", ["train", "t10k"])
+    def test_empty_split_exits_two(self, tmp_path, capsys, monkeypatch, empty):
+        # an empty train split would train 0 steps and an empty test split
+        # would embed nothing; either is refused before any step runs
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=0 if empty == "train" else 64,
+                              n_test=0 if empty == "t10k" else 16)
+        monkeypatch.setattr(cli, "train_step", None)
+        assert main(["run", "--experiment", "mnist", "--variant", "classic",
+                     "--mnist-dir", str(data), "--set", "epochs=1",
+                     "--set", "probe_epochs=1"]) == 2
+        assert f"the {empty} split in {data} has no images" in capsys.readouterr().err
+
     def test_tiny_mnist_run(self, tmp_path, mnist_dir):
         cfg = RunConfig("mnist", "bijepa-expressive", seed=0,
                         out_dir=str(tmp_path), mnist_dir=str(mnist_dir),
@@ -560,7 +573,9 @@ def serve_directory(directory):
 
 
 @pytest.fixture
-def mnist_server(tmp_path):
+def mnist_server(tmp_path, monkeypatch):
+    """Serves four small gzipped files, and makes their sizes the ones
+    fetch_mnist checks."""
     src = tmp_path / "srv"
     src.mkdir()
     payloads = {
@@ -572,58 +587,58 @@ def mnist_server(tmp_path):
     for name, blob in payloads.items():
         (src / (name + ".gz")).write_bytes(gzip.compress(blob))
     server, url = serve_directory(src)
-    sizes = {name: len(blob) for name, blob in payloads.items()}
-    yield url, sizes, payloads, src
+    monkeypatch.setattr(cli, "_MNIST_FILES",
+                        {name: len(blob) for name, blob in payloads.items()})
+    yield url, payloads, src
     server.shutdown()
 
 
 class TestFetchMnist:
     def test_download_and_verify(self, tmp_path, mnist_server):
-        url, sizes, payloads, _ = mnist_server
+        url, payloads, _ = mnist_server
         out = tmp_path / "data"
-        placed = fetch_mnist(out, base_url=url, expected_sizes=sizes)
+        placed = fetch_mnist(out, base_url=url)
         assert len(placed) == 4
         for name, blob in payloads.items():
             assert (out / name).read_bytes() == blob
 
     def test_idempotent(self, tmp_path, mnist_server):
-        url, sizes, _, src = mnist_server
+        url, _, src = mnist_server
         out = tmp_path / "data"
-        fetch_mnist(out, base_url=url, expected_sizes=sizes)
+        fetch_mnist(out, base_url=url)
         for f in src.iterdir():
             f.unlink()  # second call must not hit the server at all
-        placed = fetch_mnist(out, base_url=url, expected_sizes=sizes)
+        placed = fetch_mnist(out, base_url=url)
         assert len(placed) == 4
 
-    def test_size_mismatch_leaves_nothing(self, tmp_path, mnist_server):
-        url, sizes, _, _ = mnist_server
-        bad = dict(sizes)
-        bad["train-images-idx3-ubyte"] = 999
+    def test_size_mismatch_leaves_nothing(self, tmp_path, monkeypatch, mnist_server):
+        url, _, _ = mnist_server
+        monkeypatch.setitem(cli._MNIST_FILES, "train-images-idx3-ubyte", 999)
         out = tmp_path / "data"
         with pytest.raises(IOError):
-            fetch_mnist(out, base_url=url, expected_sizes=bad)
+            fetch_mnist(out, base_url=url)
         assert not (out / "train-images-idx3-ubyte").exists()
         assert not (out / "train-images-idx3-ubyte.part").exists()
 
-    def test_raw_file_passthrough(self, tmp_path):
+    def test_raw_file_passthrough(self, tmp_path, monkeypatch):
         src = tmp_path / "srv"
         src.mkdir()
         (src / "train-images-idx3-ubyte.gz").write_bytes(b"RAWBYTES")
         server, url = serve_directory(src)
+        monkeypatch.setattr(cli, "_MNIST_FILES", {"train-images-idx3-ubyte": 8})
         try:
             out = tmp_path / "data"
-            placed = fetch_mnist(out, base_url=url,
-                                 expected_sizes={"train-images-idx3-ubyte": 8})
+            placed = fetch_mnist(out, base_url=url)
             assert placed[0].read_bytes() == b"RAWBYTES"
         finally:
             server.shutdown()
 
     def test_corrupted_existing_file_refetched(self, tmp_path, mnist_server):
-        url, sizes, payloads, _ = mnist_server
+        url, payloads, _ = mnist_server
         out = tmp_path / "data"
         out.mkdir()
         (out / "train-images-idx3-ubyte").write_bytes(b"short")
-        fetch_mnist(out, base_url=url, expected_sizes=sizes)
+        fetch_mnist(out, base_url=url)
         assert (out / "train-images-idx3-ubyte").read_bytes() == \
             payloads["train-images-idx3-ubyte"]
 
@@ -634,8 +649,8 @@ class TestFetchMnist:
             listener.listen(1)
             url = f"http://127.0.0.1:{listener.getsockname()[1]}/"
             monkeypatch.setattr(cli, "_FETCH_TIMEOUT_S", 0.2)
+            monkeypatch.setattr(cli, "_MNIST_FILES", {"train-images-idx3-ubyte": 8})
             out = tmp_path / "data"
             with pytest.raises(OSError):
-                fetch_mnist(out, base_url=url,
-                            expected_sizes={"train-images-idx3-ubyte": 8})
+                fetch_mnist(out, base_url=url)
         assert list(out.iterdir()) == []

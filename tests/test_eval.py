@@ -14,7 +14,9 @@ from bijepa.eval import (
     ProbeResult, forecast_table, generative_decoder, linear_probe_classify,
     protocol_a, protocol_b, write_pgm,
 )
-from bijepa.jepa import BiJepaModel, ConstraintMode, encode_for_inference
+from bijepa.jepa import (
+    BiJepaModel, ConstraintMode, encode_for_inference, predict_forward_for_inference,
+)
 from bijepa.nn import (
     Linear, Network, ReLU, build_conv_encoder, build_mlp_encoder, build_predictor,
     init_parameters,
@@ -170,10 +172,10 @@ class TestSufficientStatisticsProbe:
 class TestFeatureGraphs:
     def test_embed_leaves_no_cycles(self):
         model = make_model()
-        x = np.random.default_rng(41).standard_normal((300, IN_DIM))
+        x = np.random.default_rng(41).standard_normal((600, IN_DIM))  # two chunks
         for through_predictor in (False, True):
             assert garbage_cycles_after(
-                lambda: _embed(model, x, through_predictor, chunk=128)) == 0
+                lambda: _embed(model, x, through_predictor)) == 0
 
     @staticmethod
     def lorenz_size_model():
@@ -212,18 +214,24 @@ class TestFeatureGraphs:
         assert nodes == []
         assert peak - feats.nbytes < 1_000_000
 
-    # chunks of 7 leave one row over from 519 and from 15 rows, which a
-    # one-row product would round differently; 519 rows are also more
-    # than two chunks of 256
-    CHUNKS = (7, 256)
+    @staticmethod
+    def unchunked(model, x, through_predictor):
+        """One forward over every row, as ``_embed`` runs each chunk."""
+        model.eval_mode()
+        fn = predict_forward_for_inference if through_predictor else encode_for_inference
+        with ad.no_grad():
+            return fn(model, Tensor(x)).values
 
     @pytest.mark.parametrize("through_predictor", [False, True])
     def test_chunk_size_leaves_mlp_features_unchanged(self, through_predictor):
         model = self.lorenz_size_model()
         x = np.random.default_rng(43).standard_normal((519, 60))
-        whole = _embed(model, x, through_predictor, chunk=x.shape[0] + 1)
-        for chunk in self.CHUNKS:
-            assert np.array_equal(_embed(model, x, through_predictor, chunk=chunk), whole)
+        # either side of each join: a last chunk under 128 rows joins the
+        # one before it (257 and 383 rows are one chunk), 384 and 385
+        # split 256 + 128/129, and 519 splits 256 + 263
+        for rows in (1, 127, 128, 255, 256, 257, 383, 384, 385, 519):
+            assert np.array_equal(_embed(model, x[:rows], through_predictor),
+                                  self.unchunked(model, x[:rows], through_predictor)), rows
 
     def test_chunk_size_leaves_conv_features_unchanged(self):
         enc = build_conv_encoder()
@@ -232,14 +240,13 @@ class TestFeatureGraphs:
         init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
         model = BiJepaModel.create(enc, build_conv_encoder, p_fwd, None, 1.0,
                                    EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
-        x = np.random.default_rng(44).standard_normal((15, 1, 28, 14))
+        x = np.random.default_rng(44).standard_normal((384, 1, 28, 14))  # 256 + 128
         # one train-mode pass moves the running statistics eval mode uses
         with ad.no_grad():
-            enc(Tensor(x * 2.0 + 0.5))
-        whole = _embed(model, x, False, chunk=x.shape[0] + 1)
+            enc(Tensor(x[:16] * 2.0 + 0.5))
+        feats = _embed(model, x, False)
         assert enc.mode == "eval"
-        for chunk in self.CHUNKS:
-            assert np.array_equal(_embed(model, x, False, chunk=chunk), whole)
+        assert np.array_equal(feats, self.unchunked(model, x, False))
 
 
 class TestRegressionProtocols:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bijepa.autodiff import Tensor, sum_all
+from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
 from bijepa.cli import RunConfig, _build_model, effective_hyper
 from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
@@ -200,8 +200,12 @@ class TestStorage:
         init_parameters(src, 0)
         init_parameters(dst, 1)
         src(Tensor(np.random.default_rng(2).standard_normal((4, 1, 28, 14))))
+        before = [arr for layer in dst.layers for _, arr in layer.buffers()]
         clone_into(src, dst)
+        after = [arr for layer in dst.layers for _, arr in layer.buffers()]
         assert fingerprint(src) == fingerprint(dst)
+        # written into dst's own arrays, which stay dst's
+        assert len(after) == 4 and all(a is b for a, b in zip(after, before))
         for src_layer, dst_layer in zip(src.layers, dst.layers):
             for (_, a), (_, b) in zip(src_layer.buffers(), dst_layer.buffers()):
                 assert not np.shares_memory(a, b)
@@ -216,6 +220,36 @@ class TestBuffers:
                   for n, _ in layer.buffers()}
         assert "1.running_mean" in bnames and "1.running_var" in bnames
         assert not pnames & bnames
+
+    @staticmethod
+    def moved_bn(rng) -> BatchNorm2d:
+        bn = BatchNorm2d(3)
+        bn.running_mean[...] = rng.standard_normal(3)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, 3)
+        return bn
+
+    def test_train_forward_folds_batch_statistics_in_place(self):
+        rng = np.random.default_rng(4)
+        bn = self.moved_bn(rng)
+        mean, var = bn.running_mean, bn.running_var
+        old_mean, old_var = mean.copy(), var.copy()
+        x = rng.standard_normal((5, 3, 4, 2))
+        bn.forward(Tensor(x), training=True)
+        assert bn.running_mean is mean and bn.running_var is var
+        m = BN_MOMENTUM
+        want_mean = (1.0 - m) * old_mean + m * x.mean(axis=(0, 2, 3))
+        want_var = (1.0 - m) * old_var + m * x.var(axis=(0, 2, 3))
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes()
+
+    def test_eval_forward_leaves_running_statistics(self):
+        rng = np.random.default_rng(5)
+        bn = self.moved_bn(rng)
+        mean, var = bn.running_mean, bn.running_var
+        old_mean, old_var = mean.copy(), var.copy()
+        bn.forward(Tensor(rng.standard_normal((5, 3, 4, 2))), training=False)
+        assert bn.running_mean is mean and bn.running_var is var
+        assert mean.tobytes() == old_mean.tobytes() and var.tobytes() == old_var.tobytes()
 
 
 class TestMode:
