@@ -290,50 +290,70 @@ NORM_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-row normalization to zero mean / unit biased variance, then affine.
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, stats):
+    """``gamma * (x - mean) / sqrt(var + NORM_EPS) + beta`` over ``axes``,
+    with gamma and beta along axis 1: the one normalization, one node.
 
-    The statistics are the ufunc sequence of ``np.mean`` and ``np.var``
-    (a sum, then a divide by ``d``; subtract, square, sum, divide), with
-    the centred input computed once, so the bits are those of the
-    textbook form ``gamma * (x - mean) / sqrt(var + NORM_EPS) + beta``.
+    With ``stats`` None, mean and var are the input's own, by the ufuncs
+    of ``np.mean`` and ``np.var`` (sum, divide; subtract, square, sum,
+    divide) with the centred input computed once, so the bits are the
+    textbook form's. Otherwise ``stats`` is a broadcastable (mean, var)
+    pair held constant, and only the affine tail runs. Returns the output
+    and the (mean, var) it used, reduced axes kept.
     """
+    xv = x.values
+    channel = (-1,) + (1,) * (xv.ndim - 2)
+    gv, bv = gamma.values.reshape(channel), beta.values.reshape(channel)
+    y = None  # with batch statistics, the squares' buffer takes the output
+    if stats is None:
+        mu = xv.sum(axis=axes, keepdims=True)
+        n = xv.size // mu.size
+        mu /= n
+        xhat = xv - mu
+        y = np.square(xhat)
+        var = y.sum(axis=axes, keepdims=True)
+        var /= n
+    else:
+        mu, var = stats
+        xhat = xv - mu
+    inv_std = var + NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    y = np.multiply(xhat, gv, out=y)
+    y += bv
+
+    def vjp(g):
+        param_axes = (0, *range(2, g.ndim))
+        buf = g * xhat
+        dgamma, dbeta = buf.sum(axis=param_axes), g.sum(axis=param_axes)
+        if stats is not None:
+            return g * (gv * inv_std), dgamma, dbeta
+        # dx = (inv_std / n) * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)),
+        # dxhat = g * gamma, one operation per line in that order
+        dx = g * gv
+        np.multiply(dx, xhat, out=buf)
+        s2 = buf.sum(axis=axes, keepdims=True)
+        s1 = dx.sum(axis=axes, keepdims=True)
+        dx *= n
+        dx -= s1
+        np.multiply(xhat, s2, out=buf)
+        dx -= buf
+        dx *= inv_std / n
+        return dx, dgamma, dbeta
+
+    return _make(op, (x, gamma, beta), y, vjp), mu, var
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization to zero mean / unit biased variance, then affine."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 2:
         raise ShapeError(f"layer_norm expects (B,D), got {x.shape}")
     d = x.shape[1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: gamma/beta must be ({d},)")
-    xv, gv = x.values, gamma.values
-    mu = xv.sum(axis=1, keepdims=True)
-    mu /= d
-    xhat = xv - mu
-    y = np.square(xhat)
-    inv_std = y.sum(axis=1, keepdims=True)  # the variance, until inverted below
-    inv_std /= d
-    inv_std += NORM_EPS
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    np.multiply(xhat, gv, out=y)
-    y += beta.values
-
-    def vjp(g):
-        # dx = (inv_std / d) * (d*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)),
-        # dxhat = g * gamma, one operation per line in that order
-        dx = g * gv
-        buf = dx * xhat
-        s2 = buf.sum(axis=1, keepdims=True)
-        s1 = dx.sum(axis=1, keepdims=True)
-        dx *= d
-        dx -= s1
-        np.multiply(xhat, s2, out=buf)
-        dx -= buf
-        dx *= inv_std / d
-        np.multiply(g, xhat, out=buf)
-        return dx, buf.sum(axis=0), g.sum(axis=0)
-
-    return _make("layer_norm", (x, gamma, beta), y, vjp)
+    return _normalize("layer_norm", x, gamma, beta, (1,), None)[0]
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -343,52 +363,26 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarra
     Train mode normalizes with batch statistics and folds them into the
     running statistics in place, with the bits of
     ``(1 - m) * running + m * batch`` for ``m = BN_MOMENTUM``; eval mode
-    normalizes with the running statistics.
+    normalizes with the running statistics, held constant.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 4:
         raise ShapeError(f"batch_norm2d expects (B,C,H,W), got {x.shape}")
-    b, c, h, w = x.shape
+    b, c = x.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm2d: gamma/beta must be ({c},)")
-    xv = x.values
-    gv = gamma.values
-
-    if training:
-        if b < 2:
-            raise ShapeError("batch_norm2d train mode needs batch size >= 2")
-        mu = xv.mean(axis=(0, 2, 3))
-        var = xv.var(axis=(0, 2, 3))
-        m = BN_MOMENTUM
-        running_mean *= 1.0 - m
-        running_mean += m * mu
-        running_var *= 1.0 - m
-        running_var += m * var
-        inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-        xhat = (xv - mu[None, :, None, None]) * inv_std[None, :, None, None]
-        y = gv[None, :, None, None] * xhat + beta.values[None, :, None, None]
-        n = b * h * w
-
-        def vjp(g):
-            dxhat = g * gv[None, :, None, None]
-            s1 = dxhat.sum(axis=(0, 2, 3))
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3))
-            dx = (inv_std[None, :, None, None] / n) * (
-                n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None]
-            )
-            return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
-
-        return _make("batch_norm2d", (x, gamma, beta), y, vjp)
-
-    inv_std = 1.0 / np.sqrt(running_var + NORM_EPS)
-    xhat = (xv - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = gv[None, :, None, None] * xhat + beta.values[None, :, None, None]
-
-    def vjp_eval(g):
-        dx = g * (gv * inv_std)[None, :, None, None]
-        return dx, (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
-
-    return _make("batch_norm2d", (x, gamma, beta), y, vjp_eval)
+    if not training:
+        stats = running_mean.reshape(c, 1, 1), running_var.reshape(c, 1, 1)
+        return _normalize("batch_norm2d", x, gamma, beta, (0, 2, 3), stats)[0]
+    if b < 2:
+        raise ShapeError("batch_norm2d train mode needs batch size >= 2")
+    y, mu, var = _normalize("batch_norm2d", x, gamma, beta, (0, 2, 3), None)
+    m = BN_MOMENTUM
+    running_mean *= 1.0 - m
+    running_mean += m * mu.ravel()
+    running_var *= 1.0 - m
+    running_var += m * var.ravel()
+    return y
 
 
 def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:

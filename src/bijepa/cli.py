@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import (
     LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset, denormalize_to_u8,
-    gen_sine_batch, load_mnist_halves,
+    gen_sine_batch, load_mnist_halves, shuffled_epochs,
 )
 # no run calls these, but perfbench/tracer.py wraps them by name here
 from .data import load_mnist_idx, split_vertical  # noqa: F401
@@ -259,14 +259,10 @@ def _sine_batches(cfg: SineConfig, rng):
 
 
 def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
-    """Endless epochs over ``views``, each a fresh seeded permutation cut
-    into ``batch``-row sub-batches."""
-    n = views.size
-    end = n - batch + 1 if drop_last else n
-    while True:
-        order = rng.permutation(n)
-        for start in range(0, max(end, 1), batch):
-            yield views.take(order[start:start + batch])
+    """Endless epochs over ``views``: the sub-batches that
+    ``shuffled_epochs`` indexes."""
+    for idx in shuffled_epochs(views.size, batch, rng, drop_last):
+        yield views.take(idx)
 
 
 def _sine_data(cfg: RunConfig, hyper: dict):

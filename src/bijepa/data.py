@@ -58,6 +58,18 @@ class ViewBatch:
         )
 
 
+def shuffled_epochs(n: int, batch: int, rng: np.random.Generator, drop_last: bool):
+    """Endless epochs of row indices into ``n`` rows: each epoch one fresh
+    ``rng.permutation(n)``, cut into ``batch``-row index arrays. An
+    epoch's short last array is kept, or dropped with ``drop_last``
+    unless it is the epoch's only one."""
+    end = n - batch + 1 if drop_last else n
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, max(end, 1), batch):
+            yield order[start:start + batch]
+
+
 # ---------------------------------------------------------------------------
 # sine sequences
 

@@ -8,7 +8,7 @@ generative decoder on frozen left-half embeddings.
 
 Probes optimize only their own parameters; features are extracted once
 as plain arrays, so no gradient can reach the model under evaluation.
-Feature extraction and the probes' test predictions run under
+Feature extraction and the image probes' test predictions run under
 ``autodiff.no_grad``: no graph is recorded, so no forward context is
 kept beyond the op that uses it.
 
@@ -26,13 +26,15 @@ least-squares fit, reported next to the gated AdamW figure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import MNIST_STD, ViewBatch
+from .data import MNIST_STD, ViewBatch, shuffled_epochs
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
 from .nn import Linear, Network, ReLU, init_parameters
 from .optim import AdamW
@@ -174,6 +176,14 @@ def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Networ
     return probe
 
 
+def _affine(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """A linear probe's outputs ``F @ W + b`` for Θ = [W; bᵀ], by the
+    operations of ``ad.linear``: b is added into the product in place."""
+    y = feats @ theta[:-1]
+    y += theta[-1]
+    return y
+
+
 def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((preds - targets) ** 2))
 
@@ -185,16 +195,14 @@ def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
     the fitted probe's probe-split MSE beside it."""
     feats = _embed(model, dataset.probe.x.values, through_predictor)
     stats = _ProbeStatistics.of(feats, dataset.probe.y.values)
-    probe = _train_regression_probe(stats, cfg)
+    theta = _train_regression_probe(stats, cfg).flat.reshape(stats.cross.shape)
     test_feats = _embed(model, dataset.test.x.values, through_predictor)
     test_targets = dataset.test.y.values
-    preds = _predict(probe, test_feats)
-    exact = stats.least_squares()
-    exact_preds = test_feats @ exact[:-1] + exact[-1]
+    preds = _affine(test_feats, theta)
     return ProbeResult(
         mse=_mse(preds, test_targets), predictions=preds,
-        mse_exact=_mse(exact_preds, test_targets),
-        train_mse=stats.mse(probe.flat.reshape(exact.shape)))
+        mse_exact=_mse(_affine(test_feats, stats.least_squares()), test_targets),
+        train_mse=stats.mse(theta))
 
 
 def protocol_a(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
@@ -228,16 +236,14 @@ def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
     probe = Network(layers(feats.shape[1]))
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
-    rng = stream(cfg.seed, "probe-shuffle")
     n = feats.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch):
-            idx = order[start:start + cfg.batch]
-            loss = loss_fn(probe(Tensor(feats[idx])), idx)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    batches = shuffled_epochs(n, cfg.batch, stream(cfg.seed, "probe-shuffle"),
+                              drop_last=False)
+    for idx in itertools.islice(batches, cfg.epochs * math.ceil(n / cfg.batch)):
+        loss = loss_fn(probe(Tensor(feats[idx])), idx)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
     opt.zero_grad()
     test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
     return _predict(probe, test_feats)

@@ -484,6 +484,58 @@ class TestBitExactForms:
         assert same_bits(y, y_ref)
         assert all(same_bits(a, b) for a, b in zip(grads, grads_ref))
 
+    @staticmethod
+    def textbook_batch_norm2d(x, gamma, beta, g, running_mean, running_var, training):
+        """Output, gradients and new running statistics, with broadcast
+        temporaries and ``np.mean``/``np.var`` over (B,H,W)."""
+        axes, m = (0, 2, 3), 0.1
+        gamma4, beta4 = gamma[None, :, None, None], beta[None, :, None, None]
+        if training:
+            mu, var = np.mean(x, axis=axes), np.var(x, axis=axes)
+            running_mean = (1.0 - m) * running_mean + m * mu
+            running_var = (1.0 - m) * running_var + m * var
+        else:
+            mu, var = running_mean, running_var
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+        if training:
+            n = x.size // x.shape[1]
+            dxhat = g * gamma4
+            s1 = dxhat.sum(axis=axes)
+            s2 = (dxhat * xhat).sum(axis=axes)
+            dx = (inv_std[None, :, None, None] / n) * (
+                n * dxhat - s1[None, :, None, None] - xhat * s2[None, :, None, None])
+        else:
+            dx = g * (gamma * inv_std)[None, :, None, None]
+        grads = [dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)]
+        return gamma4 * xhat + beta4, grads, running_mean, running_var
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 1), (3, 2, 4, 4), (256, 32, 14, 7),
+                                       (256, 64, 7, 4)])
+    @pytest.mark.parametrize("case", ["normal", "constant_channels", "large", "tiny"])
+    def test_batch_norm2d(self, shape, case, training):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape)
+        if case == "constant_channels":
+            x[:, ::2] = 5.0
+        elif case == "large":
+            x = x * 1e8 + 3e9
+        elif case == "tiny":
+            x = x * 1e-160
+        c = shape[1]
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        running = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        g = rng.standard_normal(shape)
+        mean, var = running[0].copy(), running[1].copy()
+        y, grads = forward_and_grads(
+            lambda *ts: batch_norm2d(*ts, mean, var, training), g, x, gamma, beta)
+        y_ref, grads_ref, mean_ref, var_ref = self.textbook_batch_norm2d(
+            x, gamma, beta, g, *running, training)
+        assert same_bits(y, y_ref)
+        assert all(same_bits(a, b) for a, b in zip(grads, grads_ref))
+        assert same_bits(mean, mean_ref) and same_bits(var, var_ref)
+
     @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (64, 64), (7, 130)])
     def test_relu_special_values(self, shape):
         # a cycle of odd length puts every value at every SIMD lane and in

@@ -9,7 +9,8 @@ import pytest
 from bijepa.data import (
     MNIST_MEAN, MNIST_STD, IdxFormatError, LorenzConfig, LorenzDataset,
     SineConfig, ViewBatch, build_lorenz_dataset, gen_sine_batch,
-    integrate_lorenz, load_mnist_halves, load_mnist_idx, split_vertical,
+    integrate_lorenz, load_mnist_halves, load_mnist_idx, shuffled_epochs,
+    split_vertical,
 )
 from bijepa.seeding import stream
 
@@ -43,6 +44,34 @@ class TestViewBatch:
         sub = vb.take([0])
         vb.x.values[0, 0] = 9.0
         assert sub.x.values[0, 0] == 0.0
+
+
+class TestShuffledEpochs:
+    @staticmethod
+    def epochs(n, batch, drop_last, count, seed=3):
+        """The first ``count`` index arrays, beside the permutations that
+        the same stream draws."""
+        gen = shuffled_epochs(n, batch, stream(seed, "t"), drop_last)
+        arrays = [next(gen) for _ in range(count)]
+        rng = stream(seed, "t")
+        return arrays, [rng.permutation(n) for _ in range(3)]
+
+    def test_epochs_cut_each_permutation_in_order(self):
+        arrays, perms = self.epochs(10, 4, drop_last=False, count=9)
+        assert [a.size for a in arrays] == [4, 4, 2] * 3
+        for e, perm in enumerate(perms):
+            assert np.array_equal(np.concatenate(arrays[3 * e:3 * e + 3]), perm)
+
+    def test_drop_last_drops_the_short_array(self):
+        arrays, perms = self.epochs(10, 4, drop_last=True, count=6)
+        assert [a.size for a in arrays] == [4, 4] * 3
+        for e, perm in enumerate(perms):
+            assert np.array_equal(np.concatenate(arrays[2 * e:2 * e + 2]), perm[:8])
+
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_batch_past_the_rows_takes_whole_epochs(self, drop_last):
+        arrays, perms = self.epochs(3, 8, drop_last, count=3)
+        assert all(np.array_equal(a, p) for a, p in zip(arrays, perms))
 
 
 class TestSine:

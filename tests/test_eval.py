@@ -10,9 +10,9 @@ from bijepa import autodiff as ad, eval as ev
 from bijepa.autodiff import Tensor
 from bijepa.data import MNIST_MEAN, MNIST_STD, ViewBatch, denormalize_to_u8
 from bijepa.eval import (
-    _embed, _mse, _ProbeStatistics, _train_regression_probe, ProbeConfig,
-    ProbeResult, forecast_table, generative_decoder, linear_probe_classify,
-    protocol_a, protocol_b, write_pgm,
+    _affine, _embed, _mse, _predict, _ProbeStatistics, _train_regression_probe,
+    ProbeConfig, ProbeResult, forecast_table, generative_decoder,
+    linear_probe_classify, protocol_a, protocol_b, write_pgm,
 )
 from bijepa.jepa import (
     BiJepaModel, ConstraintMode, encode_for_inference, predict_forward_for_inference,
@@ -305,6 +305,16 @@ class TestRegressionProtocols:
                                           model.target_encoder,
                                           model.p_fwd, model.p_bwd)]
         assert prints == after
+
+    @pytest.mark.parametrize("dims", [(200, 7, 3), (20, 64, 60), (1000, 128, 60), (5, 1, 1)])
+    def test_affine_map_has_the_probe_network_bits(self, dims):
+        n, d, o = dims
+        feats, targets = probe_problem(d + o, n=n, d=d, o=o)
+        probe = _train_regression_probe(_ProbeStatistics.of(feats, targets),
+                                        ProbeConfig(steps=3))
+        theta = probe.flat.reshape(d + 1, o)
+        test_feats = np.random.default_rng(n).standard_normal((n + 3, d))
+        assert _affine(test_feats, theta).tobytes() == _predict(probe, test_feats).tobytes()
 
     def test_backward_predictor_never_evaluated(self):
         class Boom(Network):

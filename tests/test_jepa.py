@@ -6,6 +6,7 @@ import pytest
 
 from bijepa import autodiff as ad
 from bijepa.autodiff import Tensor
+from bijepa.cli import RunConfig, _build_model, effective_hyper
 from bijepa.jepa import (
     BiJepaModel, ConstraintMode, _branch, encode_for_inference,
     predict_forward_for_inference, total_loss, train_step,
@@ -368,3 +369,45 @@ class TestDivergenceHandling:
             model.online_encoder, model.target_encoder, model.p_fwd, model.p_bwd))
         model.train_mode()
         assert model.target_encoder.mode == "train"
+
+
+class TestBatchNormMixing:
+    """What one MNIST train step leaves in each encoder's first BatchNorm:
+    the fold of the batch statistics of every half it ran on in train
+    mode, in call order. The bi-directional variants mix the two halves
+    into the running statistics that eval mode later applies to left
+    halves alone; classic does not. A diagnostic: no gate reads it."""
+
+    @pytest.mark.parametrize("variant, online_halves, target_halves", [
+        ("bijepa-expressive", ("left", "right"), ("right", "left")),
+        ("classic", ("left",), ("right",)),
+    ])
+    def test_first_batch_norm_folds_the_halves_it_saw(self, variant, online_halves,
+                                                      target_halves):
+        cfg = RunConfig("mnist", variant)
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
+                    weight_decay=hyper["weight_decay"])
+        rng = np.random.default_rng(8)
+        halves = {side: rng.standard_normal((4, 1, 28, 14)) for side in ("left", "right")}
+        encoders = {"online": (model.online_encoder, online_halves),
+                    "target": (model.target_encoder, target_halves)}
+        expected = {}
+        for name, (encoder, order) in encoders.items():
+            conv, bn = encoder.layers[0], encoder.layers[1]
+            k, b = Tensor(conv.k.values.copy()), Tensor(conv.b.values.copy())
+            gamma, beta = Tensor(np.ones(bn.channels)), Tensor(np.zeros(bn.channels))
+            mean, var = bn.running_mean.copy(), bn.running_var.copy()
+            for side in order:
+                ad.batch_norm2d(ad.conv2d(Tensor(halves[side]), k, b), gamma, beta,
+                                mean, var, training=True)
+            expected[name] = mean, var
+
+        model.train_mode()
+        train_step(model, opt, Tensor(halves["left"]), Tensor(halves["right"]))
+        for name, (encoder, _) in encoders.items():
+            bn = encoder.layers[1]
+            mean, var = expected[name]
+            assert bn.running_mean.tobytes() == mean.tobytes(), name
+            assert bn.running_var.tobytes() == var.tobytes(), name
