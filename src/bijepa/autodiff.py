@@ -66,6 +66,17 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.node: Node | None = None
 
+    @classmethod
+    def _wrap(cls, values: np.ndarray) -> Tensor:
+        """``Tensor(values)`` without the conversion: ``values`` itself is
+        held, so it must already be C-contiguous float64 with an axis."""
+        t = cls.__new__(cls)
+        t.values = values
+        t.grad = None
+        t.requires_grad = False
+        t.node = None
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
@@ -139,7 +150,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is None:
         if loss.requires_grad:
-            _deposit(loss, np.ones_like(loss.values))
+            _deposit(loss, np.ones_like(loss.values), set())
         return
     nodes = trace(loss)
     if any(n.vjp is None for n in nodes):
@@ -157,15 +168,30 @@ def backward(loss: Tensor) -> None:
                 grads[t] = g if prev is None else prev + g
         node.vjp = None
         node.inputs = ()
+    handed: set[int] = set()
     for t, g in grads.items():
         if t.requires_grad:
-            _deposit(t, g)
+            _deposit(t, g, handed)
     if loss.requires_grad:
-        _deposit(loss, np.ones_like(loss.values))
+        _deposit(loss, np.ones_like(loss.values), handed)
 
 
-def _deposit(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g.copy() if t.grad is None else t.grad + g
+def _deposit(t: Tensor, g: np.ndarray, handed: set[int]) -> None:
+    """Hand ``t`` the gradient array the pass built, or add it out of place
+    to the one ``t`` holds. No vjp writes into its incoming gradient, so
+    the array is ``t``'s alone unless one vjp returned the same buffer for
+    two inputs (``add``'s ``(g, g)``, or ``flatten``'s view of a ``g``):
+    ``handed`` holds the buffers given out so far, and a second taker gets
+    a copy."""
+    if t.grad is not None:
+        t.grad = t.grad + g
+        return
+    owner = id(g if g.base is None else g.base)
+    if owner in handed:
+        g = g.copy()
+    else:
+        handed.add(owner)
+    t.grad = g
 
 
 def _as_tensor(x) -> Tensor:
@@ -194,11 +220,19 @@ def no_grad():
 
 
 def _make(op: str, inputs: tuple[Tensor, ...], values: np.ndarray, vjp) -> Tensor:
-    if not _RECORDING.get():
-        return Tensor(values)
-    out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad:
-        out.node = Node(op, inputs, out, vjp)
+    """Wrap a primitive's output, recording its node if some input needs
+    a gradient. ``values`` is used as it is: every primitive returns a
+    C-contiguous float64 array with at least one axis, which is what
+    ``Tensor()`` would make of it, so the conversion is skipped."""
+    out = Tensor._wrap(values)
+    if _RECORDING.get():
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                # Node is a global looked up per call, so that a subclass
+                # can be swapped in (perfbench's tracer does)
+                out.node = Node(op, inputs, out, vjp)
+                break
     return out
 
 
@@ -230,8 +264,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     shape = x.shape
-    return _make("sum_all", (x,), np.asarray(x.values.sum()),
-                 lambda g: (np.full(shape, g.reshape(-1)[0]),))
+    total = np.add.reduce(x.values, axis=None).reshape(1)
+    return _make("sum_all", (x,), total, lambda g: (np.full(shape, g[0]),))
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -269,19 +303,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     need_x = x.requires_grad
 
     def vjp(g):
-        return (g @ wv.T if need_x else None), xv.T @ g, g.sum(axis=0)
+        return (g @ wv.T if need_x else None), xv.T @ g, np.add.reduce(g, axis=0)
 
     return _make("linear", (x, w, b), y, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), bit-equal to ``np.where(x > 0, x, 0.0)``: ``fmax``
-    maps NaN to 0, and adding +0.0 turns the -0.0 it may keep into +0.0."""
+    maps NaN to 0, and adding +0.0 turns the -0.0 it may keep into +0.0.
+
+    The vjp is ``g * (x > 0)``, with the comparison written straight into
+    a float64 buffer as 1.0 and +0.0, which ``g`` then multiplies in
+    place: the same products without a pass that casts a bool mask."""
     x = _as_tensor(x)
     xv = x.values
     y = np.fmax(xv, 0.0)
     y += 0.0
-    return _make("relu", (x,), y, lambda g: (g * (xv > 0.0),))
+
+    def vjp(g):
+        gx = np.greater(xv, 0.0, out=np.empty_like(xv))
+        gx *= g
+        return (gx,)
+
+    return _make("relu", (x,), y, vjp)
 
 
 # added to the variance by both normalizations
@@ -306,12 +350,12 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, sta
     gv, bv = gamma.values.reshape(channel), beta.values.reshape(channel)
     y = None  # with batch statistics, the squares' buffer takes the output
     if stats is None:
-        mu = xv.sum(axis=axes, keepdims=True)
+        mu = np.add.reduce(xv, axis=axes, keepdims=True)
         n = xv.size // mu.size
         mu /= n
         xhat = xv - mu
         y = np.square(xhat)
-        var = y.sum(axis=axes, keepdims=True)
+        var = np.add.reduce(y, axis=axes, keepdims=True)
         var /= n
     else:
         mu, var = stats
@@ -326,15 +370,16 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, sta
     def vjp(g):
         param_axes = (0, *range(2, g.ndim))
         buf = g * xhat
-        dgamma, dbeta = buf.sum(axis=param_axes), g.sum(axis=param_axes)
+        dgamma = np.add.reduce(buf, axis=param_axes)
+        dbeta = np.add.reduce(g, axis=param_axes)
         if stats is not None:
             return g * (gv * inv_std), dgamma, dbeta
         # dx = (inv_std / n) * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)),
         # dxhat = g * gamma, one operation per line in that order
         dx = g * gv
         np.multiply(dx, xhat, out=buf)
-        s2 = buf.sum(axis=axes, keepdims=True)
-        s1 = dx.sum(axis=axes, keepdims=True)
+        s2 = np.add.reduce(buf, axis=axes, keepdims=True)
+        s1 = np.add.reduce(dx, axis=axes, keepdims=True)
         dx *= n
         dx -= s1
         np.multiply(xhat, s2, out=buf)
@@ -442,11 +487,11 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
     diff = pred.values - target.values
     n = diff.size
-    loss = np.asarray((diff * diff).sum() / n)
+    loss = (np.add.reduce(diff * diff, axis=None) / n).reshape(1)
     need_target = target.requires_grad
 
     def vjp(g):
-        s = g.reshape(-1)[0] * 2.0 / n
+        s = g[0] * 2.0 / n
         return s * diff, (-s * diff if need_target else None)
 
     return _make("mse_loss", (pred, target), loss, vjp)
@@ -469,12 +514,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     probs = expz / expz.sum(axis=1, keepdims=True)
     rows = np.arange(bsz)
     log_probs = z - np.log(expz.sum(axis=1, keepdims=True))
-    loss = np.asarray(-log_probs[rows, labels].mean())
+    loss = (-log_probs[rows, labels].mean()).reshape(1)
 
     def vjp(g):
         d = probs.copy()
         d[rows, labels] -= 1.0
-        return (g.reshape(-1)[0] / bsz * d,)
+        return (g[0] / bsz * d,)
 
     return _make("softmax_cross_entropy", (logits,), loss, vjp)
 

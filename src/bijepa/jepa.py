@@ -16,6 +16,7 @@ every embedding onto the unit sphere).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +132,11 @@ def total_loss(model: BiJepaModel, x: Tensor, y: Tensor, step: int = 0):
     """
     s_x, pred, tgt = _branch(model, x, y, model.p_fwd)
     fwd = ad.mse_loss(pred, tgt)
-    # np.linalg.norm(s, axis=1)'s own ufuncs, without its dispatch
+    # np.linalg.norm(s, axis=1)'s own ufuncs and ndarray.mean's, without
+    # their dispatch
     sv = s_x.values
-    norm = float(np.sqrt(np.add.reduce(sv * sv, axis=1)).mean())
+    norms = np.sqrt(np.add.reduce(sv * sv, axis=1))
+    norm = float(np.add.reduce(norms) / norms.size)
     if model.p_bwd is None:
         fwd_val = fwd.item()
         return fwd, StepMetrics(fwd_val, fwd_val, 0.0, norm, step)
@@ -157,7 +160,7 @@ def train_step(model: BiJepaModel, opt: AdamW, x: Tensor, y: Tensor,
     skips the update so the recorded history stays meaningful.
     """
     loss, metrics = total_loss(model, x, y, step)
-    if not np.isfinite(metrics.total_loss):
+    if not math.isfinite(metrics.total_loss):
         metrics.diverged = True
         return metrics
     if metrics.total_loss > _DIVERGENCE_CEILING:

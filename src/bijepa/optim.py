@@ -113,8 +113,12 @@ class AdamW:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += EPS
-        update = np.divide(m, bc1, out=g)
-        update /= tmp
+        # from step 356 on, 1 - 0.9**t rounds to 1.0 and m/bc1 is m
+        if bc1 == 1.0:
+            update = np.divide(m, tmp, out=g)
+        else:
+            update = np.divide(m, bc1, out=g)
+            update /= tmp
         if self.weight_decay != 0.0:
             for flat, tmp_span, _ in self._spans:
                 np.multiply(flat, self.weight_decay, out=tmp_span)

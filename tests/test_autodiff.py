@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode engine and every primitive."""
 
+import contextlib
+import itertools
 import weakref
 
 import numpy as np
@@ -283,6 +285,13 @@ class TestBackwardSemantics:
         sum_all(y).backward()
         assert np.allclose(x.grad, [3.0, 3.0])
 
+    def test_leaf_loss_gets_unit_grad(self):
+        x = Tensor([4.0], requires_grad=True)
+        x.backward()
+        assert np.array_equal(x.grad, [1.0])
+        x.backward()
+        assert np.array_equal(x.grad, [2.0])
+
     def test_consumed_graph_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         loss = sum_all(mul(x, x))
@@ -307,6 +316,49 @@ class TestBackwardSemantics:
         sum_all(y).backward()
         assert y.shape == (2, 3)
         assert np.array_equal(x.grad, np.full((2, 3, 1), 2.0))
+
+
+class TestGradientHandover:
+    """backward gives each leaf the gradient array the pass built, without
+    a copy, unless another tensor already took the same buffer."""
+
+    @staticmethod
+    def upstream(shape=(2, 3)):
+        return np.random.default_rng(45).standard_normal(shape)
+
+    def test_add_of_two_leaves_gives_unshared_arrays(self):
+        g = self.upstream()
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.zeros((2, 3)), requires_grad=True)
+        sum_all(mul(add(a, b), Tensor(g))).backward()
+        assert same_bits(a.grad, g) and same_bits(b.grad, g)
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad *= 3.0
+        assert same_bits(b.grad, g)
+
+    def test_flattened_leaf_and_plain_leaf_share_nothing(self):
+        # flatten's vjp returns a view of the buffer add hands to both inputs
+        g = self.upstream()
+        a = Tensor(np.ones((2, 3, 1)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        sum_all(mul(add(flatten(a), b), Tensor(g))).backward()
+        assert same_bits(a.grad, g.reshape(2, 3, 1)) and same_bits(b.grad, g)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_add_of_one_leaf_twice_gives_twice_the_gradient(self):
+        g = self.upstream()
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        sum_all(mul(add(a, a), Tensor(g))).backward()
+        assert same_bits(a.grad, g + g)
+
+    def test_second_pass_accumulates_out_of_place(self):
+        g = self.upstream()
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        sum_all(mul(a, Tensor(g))).backward()
+        first = a.grad
+        sum_all(mul(a, Tensor(g))).backward()
+        assert a.grad is not first and not np.shares_memory(a.grad, first)
+        assert same_bits(first, g) and same_bits(a.grad, g + g)
 
 
 class TestGraphLifetime:
@@ -449,6 +501,49 @@ class TestNoGrad:
         assert all(same_bits(g, ref) for g, ref in zip(grads(), before))
 
 
+# every primitive, plus flatten of a conv output (the conv encoder's tail)
+_WRAPPED = {**_PRIMITIVES,
+            "flatten_conv2d": (lambda x, k, b: flatten(conv2d(x, k, b)),
+                               [(2, 1, 6, 4), (2, 1, 3, 3), (2,)])}
+_SCALAR_OUTPUTS = ("mse_loss", "softmax_cross_entropy", "sum_all")
+# every slot but __weakref__, which Python fills in itself
+_SLOTS = [s for s in Tensor.__slots__ if s != "__weakref__"]
+
+
+class TestOutputsAreWhatTensorMakes:
+    """``_make`` wraps a primitive's array without converting it, so every
+    primitive must return what ``Tensor()`` would make of it: C-contiguous
+    float64 with at least one axis, shape (1,) for the scalar losses."""
+
+    @pytest.mark.parametrize("recording", [True, False])
+    @pytest.mark.parametrize("name", list(_WRAPPED))
+    def test_values_and_recording(self, name, recording):
+        op, shapes = _WRAPPED[name]
+        rng = np.random.default_rng(61)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        for needs in itertools.product([False, True], repeat=len(shapes)):
+            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                out = op(*leaves)
+            v = out.values
+            assert v.dtype == np.float64 and v.flags.c_contiguous and v.ndim >= 1
+            if name in _SCALAR_OUTPUTS:
+                assert v.shape == (1,)
+            records = recording and any(needs)
+            assert out.requires_grad is records
+            assert (out.node is not None) is records
+            assert out.grad is None
+            assert all(hasattr(out, s) for s in _SLOTS)
+
+    def test_wrap_sets_what_init_sets(self):
+        a = np.arange(3.0)
+        made, wrapped = Tensor(a), Tensor._wrap(a)
+        assert wrapped.values is a
+        for s in _SLOTS:
+            if s != "values":
+                assert getattr(wrapped, s) == getattr(made, s)
+
+
 class TestBitExactForms:
     """The primitives' in-place forms give the bits of the textbook numpy
     expressions, computed here in the same process (a golden hash could
@@ -545,11 +640,14 @@ class TestBitExactForms:
                     tiny, -tiny, tiny / 2, -tiny / 2, 1.0, -1.0, 1e308, -1e308]
         rng = np.random.default_rng(40)
         x = np.resize(np.concatenate([specials, rng.standard_normal(3)]), shape)
-        g = rng.standard_normal(shape)
-        with np.errstate(over="ignore", invalid="ignore"):  # the loss is inf*g; unused
+        # g cycles through the same specials with a period one longer, so
+        # the larger shapes pair every special x with every special g
+        g = np.resize(np.concatenate([specials, rng.standard_normal(4)]), shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0, in the loss and in g * mask
             y, (gx,) = forward_and_grads(relu, g, x)
+            want = g * (x > 0)
         assert same_bits(y, np.where(x > 0, x, 0.0))
-        assert same_bits(gx, g * (x > 0))
+        assert same_bits(gx, want)
 
     @pytest.mark.parametrize("dims", [(64, 10, 64), (64, 128, 128), (64, 128, 32), (5, 3, 1)])
     def test_linear(self, dims):

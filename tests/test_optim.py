@@ -69,23 +69,23 @@ class ReferenceAdamW:
 class TestFlatAdamWMatchesReference:
     SHAPES = [(5, 3), (3,), (7,), (2, 4), (1,)]
 
-    def fifty_random_steps(self, groups, weight_decay):
-        """Fifty steps over SHAPES cut into networks of ``groups`` tensors
-        each, against the per-tensor reference."""
+    def random_steps(self, groups, weight_decay, steps=50):
+        """``steps`` steps over SHAPES cut into networks of ``groups``
+        tensors each, against the per-tensor reference."""
         rng = np.random.default_rng(11)
         params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in self.SHAPES]
         ref = ReferenceAdamW([p.values for p in params], lr=3e-3, weight_decay=weight_decay)
         bounds = np.cumsum([0, *groups])
         nets = [net_of(*params[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
         opt = AdamW(nets, lr=3e-3, weight_decay=weight_decay)
-        for step in range(50):
+        for step in range(steps):
             grads = [None if (step + i) % 4 == 0 else rng.standard_normal(s) * 10.0 ** (i - 2)
                      for i, s in enumerate(self.SHAPES)]
             for p, g in zip(params, grads):
                 p.grad = None if g is None else g.copy()
             assert opt.step() and ref.step(grads)
             opt.zero_grad()
-        assert opt.step_count == ref.step_count == 50
+        assert opt.step_count == ref.step_count == steps
         for p, want in zip(params, ref.values):
             assert np.array_equal(p.values, want)
         offsets = np.cumsum([0] + [int(np.prod(s)) for s in self.SHAPES])
@@ -95,12 +95,19 @@ class TestFlatAdamWMatchesReference:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     def test_fifty_random_steps_bit_equal(self, weight_decay):
-        self.fifty_random_steps([len(self.SHAPES)], weight_decay)
+        self.random_steps([len(self.SHAPES)], weight_decay)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_four_hundred_random_steps_bit_equal(self, weight_decay):
+        # from step 356 on, 1 - 0.9**t is exactly 1.0 and the flat step
+        # no longer divides m by it; the reference always does
+        assert 1.0 - 0.9 ** 355 != 1.0 and 1.0 - 0.9 ** 356 == 1.0
+        self.random_steps([2, 3], weight_decay, steps=400)
 
     @pytest.mark.parametrize("groups", [[2, 3], [1, 2, 1, 1]])
     def test_several_networks_bit_equal(self, groups):
         # weight decay and the final subtraction run once per network
-        self.fifty_random_steps(groups, weight_decay=1e-2)
+        self.random_steps(groups, weight_decay=1e-2)
 
     def test_nan_step_leaves_state_untouched(self):
         rng = np.random.default_rng(12)
@@ -114,6 +121,40 @@ class TestFlatAdamWMatchesReference:
         for p in params:
             p.grad = rng.standard_normal(p.shape)
         params[-1].grad[0] = np.nan  # the last tensor: everything before it is gathered
+        assert not opt.step()
+        assert opt.diverged
+        assert np.array_equal(net.flat, before[0])
+        assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
+        assert opt.step_count == before[3]
+
+    def test_finite_gradient_whose_sum_overflows_steps(self):
+        params = [Tensor(np.zeros(s), requires_grad=True) for s in self.SHAPES]
+        ref = ReferenceAdamW([p.values for p in params], lr=1e-3, weight_decay=1e-4)
+        opt = AdamW([net_of(*params)], lr=1e-3, weight_decay=1e-4)
+        grads = [np.full(s, 0.5) for s in self.SHAPES]
+        grads[0][0, 0] = grads[0][1, 0] = 1e308  # their sum is inf, each is finite
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        with np.errstate(over="ignore"):  # g*g overflows in v, in both
+            assert opt.step() and ref.step(grads)
+        assert not opt.diverged and opt.step_count == 1
+        for p, want in zip(params, ref.values):
+            assert np.array_equal(p.values, want)
+        # v is inf at the two huge entries, which therefore do not move
+        assert np.all(params[1].values < 0.0) and np.isfinite(params[0].values).all()
+
+    def test_opposite_infinities_abort(self):
+        # inf + -inf sums to NaN: the step must abort, not read it as finite
+        params = [Tensor(np.ones(s), requires_grad=True) for s in self.SHAPES]
+        net = net_of(*params)
+        opt = AdamW([net], lr=1e-3, weight_decay=1e-4)
+        for p in params:
+            p.grad = np.full(p.shape, 0.25)
+        assert opt.step()
+        before = (net.flat.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
+        for p in params:
+            p.grad = np.full(p.shape, 0.25)
+        params[0].grad[0, 0], params[2].grad[3] = np.inf, -np.inf
         assert not opt.step()
         assert opt.diverged
         assert np.array_equal(net.flat, before[0])
