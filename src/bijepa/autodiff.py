@@ -3,8 +3,14 @@
 Define-by-run: every primitive whose inputs require gradients records one
 node; ``backward`` collects the nodes reachable from a scalar loss, replays
 them in reverse execution order, and accumulates gradients into the
-``grad`` slot of every tensor that requires them. Graphs are single-use
+``grad`` slot of every leaf that requires them. Graphs are single-use
 and are rebuilt on every forward pass.
+
+Primitives take ``Tensor``s: arrays become tensors where data enters the
+program, through ``Tensor()``, and nowhere else. No vjp writes into its
+incoming gradient, and no two arrays one vjp returns share memory, so a
+gradient array the pass builds belongs to one tensor and is given to it
+without a copy.
 
 A graph holds no reference cycle: a tensor owns the node that made it,
 a node owns its inputs and its vjp, and refers to its output only
@@ -138,19 +144,22 @@ def trace(root: Tensor) -> list[Node]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad leaf
+    ``t`` the graph reaches, and the unit gradient into ``loss.grad``.
 
-    ``loss`` must be a scalar. Each graph supports exactly one backward
-    pass. Every node's inputs and vjp (with the forward context it saved)
-    are released as the pass reaches it, so only the root node stays
-    reachable from ``loss``, and its missing vjp rejects a second pass
-    (every recorded node has one until then).
+    Only leaves and the loss receive ``grad``; every other tensor in the
+    graph keeps ``grad`` None. ``loss`` must be a scalar.
+    Each graph supports exactly one backward pass. Every node's inputs and
+    vjp (with the forward context it saved) are released as the pass
+    reaches it, so only the root node stays reachable from ``loss``, and
+    its missing vjp rejects a second pass (every recorded node has one
+    until then).
     """
     if loss.values.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is None:
         if loss.requires_grad:
-            _deposit(loss, np.ones_like(loss.values), set())
+            _deposit(loss, np.ones_like(loss.values))
         return
     nodes = trace(loss)
     if any(n.vjp is None for n in nodes):
@@ -168,34 +177,17 @@ def backward(loss: Tensor) -> None:
                 grads[t] = g if prev is None else prev + g
         node.vjp = None
         node.inputs = ()
-    handed: set[int] = set()
     for t, g in grads.items():
-        if t.requires_grad:
-            _deposit(t, g, handed)
+        _deposit(t, g)
     if loss.requires_grad:
-        _deposit(loss, np.ones_like(loss.values), handed)
+        _deposit(loss, np.ones_like(loss.values))
 
 
-def _deposit(t: Tensor, g: np.ndarray, handed: set[int]) -> None:
+def _deposit(t: Tensor, g: np.ndarray) -> None:
     """Hand ``t`` the gradient array the pass built, or add it out of place
-    to the one ``t`` holds. No vjp writes into its incoming gradient, so
-    the array is ``t``'s alone unless one vjp returned the same buffer for
-    two inputs (``add``'s ``(g, g)``, or ``flatten``'s view of a ``g``):
-    ``handed`` holds the buffers given out so far, and a second taker gets
-    a copy."""
-    if t.grad is not None:
-        t.grad = t.grad + g
-        return
-    owner = id(g if g.base is None else g.base)
-    if owner in handed:
-        g = g.copy()
-    else:
-        handed.add(owner)
-    t.grad = g
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    to the one ``t`` holds. The array is ``t``'s alone: no vjp writes into
+    its incoming gradient or returns one buffer for two inputs."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 _RECORDING: ContextVar[bool] = ContextVar("recording", default=True)
@@ -241,14 +233,12 @@ def _make(op: str, inputs: tuple[Tensor, ...], values: np.ndarray, vjp) -> Tenso
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    return _make("add", (a, b), a.values + b.values, lambda g: (g, g))
+    return _make("add", (a, b), a.values + b.values, lambda g: (g, g.copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     av, bv = a.values, b.values
@@ -256,13 +246,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    x = _as_tensor(x)
     c = float(c)
     return _make("scale", (x,), x.values * c, lambda g: (g * c,))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     shape = x.shape
     total = np.add.reduce(x.values, axis=None).reshape(1)
     return _make("sum_all", (x,), total, lambda g: (np.full(shape, g[0]),))
@@ -270,7 +258,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 def flatten(x: Tensor) -> Tensor:
     """Collapse all trailing axes: (B, ...) -> (B, prod(...))."""
-    x = _as_tensor(x)
     shape = x.shape
     if len(shape) < 2:
         raise ShapeError(f"flatten needs at least 2 axes, got shape {shape}")
@@ -280,7 +267,6 @@ def flatten(x: Tensor) -> Tensor:
 
 def stop_gradient(x: Tensor) -> Tensor:
     """Value-identical tensor that terminates backward traversal."""
-    x = _as_tensor(x)
     return Tensor(x.values.copy(), requires_grad=False)
 
 
@@ -290,7 +276,6 @@ def stop_gradient(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """y[i,o] = sum_k x[i,k] w[k,o] + b[o]."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.values.ndim != 2 or w.values.ndim != 2 or b.values.ndim != 1:
         raise ShapeError(
             f"linear expects x:(B,I) w:(I,O) b:(O,), got {x.shape}, {w.shape}, {b.shape}")
@@ -315,7 +300,6 @@ def relu(x: Tensor) -> Tensor:
     The vjp is ``g * (x > 0)``, with the comparison written straight into
     a float64 buffer as 1.0 and +0.0, which ``g`` then multiplies in
     place: the same products without a pass that casts a bool mask."""
-    x = _as_tensor(x)
     xv = x.values
     y = np.fmax(xv, 0.0)
     y += 0.0
@@ -392,7 +376,6 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, sta
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization to zero mean / unit biased variance, then affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 2:
         raise ShapeError(f"layer_norm expects (B,D), got {x.shape}")
     d = x.shape[1]
@@ -410,7 +393,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarra
     ``(1 - m) * running + m * batch`` for ``m = BN_MOMENTUM``; eval mode
     normalizes with the running statistics, held constant.
     """
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     if x.values.ndim != 4:
         raise ShapeError(f"batch_norm2d expects (B,C,H,W), got {x.shape}")
     b, c = x.shape[:2]
@@ -435,7 +417,6 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
 
     Output spatial dims: H' = floor((H - 1)/2) + 1, same for W.
     """
-    x, k, b = _as_tensor(x), _as_tensor(k), _as_tensor(b)
     if x.values.ndim != 4:
         raise ShapeError(f"conv2d expects (B,Cin,H,W) input, got {x.shape}")
     if k.values.ndim != 4 or k.shape[2:] != (3, 3):
@@ -482,7 +463,6 @@ def conv2d(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean over every element of the squared difference."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
     diff = pred.values - target.values
@@ -499,7 +479,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-softmax of the true class, max-stabilized."""
-    logits = _as_tensor(logits)
     if logits.values.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy expects (B,K) logits, got {logits.shape}")
     labels = np.asarray(labels)
@@ -530,7 +509,6 @@ def sphere_project(s: Tensor) -> Tensor:
     Rejects rows whose norm falls below 1e-12: a collapsed embedding has
     no direction to keep.
     """
-    s = _as_tensor(s)
     if s.values.ndim != 2:
         raise ShapeError(f"sphere_project expects (B,D), got {s.shape}")
     norms = np.linalg.norm(s.values, axis=1, keepdims=True)

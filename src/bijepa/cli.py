@@ -582,9 +582,8 @@ def _suite_verdicts(rows, variants, experiment, seeds) -> dict:
 
 def _write_suite_csv(result: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    cols = ["experiment", "variant", "seed", "kind", "status", "error",
-            *_METRICS, "diverged"]
-    lines = [",".join(cols)]
+    header = ",".join(["experiment", "variant", "seed", "kind", "status", "error",
+                       *_METRICS, "diverged"])
 
     def fmt(v):
         if v is None:
@@ -593,16 +592,13 @@ def _write_suite_csv(result: dict, out: Path) -> None:
             return repr(v)
         return str(v)
 
-    for r in result["rows"]:
-        lines.append(",".join(fmt(v) for v in [
-            r["experiment"], r["variant"], r["seed"], "run", r["status"],
-            r["error"].replace(",", ";"),
-            *[r[k] for k in _METRICS], r["diverged"]]))
-    for variant, m in result["means"].items():
-        lines.append(",".join(fmt(v) for v in [
-            result["experiment"], variant, "", "mean", f"n_ok={m['n_ok']}", "",
-            *[m[k] for k in _METRICS], ""]))
-    (out / "suite.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[r["experiment"], r["variant"], r["seed"], "run", r["status"],
+             r["error"].replace(",", ";"), *[r[k] for k in _METRICS], r["diverged"]]
+            for r in result["rows"]]
+    rows += [[result["experiment"], variant, "", "mean", f"n_ok={m['n_ok']}", "",
+              *[m[k] for k in _METRICS], ""]
+             for variant, m in result["means"].items()]
+    _write_csv(out / "suite.csv", header, (",".join(fmt(v) for v in row) for row in rows))
     (out / "verdicts.json").write_text(
         json.dumps(result["verdicts"], indent=2, sort_keys=True), encoding="utf-8")
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, sphere_project
+from .autodiff import Tensor
 from .nn import Network, SpecMismatchError, clone_into
 from .optim import AdamW, EmaConfig, ema_update
 
 __all__ = [
-    "ConstraintMode", "BiJepaModel", "StepMetrics", "sphere_project",
-    "total_loss", "train_step", "encode_for_inference",
-    "predict_forward_for_inference",
+    "ConstraintMode", "BiJepaModel", "StepMetrics", "total_loss",
+    "train_step", "encode_for_inference", "predict_forward_for_inference",
 ]
 
 
@@ -108,7 +107,7 @@ class BiJepaModel:
 
 
 def _maybe_project(model: BiJepaModel, s: Tensor) -> Tensor:
-    return sphere_project(s) if model.mode.project else s
+    return ad.sphere_project(s) if model.mode.project else s
 
 
 def _branch(model: BiJepaModel, src: Tensor, dst: Tensor, predictor: Network):

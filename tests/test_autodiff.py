@@ -318,9 +318,39 @@ class TestBackwardSemantics:
         assert np.array_equal(x.grad, np.full((2, 3, 1), 2.0))
 
 
+def _bn_train(x, gamma, beta):
+    return batch_norm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
+
+
+def _bn_eval(x, gamma, beta):
+    return batch_norm2d(x, gamma, beta, np.array([0.5, -1.0]), np.array([2.0, 0.25]),
+                        training=False)
+
+
+# every primitive, as (op over tensors, input shapes)
+_PRIMITIVES = {
+    "linear": (linear, [(5, 3), (3, 2), (2,)]),
+    "layer_norm": (layer_norm, [(4, 6), (6,), (6,)]),
+    "relu": (relu, [(3, 4)]),
+    "conv2d": (conv2d, [(2, 1, 6, 4), (2, 1, 3, 3), (2,)]),
+    "batch_norm2d_train": (_bn_train, [(3, 2, 4, 4), (2,), (2,)]),
+    "batch_norm2d_eval": (_bn_eval, [(3, 2, 4, 4), (2,), (2,)]),
+    "mse_loss": (mse_loss, [(4, 3), (4, 3)]),
+    "softmax_cross_entropy": (
+        lambda z: softmax_cross_entropy(z, np.array([0, 2, 1, 2])), [(4, 3)]),
+    "sphere_project": (sphere_project, [(4, 3)]),
+    "add": (add, [(2, 3), (2, 3)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "scale": (lambda x: scale(x, -1.5), [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "flatten": (flatten, [(2, 3, 4)]),
+}
+
+
 class TestGradientHandover:
     """backward gives each leaf the gradient array the pass built, without
-    a copy, unless another tensor already took the same buffer."""
+    a copy: no vjp returns one buffer for two inputs, so no two leaves
+    share one."""
 
     @staticmethod
     def upstream(shape=(2, 3)):
@@ -359,6 +389,21 @@ class TestGradientHandover:
         sum_all(mul(a, Tensor(g))).backward()
         assert a.grad is not first and not np.shares_memory(a.grad, first)
         assert same_bits(first, g) and same_bits(a.grad, g + g)
+
+
+class TestVjpOutputsShareNothing:
+    """The rule the handover relies on: with every input requiring a
+    gradient, no two arrays one vjp returns share memory."""
+
+    @pytest.mark.parametrize("name", list(_PRIMITIVES))
+    def test_vjp_outputs_unshared(self, name):
+        op, shapes = _PRIMITIVES[name]
+        rng = np.random.default_rng(46)
+        y = op(*[Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes])
+        grads = [g for g in y.node.vjp(rng.standard_normal(y.shape)) if g is not None]
+        assert len(grads) == len(shapes)
+        for a, b in itertools.combinations(grads, 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestGraphLifetime:
@@ -416,35 +461,6 @@ def forward_and_grads(op, g, *arrays):
     y = op(*ts)
     sum_all(mul(y, Tensor(g))).backward()
     return y.values, [t.grad for t in ts]
-
-
-def _bn_train(x, gamma, beta):
-    return batch_norm2d(x, gamma, beta, np.zeros(2), np.ones(2), training=True)
-
-
-def _bn_eval(x, gamma, beta):
-    return batch_norm2d(x, gamma, beta, np.array([0.5, -1.0]), np.array([2.0, 0.25]),
-                        training=False)
-
-
-# every primitive, as (op over tensors, input shapes)
-_PRIMITIVES = {
-    "linear": (linear, [(5, 3), (3, 2), (2,)]),
-    "layer_norm": (layer_norm, [(4, 6), (6,), (6,)]),
-    "relu": (relu, [(3, 4)]),
-    "conv2d": (conv2d, [(2, 1, 6, 4), (2, 1, 3, 3), (2,)]),
-    "batch_norm2d_train": (_bn_train, [(3, 2, 4, 4), (2,), (2,)]),
-    "batch_norm2d_eval": (_bn_eval, [(3, 2, 4, 4), (2,), (2,)]),
-    "mse_loss": (mse_loss, [(4, 3), (4, 3)]),
-    "softmax_cross_entropy": (
-        lambda z: softmax_cross_entropy(z, np.array([0, 2, 1, 2])), [(4, 3)]),
-    "sphere_project": (sphere_project, [(4, 3)]),
-    "add": (add, [(2, 3), (2, 3)]),
-    "mul": (mul, [(2, 3), (2, 3)]),
-    "scale": (lambda x: scale(x, -1.5), [(2, 3)]),
-    "sum_all": (sum_all, [(2, 3)]),
-    "flatten": (flatten, [(2, 3, 4)]),
-}
 
 
 class TestNoGrad:
