@@ -179,8 +179,7 @@ def backward(loss: Tensor) -> None:
         node.inputs = ()
     for t, g in grads.items():
         _deposit(t, g)
-    if loss.requires_grad:
-        _deposit(loss, np.ones_like(loss.values))
+    _deposit(loss, np.ones_like(loss.values))
 
 
 def _deposit(t: Tensor, g: np.ndarray) -> None:

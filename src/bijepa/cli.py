@@ -189,12 +189,7 @@ _DOMAINS = {
 def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaModel:
     alpha = hyper["alpha"]
     with_ln = mode.with_ln
-    build_encoder = _EXPERIMENTS[cfg.experiment].encoder
-
-    def enc_builder():
-        return build_encoder(hyper, with_ln)
-
-    encoder = enc_builder()
+    encoder = _EXPERIMENTS[cfg.experiment].encoder(hyper, with_ln)
     init_parameters(encoder, derive_seed(cfg.seed, "init:encoder"))
     p_fwd = build_predictor(hyper["emb_dim"], hyper["pred_hidden"], with_ln)
     init_parameters(p_fwd, derive_seed(cfg.seed, "init:p-fwd"))
@@ -202,8 +197,7 @@ def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaMod
     if alpha != 1.0:
         p_bwd = build_predictor(hyper["emb_dim"], hyper["pred_hidden"], with_ln)
         init_parameters(p_bwd, derive_seed(cfg.seed, "init:p-bwd"))
-    return BiJepaModel.create(encoder, enc_builder, p_fwd, p_bwd,
-                              alpha, EmaConfig(hyper["tau"]), mode)
+    return BiJepaModel(encoder, p_fwd, p_bwd, alpha, EmaConfig(hyper["tau"]), mode)
 
 
 def _train(model: BiJepaModel, opt: AdamW, batches, n_steps: int):

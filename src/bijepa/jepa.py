@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Network, SpecMismatchError, clone_into
+from .nn import Network
 from .optim import AdamW, EmaConfig, ema_update
 
 __all__ = [
@@ -61,33 +61,23 @@ class StepMetrics:
 
 
 class BiJepaModel:
-    """Four networks plus (alpha, tau, constraint mode)."""
+    """Four networks plus (alpha, tau, constraint mode). The target encoder
+    starts as a copy of the online encoder, with no gradient linkage."""
 
-    def __init__(self, online_encoder: Network, target_encoder: Network,
-                 p_fwd: Network, p_bwd: Network | None, alpha: float,
-                 ema: EmaConfig, mode: ConstraintMode):
+    def __init__(self, online_encoder: Network, p_fwd: Network,
+                 p_bwd: Network | None, alpha: float, ema: EmaConfig,
+                 mode: ConstraintMode):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {alpha}")
-        if online_encoder.spec() != target_encoder.spec():
-            raise SpecMismatchError("online and target encoder specs differ")
         if (p_bwd is None) != (alpha == 1.0):
             raise ValueError("p_bwd must be absent exactly when alpha == 1")
         self.online_encoder = online_encoder
-        self.target_encoder = target_encoder
+        self.target_encoder = online_encoder.copy()
         self.p_fwd = p_fwd
         self.p_bwd = p_bwd
         self.alpha = alpha
         self.ema = ema
         self.mode = mode
-
-    @classmethod
-    def create(cls, online_encoder: Network, target_builder, p_fwd: Network,
-               p_bwd: Network | None, alpha: float, ema: EmaConfig,
-               mode: ConstraintMode) -> "BiJepaModel":
-        """Build with the target encoder as a fresh copy of the online one."""
-        target = target_builder()
-        clone_into(online_encoder, target)
-        return cls(online_encoder, target, p_fwd, p_bwd, alpha, ema, mode)
 
     def trainable_networks(self) -> list[Network]:
         nets = [self.online_encoder, self.p_fwd]

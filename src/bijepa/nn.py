@@ -8,6 +8,8 @@ half-image inputs.
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 import numpy as np
 
 from . import autodiff as ad
@@ -109,8 +111,9 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    """Owns its running statistics: train-mode forwards and ``clone_into``
-    write into the same two arrays, which are never rebound."""
+    """Owns its running statistics: train-mode forwards write into the
+    same two arrays, which are never rebound. A ``Network.copy`` gets
+    arrays of its own."""
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -151,7 +154,7 @@ class Network:
     parameter into one contiguous float64 buffer, ``flat``, and makes
     each tensor's ``values`` a view of it, in ``parameters()`` order.
     That view is never rebound afterwards; whatever writes parameters
-    (AdamW, the EMA, ``clone_into``) writes into it.
+    (AdamW, the EMA) writes into it.
     A parameter that already views another array, because its layer is
     in another network or listed twice, is refused, not repacked.
 
@@ -174,6 +177,14 @@ class Network:
             view[...] = p.values
             p.values = view
             offset += p.size
+
+    def copy(self) -> "Network":
+        """An independent network with the same layers, values, buffers
+        and mode. Its parameters are fresh arrays packed into its own
+        ``flat``; gradient slots are copied as they are."""
+        net = Network(deepcopy(self.layers))
+        net.mode = self.mode
+        return net
 
     def train(self) -> "Network":
         self.mode = "train"
@@ -260,17 +271,4 @@ def init_parameters(net: Network, seed: int) -> None:
     rng = np.random.default_rng(seed)
     for layer in net.layers:
         layer.init(rng)
-
-
-def clone_into(src: Network, dst: Network) -> None:
-    """Copy src parameter and buffer values into dst's own arrays. No
-    gradient linkage."""
-    if src.spec() != dst.spec():
-        raise SpecMismatchError(
-            f"cannot clone between different specs:\n  {src.spec()}\n  {dst.spec()}")
-    dst.flat[...] = src.flat
-    for src_layer, dst_layer in zip(src.layers, dst.layers):
-        for (_, arr), (_, dst_arr) in zip(src_layer.buffers(), dst_layer.buffers()):
-            dst_arr[...] = arr
-    dst.mode = src.mode
 

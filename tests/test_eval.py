@@ -38,9 +38,8 @@ def make_model(seed=0, p_fwd=None, p_bwd="default"):
     if p_bwd == "default":
         p_bwd = build_predictor(EMB, HIDDEN, with_ln=True)
         init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
-    return BiJepaModel.create(
-        enc, lambda: build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True),
-        p_fwd, p_bwd, 0.5, EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+    return BiJepaModel(enc, p_fwd, p_bwd, 0.5, EmaConfig(0.99),
+                       ConstraintMode.EXPRESSIVE)
 
 
 def regression_dataset(model, rng, out_dim=4, realizable=True):
@@ -183,9 +182,8 @@ class TestFeatureGraphs:
         init_parameters(enc, derive_seed(0, "init:encoder"))
         p_fwd = build_predictor(32, 128, with_ln=True)
         init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
-        return BiJepaModel.create(
-            enc, lambda: build_mlp_encoder(60, 128, 32, with_ln=True), p_fwd, None,
-            1.0, EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+        return BiJepaModel(enc, p_fwd, None, 1.0, EmaConfig(0.99),
+                           ConstraintMode.EXPRESSIVE)
 
     @pytest.mark.parametrize("through_predictor", [False, True])
     def test_embed_records_no_graph(self, monkeypatch, through_predictor):
@@ -238,8 +236,8 @@ class TestFeatureGraphs:
         init_parameters(enc, derive_seed(0, "init:encoder"))
         p_fwd = build_predictor(64, HIDDEN, with_ln=True)
         init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
-        model = BiJepaModel.create(enc, build_conv_encoder, p_fwd, None, 1.0,
-                                   EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+        model = BiJepaModel(enc, p_fwd, None, 1.0, EmaConfig(0.99),
+                            ConstraintMode.EXPRESSIVE)
         x = np.random.default_rng(44).standard_normal((384, 1, 28, 14))  # 256 + 128
         # one train-mode pass moves the running statistics eval mode uses
         with ad.no_grad():
@@ -382,9 +380,8 @@ class TestGenerativeDecoder:
         init_parameters(p_fwd, derive_seed(seed, "init:p-fwd"))
         p_bwd = build_predictor(EMB, HIDDEN, with_ln=True)
         init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
-        return BiJepaModel.create(
-            enc, lambda: build_mlp_encoder(392, HIDDEN, EMB, with_ln=True),
-            p_fwd, p_bwd, 0.5, EmaConfig(0.99), ConstraintMode.EXPRESSIVE)
+        return BiJepaModel(enc, p_fwd, p_bwd, 0.5, EmaConfig(0.99),
+                           ConstraintMode.EXPRESSIVE)
 
     def test_mse_and_prediction_shape(self):
         rng = np.random.default_rng(9)

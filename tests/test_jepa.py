@@ -11,8 +11,8 @@ from bijepa.jepa import (
     BiJepaModel, ConstraintMode, _branch, encode_for_inference,
     predict_forward_for_inference, total_loss, train_step,
 )
-from bijepa.nn import SpecMismatchError, build_mlp_encoder, build_predictor, \
-    clone_into, init_parameters
+from bijepa.nn import build_conv_encoder, build_mlp_encoder, build_predictor, \
+    init_parameters
 from bijepa.optim import AdamW, EmaConfig, ema_update
 from bijepa.seeding import derive_seed
 
@@ -36,9 +36,7 @@ def make_networks(mode: ConstraintMode, seed: int, with_bwd: bool):
 def make_model(alpha=0.5, mode=ConstraintMode.EXPRESSIVE, tau=0.99, seed=0,
                lr=1e-3):
     enc, p_fwd, p_bwd = make_networks(mode, seed, with_bwd=alpha != 1.0)
-    model = BiJepaModel.create(
-        enc, lambda: build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=mode.with_ln),
-        p_fwd, p_bwd, alpha, EmaConfig(tau), mode)
+    model = BiJepaModel(enc, p_fwd, p_bwd, alpha, EmaConfig(tau), mode)
     opt = AdamW(model.trainable_networks(), lr=lr,
                 weight_decay=mode.weight_decay)
     return model, opt
@@ -64,35 +62,35 @@ class TestConstruction:
         assert model.target_encoder is not model.online_encoder
         assert fingerprint(model.target_encoder) == fingerprint(model.online_encoder)
 
+        enc = build_conv_encoder()
+        init_parameters(enc, 0)
+        enc(Tensor(np.random.default_rng(1).standard_normal((4, 1, 28, 14))))
+        p_fwd = build_predictor(64, HIDDEN, with_ln=True)
+        conv = BiJepaModel(enc, p_fwd, None, 1.0, EmaConfig(0.99),
+                           ConstraintMode.EXPRESSIVE)
+        assert fingerprint(conv.target_encoder) == fingerprint(enc)
+        pairs = [(a, b) for online, target in zip(enc.layers, conv.target_encoder.layers)
+                 for (_, a), (_, b) in zip(online.buffers(), target.buffers())]
+        assert len(pairs) == 4
+        for a, b in pairs:
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
     def test_alpha_range_enforced(self):
         enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
-        tgt = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
-        clone_into(enc, tgt)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, tgt, p_fwd, p_bwd, 1.5, EmaConfig(0.99),
+            BiJepaModel(enc, p_fwd, p_bwd, 1.5, EmaConfig(0.99),
                         ConstraintMode.EXPRESSIVE)
 
     def test_p_bwd_present_with_alpha_one_rejected(self):
         enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
-        tgt = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
-        clone_into(enc, tgt)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, tgt, p_fwd, p_bwd, 1.0, EmaConfig(0.99),
+            BiJepaModel(enc, p_fwd, p_bwd, 1.0, EmaConfig(0.99),
                         ConstraintMode.EXPRESSIVE)
 
     def test_p_bwd_missing_with_alpha_half_rejected(self):
         enc, p_fwd, _ = make_networks(ConstraintMode.EXPRESSIVE, 0, False)
-        tgt = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
-        clone_into(enc, tgt)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, tgt, p_fwd, None, 0.5, EmaConfig(0.99),
-                        ConstraintMode.EXPRESSIVE)
-
-    def test_encoder_spec_mismatch_rejected(self):
-        enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
-        tgt = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=False)
-        with pytest.raises(SpecMismatchError):
-            BiJepaModel(enc, tgt, p_fwd, p_bwd, 0.5, EmaConfig(0.99),
+            BiJepaModel(enc, p_fwd, None, 0.5, EmaConfig(0.99),
                         ConstraintMode.EXPRESSIVE)
 
     def test_trainable_sets(self):
@@ -215,8 +213,7 @@ class TestClassicReduction:
             loss_m.backward()
 
             enc_o, p_fwd, _ = make_networks(ConstraintMode.EXPRESSIVE, seed, False)
-            enc_t = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
-            clone_into(enc_o, enc_t)
+            enc_t = enc_o.copy()
             loss_r = self.reference_loss(enc_o, enc_t, p_fwd,
                                          Tensor(x.values), Tensor(y.values))
             loss_r.backward()
@@ -234,8 +231,7 @@ class TestClassicReduction:
         model, opt = make_model(alpha=1.0, tau=tau, seed=7)
 
         enc_o, p_fwd, _ = make_networks(ConstraintMode.EXPRESSIVE, 7, False)
-        enc_t = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=True)
-        clone_into(enc_o, enc_t)
+        enc_t = enc_o.copy()
         ref_opt = AdamW([enc_o, p_fwd], lr=1e-3,
                         weight_decay=ConstraintMode.EXPRESSIVE.weight_decay)
 

@@ -1,4 +1,4 @@
-"""Network construction, initialization, cloning, and buffers."""
+"""Network construction, initialization, copies, and buffers."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
 from bijepa.cli import RunConfig, _build_model, effective_hyper
 from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
-    BatchNorm2d, Linear, Network, ReLU, SpecMismatchError, build_conv_encoder,
-    build_mlp_encoder, build_predictor, clone_into, init_parameters,
+    BatchNorm2d, Linear, Network, ReLU, build_conv_encoder, build_mlp_encoder,
+    build_predictor, init_parameters,
 )
 
 from helpers import fingerprint
@@ -94,29 +94,58 @@ class TestInit:
         assert np.abs(k).max() <= 1.0 / np.sqrt(32.0 * 9.0)
 
 
+class TestNetworkCopy:
+    """``Network.copy`` gives an independent network: the same spec,
+    values, buffers and mode, held in arrays of its own."""
+
+    @staticmethod
+    def sources() -> list[Network]:
+        """MLP encoders with and without LayerNorm, and the conv encoder
+        after one train-mode forward has moved its running statistics."""
+        nets = [build_mlp_encoder(10, 64, 16, with_ln=True),
+                build_mlp_encoder(10, 64, 16, with_ln=False),
+                build_conv_encoder()]
+        for seed, net in enumerate(nets):
+            init_parameters(net, seed)
+        nets[-1](Tensor(np.random.default_rng(3).standard_normal((4, 1, 28, 14))))
+        return nets
+
+    @staticmethod
+    def arrays(net: Network) -> list[np.ndarray]:
+        return [net.flat] + [arr for layer in net.layers for _, arr in layer.buffers()]
+
+    def test_same_spec_fingerprint_and_mode(self):
+        for src in self.sources():
+            for mode in ("train", "eval"):
+                getattr(src, mode)()
+                dst = src.copy()
+                assert dst.spec() == src.spec()
+                assert fingerprint(dst) == fingerprint(src)
+                assert dst.mode == mode
+
+    def test_owns_its_arrays(self):
+        for src in self.sources():
+            dst = src.copy()
+            TestStorage.assert_owned(dst)
+            assert all(p.grad is None for p in dst.parameters())
+            assert len(self.arrays(dst)) == len(self.arrays(src))
+            for a in self.arrays(src):
+                for b in self.arrays(dst):
+                    assert not np.shares_memory(a, b)
+
+    def test_source_writes_leave_copy(self):
+        for src in self.sources():
+            dst = src.copy()
+            before = fingerprint(dst)
+            src.flat += 1.0
+            for layer in src.layers:
+                if isinstance(layer, BatchNorm2d):
+                    layer.running_mean += 1.0
+            assert fingerprint(src) != before
+            assert fingerprint(dst) == before
+
+
 class TestCloneAndFingerprint:
-    def test_clone_copies_values(self):
-        src = build_mlp_encoder(10, 64, 16, with_ln=True)
-        dst = build_mlp_encoder(10, 64, 16, with_ln=True)
-        init_parameters(src, 3)
-        init_parameters(dst, 4)
-        clone_into(src, dst)
-        assert fingerprint(src) == fingerprint(dst)
-
-    def test_clone_is_independent(self):
-        src = build_mlp_encoder(10, 64, 16, with_ln=True)
-        dst = build_mlp_encoder(10, 64, 16, with_ln=True)
-        init_parameters(src, 3)
-        clone_into(src, dst)
-        src.parameters()[0].values += 1.0
-        assert fingerprint(src) != fingerprint(dst)
-
-    def test_clone_spec_mismatch_rejected(self):
-        src = build_mlp_encoder(10, 64, 16, with_ln=True)
-        dst = build_mlp_encoder(10, 64, 16, with_ln=False)
-        with pytest.raises(SpecMismatchError):
-            clone_into(src, dst)
-
     def test_fingerprint_sensitive_to_single_entry(self):
         net = build_mlp_encoder(10, 64, 16, with_ln=True)
         init_parameters(net, 0)
@@ -194,22 +223,6 @@ class TestStorage:
         layer = Linear(3, 3)
         with pytest.raises(ValueError, match="views another array"):
             Network([layer, layer])
-
-    def test_clone_copies_buffers_without_sharing(self):
-        src, dst = build_conv_encoder(), build_conv_encoder()
-        init_parameters(src, 0)
-        init_parameters(dst, 1)
-        src(Tensor(np.random.default_rng(2).standard_normal((4, 1, 28, 14))))
-        before = [arr for layer in dst.layers for _, arr in layer.buffers()]
-        clone_into(src, dst)
-        after = [arr for layer in dst.layers for _, arr in layer.buffers()]
-        assert fingerprint(src) == fingerprint(dst)
-        # written into dst's own arrays, which stay dst's
-        assert len(after) == 4 and all(a is b for a, b in zip(after, before))
-        for src_layer, dst_layer in zip(src.layers, dst.layers):
-            for (_, a), (_, b) in zip(src_layer.buffers(), dst_layer.buffers()):
-                assert not np.shares_memory(a, b)
-        self.assert_owned(dst)
 
 
 class TestBuffers:
