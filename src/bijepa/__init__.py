@@ -11,12 +11,11 @@ from .autodiff import (
     DegenerateEmbeddingError, GraphConsumedError, ShapeError, Tensor,
 )
 from .jepa import BiJepaModel, ConstraintMode, StepMetrics
-from .optim import AdamW, EmaConfig
+from .optim import AdamW
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "ShapeError", "GraphConsumedError", "DegenerateEmbeddingError",
-    "BiJepaModel", "ConstraintMode", "StepMetrics", "AdamW", "EmaConfig",
-    "__version__",
+    "BiJepaModel", "ConstraintMode", "StepMetrics", "AdamW", "__version__",
 ]

@@ -35,10 +35,8 @@ from .eval import (
     protocol_a, protocol_b, write_pgm,
 )
 from .jepa import BiJepaModel, ConstraintMode, train_step
-from .nn import (
-    build_conv_encoder, build_mlp_encoder, build_predictor, init_parameters,
-)
-from .optim import AdamW, EmaConfig
+from .nn import build_conv_encoder, build_mlp, init_parameters
+from .optim import AdamW
 from .seeding import derive_seed, stream
 
 
@@ -191,13 +189,14 @@ def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaMod
     with_ln = mode.with_ln
     encoder = _EXPERIMENTS[cfg.experiment].encoder(hyper, with_ln)
     init_parameters(encoder, derive_seed(cfg.seed, "init:encoder"))
-    p_fwd = build_predictor(hyper["emb_dim"], hyper["pred_hidden"], with_ln)
+    pred_widths = (hyper["emb_dim"], hyper["pred_hidden"], hyper["emb_dim"])
+    p_fwd = build_mlp(pred_widths, with_ln)
     init_parameters(p_fwd, derive_seed(cfg.seed, "init:p-fwd"))
     p_bwd = None
     if alpha != 1.0:
-        p_bwd = build_predictor(hyper["emb_dim"], hyper["pred_hidden"], with_ln)
+        p_bwd = build_mlp(pred_widths, with_ln)
         init_parameters(p_bwd, derive_seed(cfg.seed, "init:p-bwd"))
-    return BiJepaModel(encoder, p_fwd, p_bwd, alpha, EmaConfig(hyper["tau"]), mode)
+    return BiJepaModel(encoder, p_fwd, p_bwd, alpha, hyper["tau"], mode)
 
 
 def _train(model: BiJepaModel, opt: AdamW, batches, n_steps: int):
@@ -239,7 +238,8 @@ def _final_loss(history: list) -> float:
 def _mlp_encoder(in_dim: int):
     """Encoder builder for context windows ``in_dim`` values wide."""
     def build(hyper: dict, with_ln: bool):
-        return build_mlp_encoder(in_dim, hyper["enc_hidden"], hyper["emb_dim"], with_ln)
+        hidden = hyper["enc_hidden"]
+        return build_mlp((in_dim, hidden, hidden, hyper["emb_dim"]), with_ln)
     return build
 
 
@@ -247,9 +247,9 @@ def _conv_encoder(hyper: dict, with_ln: bool):
     return build_conv_encoder()
 
 
-def _sine_batches(cfg: SineConfig, rng):
+def _sine_batches(batch: int, noise_std: float, rng):
     while True:
-        yield gen_sine_batch(cfg, rng)
+        yield gen_sine_batch(batch, noise_std, rng)
 
 
 def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
@@ -261,16 +261,14 @@ def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
 
 def _sine_data(cfg: RunConfig, hyper: dict):
     """A fresh batch every step; fixed probe and test sets."""
-    def sine(batch: int) -> SineConfig:
-        return SineConfig(noise_std=hyper["noise_std"], batch=batch)
-
+    noise_std = hyper["noise_std"]
     held_out = SimpleNamespace(
-        probe=gen_sine_batch(sine(hyper["probe_set_size"]),
+        probe=gen_sine_batch(hyper["probe_set_size"], noise_std,
                              stream(cfg.seed, "data:sine-probe")),
-        test=gen_sine_batch(sine(hyper["test_batch"]),
+        test=gen_sine_batch(hyper["test_batch"], noise_std,
                             stream(cfg.seed, "data:sine-test")),
     )
-    batches = _sine_batches(sine(hyper["batch"]), stream(cfg.seed, "data:sine"))
+    batches = _sine_batches(hyper["batch"], noise_std, stream(cfg.seed, "data:sine"))
     return batches, hyper["steps"], held_out
 
 

@@ -74,28 +74,28 @@ def shuffled_epochs(n: int, batch: int, rng: np.random.Generator, drop_last: boo
 # sine sequences
 
 
-@dataclass
 class SineConfig:
+    """The sequence length and the ranges frequencies and phases are
+    drawn from, all fixed."""
+
     T: ClassVar[int] = 20
     omega_range: ClassVar[tuple[float, float]] = (0.8, 1.2)
     phase_range: ClassVar[tuple[float, float]] = (0.0, 2.0 * np.pi)
-    noise_std: float = 0.05
-    batch: int = 64
 
 
-def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
-    """Fresh batch of noisy sinusoids on the unit time grid t_i = i.
+def gen_sine_batch(b: int, noise_std: float, rng: np.random.Generator) -> ViewBatch:
+    """Fresh batch of ``b`` noisy sinusoids on the unit time grid t_i = i.
 
     Per sequence: omega ~ U(omega_range), phase ~ U(phase_range),
     S_i = sin(omega*i + phase) + N(0, noise_std). First half is the
     context view, second half the target view. ``rng`` is a named
     stream (``seeding.stream``); a bare seed is not accepted.
     """
-    b, t = cfg.batch, cfg.T
-    omega = rng.uniform(*cfg.omega_range, size=(b, 1))
-    phase = rng.uniform(*cfg.phase_range, size=(b, 1))
+    t = SineConfig.T
+    omega = rng.uniform(*SineConfig.omega_range, size=(b, 1))
+    phase = rng.uniform(*SineConfig.phase_range, size=(b, 1))
     grid = np.arange(t, dtype=np.float64)
-    s = np.sin(omega * grid + phase) + rng.normal(0.0, cfg.noise_std, size=(b, t))
+    s = np.sin(omega * grid + phase) + rng.normal(0.0, noise_std, size=(b, t))
     half = t // 2
     return ViewBatch(Tensor(s[:, :half]), Tensor(s[:, half:]))
 
@@ -104,7 +104,6 @@ def gen_sine_batch(cfg: SineConfig, rng: np.random.Generator) -> ViewBatch:
 # Lorenz trajectories
 
 
-@dataclass
 class LorenzConfig:
     """The Lorenz system, its forward Euler step and its dataset, all
     fixed."""

@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import MNIST_STD, ViewBatch, shuffled_epochs
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
-from .nn import Linear, Network, ReLU, init_parameters
+from .nn import Network, build_mlp, init_parameters
 from .optim import AdamW
 from .seeding import derive_seed, stream
 
@@ -159,7 +159,7 @@ def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Networ
     """Full-batch AdamW fit of a linear probe, with every gradient taken
     from the sufficient statistics (no autodiff graph)."""
     d, o = stats.cross.shape[0] - 1, stats.cross.shape[1]
-    probe = Network([Linear(d, o)])
+    probe = build_mlp((d, o), False)
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     # Network packs w then b, row-major, so its storage read as a
     # (d+1)×o matrix is Θ = [W; bᵀ]; AdamW's updates land in it
@@ -223,9 +223,9 @@ def protocol_b(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
     return _regression_protocol(model, dataset, cfg, through_predictor=True)
 
 
-def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
+def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn,
                 cfg: ProbeConfig) -> np.ndarray:
-    """Fit ``Network(layers(feature dim))`` on the frozen left-half
+    """Fit ``build_mlp(widths(feature dim), False)`` on the frozen left-half
     embeddings of the train split, by mini-batch epochs with a seeded
     shuffle per epoch; return its outputs on the test split.
 
@@ -233,7 +233,7 @@ def _fit_epochs(model: BiJepaModel, mnist, layers, loss_fn,
     was drawn from.
     """
     feats = _embed(model, mnist.train.x.values, through_predictor=False)
-    probe = Network(layers(feats.shape[1]))
+    probe = build_mlp(widths(feats.shape[1]), False)
     init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
     opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
     n = feats.shape[0]
@@ -257,7 +257,7 @@ def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeR
     """
     labels = mnist.train.labels
     logits = _fit_epochs(
-        model, mnist, lambda dim: [Linear(dim, 10)],
+        model, mnist, lambda dim: (dim, 10),
         lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]), cfg)
     pred_labels = logits.argmax(axis=1)
     accuracy = float((pred_labels == mnist.test.labels).mean())
@@ -275,8 +275,7 @@ def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResu
     """
     targets = mnist.train.y.values.reshape(mnist.train.size, -1)
     preds = _fit_epochs(
-        model, mnist,
-        lambda dim: [Linear(dim, 256), ReLU(), Linear(256, targets.shape[1])],
+        model, mnist, lambda dim: (dim, 256, targets.shape[1]),
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])), cfg)
     test_targets = mnist.test.y.values.reshape(mnist.test.size, -1)
     return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
@@ -302,11 +301,11 @@ def forecast_table(test_batch: ViewBatch, result_a: ProbeResult,
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Binary PGM (P5), maxval 255. Accepts the two half/full image
-    widths used by the experiments."""
+    """Binary PGM (P5), maxval 255, of a (28,14) half image: the only
+    shape a run writes."""
     image = np.asarray(image)
-    if image.ndim != 2 or image.shape[0] != 28 or image.shape[1] not in (14, 28):
-        raise ValueError(f"expected (28,14) or (28,28) image, got {image.shape}")
+    if image.shape != (28, 14):
+        raise ValueError(f"expected a (28,14) image, got {image.shape}")
     data = image.astype(np.uint8)
     with open(path, "wb") as f:
         f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))

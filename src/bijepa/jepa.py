@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import Network
-from .optim import AdamW, EmaConfig, ema_update
+from .optim import AdamW, ema_update
 
 __all__ = [
     "ConstraintMode", "BiJepaModel", "StepMetrics", "total_loss",
@@ -65,10 +65,11 @@ class BiJepaModel:
     starts as a copy of the online encoder, with no gradient linkage."""
 
     def __init__(self, online_encoder: Network, p_fwd: Network,
-                 p_bwd: Network | None, alpha: float, ema: EmaConfig,
+                 p_bwd: Network | None, alpha: float, tau: float,
                  mode: ConstraintMode):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0,1], got {alpha}")
+        for name, value in (("alpha", alpha), ("tau", tau)):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0,1], got {value}")
         if (p_bwd is None) != (alpha == 1.0):
             raise ValueError("p_bwd must be absent exactly when alpha == 1")
         self.online_encoder = online_encoder
@@ -76,7 +77,7 @@ class BiJepaModel:
         self.p_fwd = p_fwd
         self.p_bwd = p_bwd
         self.alpha = alpha
-        self.ema = ema
+        self.tau = tau
         self.mode = mode
 
     def trainable_networks(self) -> list[Network]:
@@ -162,7 +163,7 @@ def train_step(model: BiJepaModel, opt: AdamW, x: Tensor, y: Tensor,
         opt.zero_grad()
         return metrics
     opt.zero_grad()
-    ema_update(model.target_encoder, model.online_encoder, model.ema)
+    ema_update(model.target_encoder, model.online_encoder, model.tau)
     return metrics
 
 

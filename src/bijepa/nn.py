@@ -1,9 +1,9 @@
-"""Layer specifications, network builders, initialization, and state copies.
+"""Layers, network builders, initialization, and state copies.
 
-A Network is an ordered list of layers applied in sequence. Three builders
-cover every architecture used by the experiments: a two-hidden-layer MLP
-encoder, a one-hidden-layer predictor, and the fixed conv encoder for
-half-image inputs.
+A Network is an ordered list of layers applied in sequence. Two builders
+cover every architecture used by the experiments: ``build_mlp`` makes
+every MLP (the encoders, the predictors and the probes), and
+``build_conv_encoder`` the fixed conv encoder for half-image inputs.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ class SpecMismatchError(ValueError):
 
 
 class Layer:
-    """Base layer: a spec, named parameters and buffers, an initializer
-    and a forward. The defaults describe a layer without state."""
-
-    def spec(self):
-        return (type(self).__name__,)
+    """Base layer: parameters, buffers, an initializer and a forward. The
+    defaults describe a layer without state."""
 
     def params(self):
         return []
@@ -41,19 +38,14 @@ class Linear(Layer):
     def __init__(self, in_dim: int, out_dim: int):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"Linear dims must be >= 1, got ({in_dim}, {out_dim})")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = Tensor(np.zeros((in_dim, out_dim)), requires_grad=True)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def spec(self):
-        return ("Linear", self.in_dim, self.out_dim)
-
     def params(self):
-        return [("w", self.w), ("b", self.b)]
+        return [self.w, self.b]
 
     def init(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.in_dim)
+        bound = 1.0 / np.sqrt(self.w.shape[0])
         self.w.values[...] = rng.uniform(-bound, bound, self.w.shape)
         self.b.values[...] = 0.0
 
@@ -63,15 +55,11 @@ class Linear(Layer):
 
 class LayerNorm(Layer):
     def __init__(self, dim: int):
-        self.dim = dim
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
 
-    def spec(self):
-        return ("LayerNorm", self.dim)
-
     def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
+        return [self.gamma, self.beta]
 
     def init(self, rng) -> None:
         self.gamma.values[...] = 1.0
@@ -90,19 +78,14 @@ class Conv2d(Layer):
     """3x3 kernel, stride 2, zero-padding 1 (the only configuration used)."""
 
     def __init__(self, in_ch: int, out_ch: int):
-        self.in_ch = in_ch
-        self.out_ch = out_ch
         self.k = Tensor(np.zeros((out_ch, in_ch, 3, 3)), requires_grad=True)
         self.b = Tensor(np.zeros(out_ch), requires_grad=True)
 
-    def spec(self):
-        return ("Conv2d", self.in_ch, self.out_ch)
-
     def params(self):
-        return [("k", self.k), ("b", self.b)]
+        return [self.k, self.b]
 
     def init(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.in_ch * 9)
+        bound = 1.0 / np.sqrt(self.k.shape[1] * 9)
         self.k.values[...] = rng.uniform(-bound, bound, self.k.shape)
         self.b.values[...] = 0.0
 
@@ -116,20 +99,16 @@ class BatchNorm2d(Layer):
     arrays of its own."""
 
     def __init__(self, channels: int):
-        self.channels = channels
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def spec(self):
-        return ("BatchNorm2d", self.channels)
-
     def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
+        return [self.gamma, self.beta]
 
     def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
+        return [self.running_mean, self.running_var]
 
     def init(self, rng) -> None:
         self.gamma.values[...] = 1.0
@@ -158,12 +137,14 @@ class Network:
     A parameter that already views another array, because its layer is
     in another network or listed twice, is refused, not repacked.
 
-    The layer list is fixed at construction, so its spec is computed once.
+    The layer list is fixed at construction, so its spec, each layer's
+    type name followed by its parameters' shapes, is computed once.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self._spec = tuple(layer.spec() for layer in self.layers)
+        self._spec = tuple((type(layer).__name__, *(p.shape for p in layer.params()))
+                           for layer in self.layers)
         self.mode = "train"
         params = self.parameters()
         self.flat = np.empty(sum(p.size for p in params))
@@ -205,42 +186,25 @@ class Network:
     def spec(self) -> tuple:
         return self._spec
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.params():
-                out.append((f"{i}.{name}", t))
-        return out
-
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return [p for layer in self.layers for p in layer.params()]
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def build_mlp_encoder(in_dim: int, hidden: int, out_dim: int, with_ln: bool) -> Network:
-    """Two hidden layers; with_ln=False drops both normalizations."""
-    layers: list = [Linear(in_dim, hidden)]
-    if with_ln:
-        layers.append(LayerNorm(hidden))
-    layers.append(ReLU())
-    layers.append(Linear(hidden, hidden))
-    if with_ln:
-        layers.append(LayerNorm(hidden))
-    layers.append(ReLU())
-    layers.append(Linear(hidden, out_dim))
-    return Network(layers)
-
-
-def build_predictor(dim: int, hidden: int, with_ln: bool) -> Network:
-    """Embedding-to-embedding map with one hidden layer."""
-    layers: list = [Linear(dim, hidden)]
-    if with_ln:
-        layers.append(LayerNorm(hidden))
-    layers.append(ReLU())
-    layers.append(Linear(hidden, dim))
+def build_mlp(widths: tuple[int, ...], with_ln: bool) -> Network:
+    """A ``Linear`` between each pair of consecutive ``widths``; every one
+    but the last is followed by a ``LayerNorm`` (if ``with_ln``) and a
+    ``ReLU``."""
+    layers: list = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        if layers:
+            if with_ln:
+                layers.append(LayerNorm(fan_in))
+            layers.append(ReLU())
+        layers.append(Linear(fan_in, fan_out))
     return Network(layers)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,17 +12,6 @@ from .nn import Network, SpecMismatchError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-
-
-@dataclass
-class EmaConfig:
-    """Momentum coefficient for the target-network update."""
-
-    tau: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0,1], got {self.tau}")
 
 
 class AdamW:
@@ -136,7 +124,7 @@ def _ema_scratch(size: int) -> np.ndarray:
     return np.empty(size)
 
 
-def ema_update(target: Network, online: Network, cfg: EmaConfig) -> None:
+def ema_update(target: Network, online: Network, tau: float) -> None:
     """p̄ ← τ·p̄ + (1−τ)·p for every parameter pair.
 
     Three whole-buffer ufuncs on the two networks' ``flat`` storage,
@@ -145,7 +133,6 @@ def ema_update(target: Network, online: Network, cfg: EmaConfig) -> None:
     """
     if target.spec() != online.spec():
         raise SpecMismatchError("ema_update needs identical network specs")
-    tau = cfg.tau
     tmp = _ema_scratch(online.flat.size)
     np.multiply(online.flat, 1.0 - tau, out=tmp)
     target.flat *= tau

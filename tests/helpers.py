@@ -133,7 +133,7 @@ def fingerprint(net: Network) -> str:
     entry does."""
     h = hashlib.sha256(np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
     for layer in net.layers:
-        for _, arr in layer.buffers():
+        for arr in layer.buffers():
             h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()
 

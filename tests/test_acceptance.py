@@ -186,7 +186,7 @@ def test_criterion_02_ema_replay():
     model = _build_model(cfg, hyper, mode)
     opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
-    tau = model.ema.tau
+    tau = model.tau
     online = model.online_encoder.parameters()
     target = model.target_encoder.parameters()
     replay = [p.values.copy() for p in target]
@@ -294,8 +294,7 @@ def test_criterion_05_lorenz_oracle():
 # --------------------------------------------------------- 6: sine identity
 
 def test_criterion_06_sine_identity():
-    batch = gen_sine_batch(SineConfig(noise_std=0.0, batch=128),
-                           stream(6, "acceptance:sine"))
+    batch = gen_sine_batch(128, 0.0, stream(6, "acceptance:sine"))
     seq = np.concatenate([batch.x.values, batch.y.values], axis=1)
     inner = seq[:, 1:-1]
     outer = seq[:, :-2] + seq[:, 2:]

@@ -8,7 +8,7 @@ import pytest
 
 from bijepa.data import (
     MNIST_MEAN, MNIST_STD, IdxFormatError, LorenzConfig, LorenzDataset,
-    SineConfig, ViewBatch, build_lorenz_dataset, gen_sine_batch,
+    ViewBatch, build_lorenz_dataset, gen_sine_batch,
     integrate_lorenz, load_mnist_halves, load_mnist_idx, shuffled_epochs,
     split_vertical,
 )
@@ -76,24 +76,24 @@ class TestShuffledEpochs:
 
 class TestSine:
     def test_shapes(self):
-        vb = gen_sine_batch(SineConfig(), stream(0, "t"))
+        vb = gen_sine_batch(64, 0.05, stream(0, "t"))
         assert vb.x.shape == (64, 10) and vb.y.shape == (64, 10)
 
     def test_determinism(self):
-        a = gen_sine_batch(SineConfig(), stream(5, "t"))
-        b = gen_sine_batch(SineConfig(), stream(5, "t"))
+        a = gen_sine_batch(64, 0.05, stream(5, "t"))
+        b = gen_sine_batch(64, 0.05, stream(5, "t"))
         assert np.array_equal(a.x.values, b.x.values)
         assert np.array_equal(a.y.values, b.y.values)
 
     def test_noise_free_amplitude(self):
-        vb = gen_sine_batch(SineConfig(noise_std=0.0), stream(1, "t"))
+        vb = gen_sine_batch(64, 0.0, stream(1, "t"))
         assert np.abs(vb.x.values).max() <= 1.0 + 1e-12
 
     def test_three_term_recurrence(self):
         # a pure sinusoid satisfies S_{i+1} + S_{i-1} = 2 cos(omega) S_i;
         # recover cos(omega) per row by least squares and check residuals,
         # including across the context/target seam
-        vb = gen_sine_batch(SineConfig(noise_std=0.0, batch=32), stream(2, "t"))
+        vb = gen_sine_batch(32, 0.0, stream(2, "t"))
         s = np.concatenate([vb.x.values, vb.y.values], axis=1)
         mid, left, right = s[:, 1:-1], s[:, :-2], s[:, 2:]
         cosw = (mid * (left + right)).sum(axis=1) / (2.0 * (mid * mid).sum(axis=1))
@@ -103,7 +103,7 @@ class TestSine:
         assert cosw.max() <= np.cos(0.8) + 1e-9
 
     def test_noise_breaks_recurrence(self):
-        vb = gen_sine_batch(SineConfig(noise_std=0.05, batch=32), stream(2, "t"))
+        vb = gen_sine_batch(32, 0.05, stream(2, "t"))
         s = np.concatenate([vb.x.values, vb.y.values], axis=1)
         mid, left, right = s[:, 1:-1], s[:, :-2], s[:, 2:]
         cosw = (mid * (left + right)).sum(axis=1) / (2.0 * (mid * mid).sum(axis=1))

@@ -11,9 +11,8 @@ from bijepa.jepa import (
     BiJepaModel, ConstraintMode, _branch, encode_for_inference,
     predict_forward_for_inference, total_loss, train_step,
 )
-from bijepa.nn import build_conv_encoder, build_mlp_encoder, build_predictor, \
-    init_parameters
-from bijepa.optim import AdamW, EmaConfig, ema_update
+from bijepa.nn import build_conv_encoder, build_mlp, init_parameters
+from bijepa.optim import AdamW, ema_update
 from bijepa.seeding import derive_seed
 
 from helpers import fingerprint, garbage_cycles_after
@@ -22,13 +21,13 @@ IN_DIM, HIDDEN, EMB = 6, 16, 8
 
 
 def make_networks(mode: ConstraintMode, seed: int, with_bwd: bool):
-    enc = build_mlp_encoder(IN_DIM, HIDDEN, EMB, with_ln=mode.with_ln)
+    enc = build_mlp((IN_DIM, HIDDEN, HIDDEN, EMB), mode.with_ln)
     init_parameters(enc, derive_seed(seed, "init:encoder"))
-    p_fwd = build_predictor(EMB, HIDDEN, with_ln=mode.with_ln)
+    p_fwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln)
     init_parameters(p_fwd, derive_seed(seed, "init:p-fwd"))
     p_bwd = None
     if with_bwd:
-        p_bwd = build_predictor(EMB, HIDDEN, with_ln=mode.with_ln)
+        p_bwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln)
         init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
     return enc, p_fwd, p_bwd
 
@@ -36,7 +35,7 @@ def make_networks(mode: ConstraintMode, seed: int, with_bwd: bool):
 def make_model(alpha=0.5, mode=ConstraintMode.EXPRESSIVE, tau=0.99, seed=0,
                lr=1e-3):
     enc, p_fwd, p_bwd = make_networks(mode, seed, with_bwd=alpha != 1.0)
-    model = BiJepaModel(enc, p_fwd, p_bwd, alpha, EmaConfig(tau), mode)
+    model = BiJepaModel(enc, p_fwd, p_bwd, alpha, tau, mode)
     opt = AdamW(model.trainable_networks(), lr=lr,
                 weight_decay=mode.weight_decay)
     return model, opt
@@ -65,12 +64,11 @@ class TestConstruction:
         enc = build_conv_encoder()
         init_parameters(enc, 0)
         enc(Tensor(np.random.default_rng(1).standard_normal((4, 1, 28, 14))))
-        p_fwd = build_predictor(64, HIDDEN, with_ln=True)
-        conv = BiJepaModel(enc, p_fwd, None, 1.0, EmaConfig(0.99),
-                           ConstraintMode.EXPRESSIVE)
+        p_fwd = build_mlp((64, HIDDEN, 64), True)
+        conv = BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
         assert fingerprint(conv.target_encoder) == fingerprint(enc)
         pairs = [(a, b) for online, target in zip(enc.layers, conv.target_encoder.layers)
-                 for (_, a), (_, b) in zip(online.buffers(), target.buffers())]
+                 for a, b in zip(online.buffers(), target.buffers())]
         assert len(pairs) == 4
         for a, b in pairs:
             assert np.array_equal(a, b) and not np.shares_memory(a, b)
@@ -78,20 +76,23 @@ class TestConstruction:
     def test_alpha_range_enforced(self):
         enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, p_fwd, p_bwd, 1.5, EmaConfig(0.99),
-                        ConstraintMode.EXPRESSIVE)
+            BiJepaModel(enc, p_fwd, p_bwd, 1.5, 0.99, ConstraintMode.EXPRESSIVE)
+
+    def test_tau_range_enforced(self):
+        enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
+        for tau in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="tau must lie in"):
+                BiJepaModel(enc, p_fwd, p_bwd, 0.5, tau, ConstraintMode.EXPRESSIVE)
 
     def test_p_bwd_present_with_alpha_one_rejected(self):
         enc, p_fwd, p_bwd = make_networks(ConstraintMode.EXPRESSIVE, 0, True)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, p_fwd, p_bwd, 1.0, EmaConfig(0.99),
-                        ConstraintMode.EXPRESSIVE)
+            BiJepaModel(enc, p_fwd, p_bwd, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
 
     def test_p_bwd_missing_with_alpha_half_rejected(self):
         enc, p_fwd, _ = make_networks(ConstraintMode.EXPRESSIVE, 0, False)
         with pytest.raises(ValueError):
-            BiJepaModel(enc, p_fwd, None, 0.5, EmaConfig(0.99),
-                        ConstraintMode.EXPRESSIVE)
+            BiJepaModel(enc, p_fwd, None, 0.5, 0.99, ConstraintMode.EXPRESSIVE)
 
     def test_trainable_sets(self):
         model, _ = make_model(alpha=0.5)
@@ -170,17 +171,18 @@ class TestEmaReplay:
         # parameters alone, applying the same convex-update expression
         tau = 0.99
         model, opt = make_model(tau=tau)
-        replay = {n: p.values.copy()
-                  for n, p in model.online_encoder.named_parameters()}
+        replay = [p.values.copy() for p in model.online_encoder.parameters()]
         rng = np.random.default_rng(4)
         for step in range(50):
             x, y = batch(rng)
             m = train_step(model, opt, x, y, step)
             assert not m.diverged
-            for n, p_o in model.online_encoder.named_parameters():
-                replay[n] = tau * replay[n] + (1.0 - tau) * p_o.values
-            for n, p_t in model.target_encoder.named_parameters():
-                assert np.array_equal(p_t.values, replay[n])
+            replay = [tau * r + (1.0 - tau) * p_o.values
+                      for r, p_o in zip(replay, model.online_encoder.parameters())]
+            targets = model.target_encoder.parameters()
+            assert len(targets) == len(replay)
+            for p_t, r in zip(targets, replay):
+                assert np.array_equal(p_t.values, r)
                 assert p_t.grad is None
 
     def test_target_moves_toward_online(self):
@@ -245,7 +247,7 @@ class TestClassicReduction:
             loss.backward()
             ref_opt.step()
             ref_opt.zero_grad()
-            ema_update(enc_t, enc_o, EmaConfig(tau))
+            ema_update(enc_t, enc_o, tau)
 
         assert fingerprint(model.online_encoder) == fingerprint(enc_o)
         assert fingerprint(model.p_fwd) == fingerprint(p_fwd)
@@ -393,7 +395,8 @@ class TestBatchNormMixing:
         for name, (encoder, order) in encoders.items():
             conv, bn = encoder.layers[0], encoder.layers[1]
             k, b = Tensor(conv.k.values.copy()), Tensor(conv.b.values.copy())
-            gamma, beta = Tensor(np.ones(bn.channels)), Tensor(np.zeros(bn.channels))
+            gamma = Tensor(np.ones_like(bn.gamma.values))
+            beta = Tensor(np.zeros_like(bn.beta.values))
             mean, var = bn.running_mean.copy(), bn.running_var.copy()
             for side in order:
                 ad.batch_norm2d(ad.conv2d(Tensor(halves[side]), k, b), gamma, beta,

@@ -1,14 +1,18 @@
 """Network construction, initialization, copies, and buffers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bijepa import eval as ev
 from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
-from bijepa.cli import RunConfig, _build_model, effective_hyper
+from bijepa.cli import _EXPERIMENTS, RunConfig, _build_model, effective_hyper
+from bijepa.data import ViewBatch
 from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
-    BatchNorm2d, Linear, Network, ReLU, build_conv_encoder, build_mlp_encoder,
-    build_predictor, init_parameters,
+    BatchNorm2d, LayerNorm, Linear, Network, ReLU, build_conv_encoder, build_mlp,
+    init_parameters,
 )
 
 from helpers import fingerprint
@@ -21,17 +25,19 @@ def param_count(net: Network) -> int:
 class TestBuilders:
     def test_mlp_encoder_param_count(self):
         # 704 + 128 + 4160 + 128 + 1040
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
+        net = build_mlp((10, 64, 64, 16), True)
         assert param_count(net) == 6160
 
     def test_mlp_encoder_without_ln(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=False)
+        net = build_mlp((10, 64, 64, 16), False)
         assert param_count(net) == 5904
-        assert all(kind != "layer_norm" for kind, *_ in net.spec())
+        assert all(kind != "LayerNorm" for kind, *_ in net.spec())
+        with_ln = build_mlp((10, 64, 64, 16), True)
+        assert sum(kind == "LayerNorm" for kind, *_ in with_ln.spec()) == 2
 
     def test_predictor_param_count(self):
         # 1088 + 128 + 1040
-        net = build_predictor(16, 64, with_ln=True)
+        net = build_mlp((16, 64, 16), True)
         assert param_count(net) == 2256
 
     def test_conv_encoder_param_count(self):
@@ -40,7 +46,7 @@ class TestBuilders:
         assert param_count(net) == 257024
 
     def test_mlp_output_shape(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
+        net = build_mlp((10, 64, 64, 16), True)
         init_parameters(net, 0)
         y = net(Tensor(np.zeros((5, 10))))
         assert y.shape == (5, 16)
@@ -53,44 +59,144 @@ class TestBuilders:
         assert y.shape == (2, 64)
 
     def test_predictor_preserves_dim(self):
-        net = build_predictor(32, 128, with_ln=True)
+        net = build_mlp((32, 128, 32), True)
         init_parameters(net, 1)
         assert net(Tensor(np.zeros((3, 32)))).shape == (3, 32)
 
 
+# Every MLP the experiments build, by its build_mlp arguments, with its
+# layer list written out by hand.
+REFERENCE_MLPS = {
+    "sine encoder": ((10, 64, 64, 16), True, lambda: [
+        Linear(10, 64), LayerNorm(64), ReLU(),
+        Linear(64, 64), LayerNorm(64), ReLU(), Linear(64, 16)]),
+    "sine encoder, no LN": ((10, 64, 64, 16), False, lambda: [
+        Linear(10, 64), ReLU(), Linear(64, 64), ReLU(), Linear(64, 16)]),
+    "lorenz encoder": ((60, 128, 128, 32), True, lambda: [
+        Linear(60, 128), LayerNorm(128), ReLU(),
+        Linear(128, 128), LayerNorm(128), ReLU(), Linear(128, 32)]),
+    "lorenz encoder, no LN": ((60, 128, 128, 32), False, lambda: [
+        Linear(60, 128), ReLU(), Linear(128, 128), ReLU(), Linear(128, 32)]),
+    "sine predictor": ((16, 64, 16), True, lambda: [
+        Linear(16, 64), LayerNorm(64), ReLU(), Linear(64, 16)]),
+    "sine predictor, no LN": ((16, 64, 16), False, lambda: [
+        Linear(16, 64), ReLU(), Linear(64, 16)]),
+    "lorenz predictor": ((32, 128, 32), True, lambda: [
+        Linear(32, 128), LayerNorm(128), ReLU(), Linear(128, 32)]),
+    "mnist predictor": ((64, 128, 64), True, lambda: [
+        Linear(64, 128), LayerNorm(128), ReLU(), Linear(128, 64)]),
+    "sine regression probe": ((16, 10), False, lambda: [Linear(16, 10)]),
+    "lorenz regression probe": ((32, 60), False, lambda: [Linear(32, 60)]),
+    "classifier": ((64, 10), False, lambda: [Linear(64, 10)]),
+    "decoder": ((64, 256, 392), False, lambda: [
+        Linear(64, 256), ReLU(), Linear(256, 392)]),
+}
+
+
+def reference_spec(name: str) -> tuple:
+    return Network(REFERENCE_MLPS[name][2]()).spec()
+
+
+class TestArchitectures:
+    """``build_mlp`` makes each experiment MLP as its hand-written layer
+    list, and the program builds exactly those MLPs."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MLPS))
+    def test_build_mlp_matches_reference(self, name):
+        widths, with_ln, layers = REFERENCE_MLPS[name]
+        net, ref = build_mlp(widths, with_ln), Network(layers())
+        assert net.spec() == ref.spec()
+        init_parameters(net, 11)
+        init_parameters(ref, 11)
+        assert fingerprint(net) == fingerprint(ref)
+
+    @pytest.mark.parametrize("experiment, variant, encoder, predictor", [
+        ("sine", "bijepa-expressive", "sine encoder", "sine predictor"),
+        ("sine", "bijepa-unconstrained", "sine encoder, no LN", "sine predictor, no LN"),
+        ("sine", "classic", "sine encoder", "sine predictor"),
+        ("lorenz", "bijepa-expressive", "lorenz encoder", "lorenz predictor"),
+        ("lorenz", "classic", "lorenz encoder", "lorenz predictor"),
+        ("mnist", "bijepa-expressive", None, "mnist predictor"),
+    ])
+    def test_experiment_models(self, experiment, variant, encoder, predictor):
+        cfg = RunConfig(experiment, variant)
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        want = build_conv_encoder().spec() if encoder is None else reference_spec(encoder)
+        assert model.online_encoder.spec() == want
+        for p in filter(None, (model.p_fwd, model.p_bwd)):
+            assert p.spec() == reference_spec(predictor)
+
+    @pytest.fixture
+    def built_probes(self, monkeypatch) -> list:
+        """Every network ``eval`` builds through ``build_mlp``, in order."""
+        built = []
+
+        def recording(widths, with_ln):
+            built.append(build_mlp(widths, with_ln))
+            return built[-1]
+
+        monkeypatch.setattr(ev, "build_mlp", recording)
+        return built
+
+    @pytest.mark.parametrize("experiment, probe", [
+        ("sine", "sine regression probe"), ("lorenz", "lorenz regression probe")])
+    def test_regression_probes(self, built_probes, experiment, probe):
+        cfg = RunConfig(experiment, "classic")
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        _, _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
+        ev.protocol_a(model, held_out, ProbeConfig(steps=1))
+        ev.protocol_b(model, held_out, ProbeConfig(steps=1))
+        assert [net.spec() for net in built_probes] == [reference_spec(probe)] * 2
+
+    def test_image_probes(self, built_probes):
+        cfg = RunConfig("mnist", "bijepa-expressive")
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        rng = np.random.default_rng(1)
+        halves = rng.standard_normal((2, 4, 1, 28, 14))
+        views = ViewBatch(halves[0], halves[1], np.arange(4))
+        mnist = SimpleNamespace(train=views, test=views)
+        cfg = ProbeConfig(epochs=1, batch=4)
+        ev.linear_probe_classify(model, mnist, cfg)
+        ev.generative_decoder(model, mnist, cfg)
+        assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
+                                                        reference_spec("decoder")]
+
+
 class TestInit:
     def test_deterministic(self):
-        a = build_mlp_encoder(10, 64, 16, with_ln=True)
-        b = build_mlp_encoder(10, 64, 16, with_ln=True)
+        a = build_mlp((10, 64, 64, 16), True)
+        b = build_mlp((10, 64, 64, 16), True)
         init_parameters(a, 42)
         init_parameters(b, 42)
-        for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()):
+        for ta, tb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(ta.values, tb.values)
 
     def test_seed_changes_weights(self):
-        a = build_mlp_encoder(10, 64, 16, with_ln=True)
-        b = build_mlp_encoder(10, 64, 16, with_ln=True)
+        a = build_mlp((10, 64, 64, 16), True)
+        b = build_mlp((10, 64, 64, 16), True)
         init_parameters(a, 0)
         init_parameters(b, 1)
-        d = dict(b.named_parameters())
-        assert any(not np.array_equal(t.values, d[n].values)
-                   for n, t in a.named_parameters())
+        assert any(not np.array_equal(ta.values, tb.values)
+                   for ta, tb in zip(a.parameters(), b.parameters()))
 
     def test_weight_bounds_and_zero_bias(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
+        net = build_mlp((10, 64, 64, 16), True)
         init_parameters(net, 7)
-        params = dict(net.named_parameters())
-        w0 = params["0.w"].values
+        lin, ln = net.layers[0], net.layers[1]
+        w0 = lin.w.values
         assert np.abs(w0).max() <= 1.0 / np.sqrt(10.0)
         assert np.abs(w0).max() > 0.0
-        assert np.array_equal(params["0.b"].values, np.zeros(64))
-        assert np.array_equal(params["1.gamma"].values, np.ones(64))
-        assert np.array_equal(params["1.beta"].values, np.zeros(64))
+        assert np.array_equal(lin.b.values, np.zeros(64))
+        assert np.array_equal(ln.gamma.values, np.ones(64))
+        assert np.array_equal(ln.beta.values, np.zeros(64))
 
     def test_conv_fan_in_bound(self):
         net = build_conv_encoder()
         init_parameters(net, 7)
-        k = dict(net.named_parameters())["3.k"].values  # 32 -> 64 conv
+        k = net.layers[3].k.values  # 32 -> 64 conv
         assert np.abs(k).max() <= 1.0 / np.sqrt(32.0 * 9.0)
 
 
@@ -102,8 +208,8 @@ class TestNetworkCopy:
     def sources() -> list[Network]:
         """MLP encoders with and without LayerNorm, and the conv encoder
         after one train-mode forward has moved its running statistics."""
-        nets = [build_mlp_encoder(10, 64, 16, with_ln=True),
-                build_mlp_encoder(10, 64, 16, with_ln=False),
+        nets = [build_mlp((10, 64, 64, 16), True),
+                build_mlp((10, 64, 64, 16), False),
                 build_conv_encoder()]
         for seed, net in enumerate(nets):
             init_parameters(net, seed)
@@ -112,7 +218,7 @@ class TestNetworkCopy:
 
     @staticmethod
     def arrays(net: Network) -> list[np.ndarray]:
-        return [net.flat] + [arr for layer in net.layers for _, arr in layer.buffers()]
+        return [net.flat] + [arr for layer in net.layers for arr in layer.buffers()]
 
     def test_same_spec_fingerprint_and_mode(self):
         for src in self.sources():
@@ -147,7 +253,7 @@ class TestNetworkCopy:
 
 class TestCloneAndFingerprint:
     def test_fingerprint_sensitive_to_single_entry(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
+        net = build_mlp((10, 64, 64, 16), True)
         init_parameters(net, 0)
         before = fingerprint(net)
         net.parameters()[-1].values[0] += 1e-9
@@ -157,11 +263,11 @@ class TestCloneAndFingerprint:
         init_parameters(conv, 0)
         before = fingerprint(conv)
         bn = next(layer for layer in conv.layers if isinstance(layer, BatchNorm2d))
-        dict(bn.buffers())["running_mean"][0] += 1e-9
+        bn.running_mean[0] += 1e-9
         assert fingerprint(conv) != before
 
     def test_forward_ignores_grad_state(self):
-        net = build_mlp_encoder(10, 64, 16, with_ln=True)
+        net = build_mlp((10, 64, 64, 16), True)
         init_parameters(net, 0)
         x = np.ones((2, 10))
         y1 = net(Tensor(x)).values.copy()
@@ -211,7 +317,7 @@ class TestStorage:
         self.assert_owned(probe)
 
     def test_layer_in_second_network_refused_not_repacked(self):
-        first = build_predictor(4, 8, with_ln=True)
+        first = build_mlp((4, 8, 4), True)
         init_parameters(first, 0)
         before = fingerprint(first)
         with pytest.raises(ValueError, match="views another array"):
@@ -228,11 +334,15 @@ class TestStorage:
 class TestBuffers:
     def test_bn_stats_are_buffers_not_params(self):
         net = build_conv_encoder()
-        pnames = {n for n, _ in net.named_parameters()}
-        bnames = {f"{i}.{n}" for i, layer in enumerate(net.layers)
-                  for n, _ in layer.buffers()}
-        assert "1.running_mean" in bnames and "1.running_var" in bnames
-        assert not pnames & bnames
+        bns = [layer for layer in net.layers if isinstance(layer, BatchNorm2d)]
+        assert len(bns) == 2
+        for bn in bns:
+            buffers = bn.buffers()
+            assert len(buffers) == 2
+            assert buffers[0] is bn.running_mean and buffers[1] is bn.running_var
+            for arr in buffers:
+                assert not np.shares_memory(arr, net.flat)
+                assert all(p.values is not arr for p in net.parameters())
 
     @staticmethod
     def moved_bn(rng) -> BatchNorm2d:

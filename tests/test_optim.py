@@ -7,8 +7,8 @@ import pytest
 
 from bijepa.autodiff import Tensor
 from bijepa.nn import Layer, Network, SpecMismatchError, build_conv_encoder, \
-    build_mlp_encoder, build_predictor, init_parameters
-from bijepa.optim import AdamW, EmaConfig, ema_update
+    build_mlp, init_parameters
+from bijepa.optim import AdamW, ema_update
 
 from helpers import fingerprint
 
@@ -24,7 +24,7 @@ class Holder(Layer):
         self.tensors = tensors
 
     def params(self):
-        return [(str(i), t) for i, t in enumerate(self.tensors)]
+        return list(self.tensors)
 
 
 def net_of(*params: Tensor) -> Network:
@@ -169,7 +169,7 @@ class TestParameterStorage:
 
     @staticmethod
     def registered_net():
-        net = build_predictor(4, 8, with_ln=True)
+        net = build_mlp((4, 8, 4), True)
         init_parameters(net, 0)
         opt = AdamW([net], lr=1e-2)
         return net, opt
@@ -193,7 +193,7 @@ class TestParameterStorage:
         assert offset == net.flat.size
 
     def test_registration_keeps_values(self):
-        net = build_predictor(4, 8, with_ln=True)
+        net = build_mlp((4, 8, 4), True)
         init_parameters(net, 0)
         before = fingerprint(net)
         AdamW([net], lr=1e-2)
@@ -201,7 +201,7 @@ class TestParameterStorage:
 
     def test_clone_into_writes_optimizer_storage(self):
         net, opt = self.registered_net()
-        other = build_predictor(4, 8, with_ln=True)
+        other = build_mlp((4, 8, 4), True)
         init_parameters(other, 2)
         net.flat[...] = other.flat
         assert fingerprint(net) == fingerprint(other)
@@ -212,7 +212,7 @@ class TestParameterStorage:
     def test_four_flat_buffers_and_a_step_allocates_none(self):
         # m, v, one scratch buffer and the gathered gradient, which the
         # update overwrites once both moments have read it
-        net = build_predictor(32, 128, with_ln=True)
+        net = build_mlp((32, 128, 32), True)
         init_parameters(net, 0)
         nbytes = net.flat.nbytes
         tracemalloc.start()
@@ -236,9 +236,9 @@ class TestParameterStorage:
             AdamW([net, net], lr=1e-3)
 
     def test_updates_never_rebind_values(self):
-        online = build_mlp_encoder(4, 8, 3, with_ln=True)
-        target = build_mlp_encoder(4, 8, 3, with_ln=True)
-        p_fwd = build_predictor(3, 8, with_ln=True)
+        online = build_mlp((4, 8, 8, 3), True)
+        target = build_mlp((4, 8, 8, 3), True)
+        p_fwd = build_mlp((3, 8, 3), True)
         for seed, net in enumerate((online, target, p_fwd)):
             init_parameters(net, seed)
         nets = (online, target, p_fwd)
@@ -247,7 +247,7 @@ class TestParameterStorage:
         for p in opt.params:
             p.grad = np.ones_like(p.values)
         assert opt.step()
-        ema_update(target, online, EmaConfig(tau=0.9))
+        ema_update(target, online, 0.9)
         target.flat[...] = online.flat
         assert fingerprint(target) == fingerprint(online)
         assert all(p.values is s for p, s in
@@ -356,36 +356,30 @@ class TestAdamWStep:
 class TestEma:
     @staticmethod
     def pair(seed_online=0, seed_target=1):
-        online = build_predictor(4, 8, with_ln=False)
-        target = build_predictor(4, 8, with_ln=False)
+        online = build_mlp((4, 8, 4), False)
+        target = build_mlp((4, 8, 4), False)
         init_parameters(online, seed_online)
         init_parameters(target, seed_target)
         return online, target
-
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            EmaConfig(tau=-0.1)
-        with pytest.raises(ValueError):
-            EmaConfig(tau=1.5)
 
     def test_single_step_convex_combination(self):
         online, target = self.pair()
         tau = 0.995
         before = [p.values.copy() for p in target.parameters()]
-        ema_update(target, online, EmaConfig(tau=tau))
+        ema_update(target, online, tau)
         for p_t, p_o, old in zip(target.parameters(), online.parameters(), before):
             assert np.array_equal(p_t.values, tau * old + (1.0 - tau) * p_o.values)
 
     def test_in_place_update_allocates_no_arrays(self):
         # 32x64 weights (16 KiB): a temporary of any of them would show
-        online, target = build_predictor(32, 64, with_ln=True), build_predictor(32, 64, with_ln=True)
+        online, target = build_mlp((32, 64, 32), True), build_mlp((32, 64, 32), True)
         init_parameters(online, 0)
         init_parameters(target, 1)
-        ema_update(target, online, EmaConfig(tau=0.9))  # first call sizes the scratch
+        ema_update(target, online, 0.9)  # first call sizes the scratch
         storage = [p.values for p in target.parameters()]
         tracemalloc.start()
         try:
-            ema_update(target, online, EmaConfig(tau=0.9))
+            ema_update(target, online, 0.9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -394,19 +388,19 @@ class TestEma:
 
     def test_tau_zero_copies_online(self):
         online, target = self.pair()
-        ema_update(target, online, EmaConfig(tau=0.0))
+        ema_update(target, online, 0.0)
         assert fingerprint(target) == fingerprint(online)
 
     def test_tau_one_freezes_target(self):
         online, target = self.pair()
         before = fingerprint(target)
-        ema_update(target, online, EmaConfig(tau=1.0))
+        ema_update(target, online, 1.0)
         assert fingerprint(target) == before
 
     def test_fixed_point(self):
         online, target = self.pair()
         target.flat[...] = online.flat
-        ema_update(target, online, EmaConfig(tau=0.995))
+        ema_update(target, online, 0.995)
         assert fingerprint(target) == fingerprint(online)
 
     def test_geometric_contraction(self):
@@ -416,16 +410,16 @@ class TestEma:
         gap0 = max(np.abs(pt.values - po.values).max()
                    for pt, po in zip(target.parameters(), online.parameters()))
         for _ in range(100):
-            ema_update(target, online, EmaConfig(tau=tau))
+            ema_update(target, online, tau)
         gap = max(np.abs(pt.values - po.values).max()
                   for pt, po in zip(target.parameters(), online.parameters()))
         assert gap < gap0 * tau ** 100 * (1.0 + 1e-9) + 1e-15
 
     def test_spec_mismatch_rejected(self):
-        online = build_mlp_encoder(4, 8, 2, with_ln=True)
-        target = build_mlp_encoder(4, 8, 2, with_ln=False)
+        online = build_mlp((4, 8, 8, 2), True)
+        target = build_mlp((4, 8, 8, 2), False)
         with pytest.raises(SpecMismatchError):
-            ema_update(target, online, EmaConfig(tau=0.5))
+            ema_update(target, online, 0.5)
 
     def test_target_never_registered(self):
         # optimizing the online net leaves the target bit-identical
@@ -444,7 +438,7 @@ class TestEma:
         tau = 0.99
         want = [tau * p_t.values + (1.0 - tau) * p_o.values
                 for p_t, p_o in zip(target.parameters(), online.parameters())]
-        ema_update(target, online, EmaConfig(tau=tau))
+        ema_update(target, online, tau)
         assert all(np.array_equal(p.values, w) for p, w in zip(target.parameters(), want))
 
 
@@ -454,8 +448,8 @@ class TestEmaArena:
 
     @staticmethod
     def pair():
-        online = build_mlp_encoder(4, 8, 3, with_ln=True)
-        target = build_mlp_encoder(4, 8, 3, with_ln=True)
+        online = build_mlp((4, 8, 8, 3), True)
+        target = build_mlp((4, 8, 8, 3), True)
         init_parameters(online, 0)
         init_parameters(target, 1)
         return online, target
@@ -472,7 +466,7 @@ class TestEmaArena:
     def test_target_parameters_view_one_buffer(self):
         online, target = self.pair()
         before = fingerprint(target)
-        ema_update(target, online, EmaConfig(tau=1.0))
+        ema_update(target, online, 1.0)
         assert fingerprint(target) == before
         offset = 0
         for p in target.parameters():
@@ -483,7 +477,7 @@ class TestEmaArena:
 
     def test_registered_online_keeps_optimizer_storage(self):
         online, target = self.pair()
-        p_fwd = build_predictor(3, 8, with_ln=True)
+        p_fwd = build_mlp((3, 8, 3), True)
         init_parameters(p_fwd, 2)
         opt = AdamW([online, p_fwd], lr=1e-2)
         for step in range(3):
@@ -491,31 +485,31 @@ class TestEmaArena:
                 p.grad = np.full_like(p.values, step + 1.0)
             assert opt.step()
             want = self.expected(target, online, 0.9)
-            ema_update(target, online, EmaConfig(tau=0.9))
+            ema_update(target, online, 0.9)
             self.assert_values(target, want)
             assert all(p.values.base is online.flat for p in online.parameters())
 
     def test_unregistered_online_can_register_after_ema(self):
         online, target = self.pair()
         want = self.expected(target, online, 0.9)
-        ema_update(target, online, EmaConfig(tau=0.9))
+        ema_update(target, online, 0.9)
         self.assert_values(target, want)
         opt = AdamW([online], lr=1e-2)
         for p in online.parameters():
             p.grad = np.ones_like(p.values)
         assert opt.step()
         want = self.expected(target, online, 0.9)
-        ema_update(target, online, EmaConfig(tau=0.9))
+        ema_update(target, online, 0.9)
         self.assert_values(target, want)
 
     def test_new_online_network_rechecked(self):
         online, target = self.pair()
-        ema_update(target, online, EmaConfig(tau=0.9))
-        other = build_predictor(4, 8, with_ln=True)
+        ema_update(target, online, 0.9)
+        other = build_mlp((4, 8, 4), True)
         with pytest.raises(SpecMismatchError):
-            ema_update(target, other, EmaConfig(tau=0.9))
+            ema_update(target, other, 0.9)
         online2, _ = self.pair()
         init_parameters(online2, 5)
         want = self.expected(target, online2, 0.5)
-        ema_update(target, online2, EmaConfig(tau=0.5))
+        ema_update(target, online2, 0.5)
         self.assert_values(target, want)
