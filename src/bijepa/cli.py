@@ -35,7 +35,7 @@ from .eval import (
     protocol_a, protocol_b, write_pgm,
 )
 from .jepa import BiJepaModel, ConstraintMode, train_step
-from .nn import build_conv_encoder, build_mlp, init_parameters
+from .nn import build_conv_encoder, build_mlp
 from .optim import AdamW
 from .seeding import derive_seed, stream
 
@@ -187,15 +187,13 @@ _DOMAINS = {
 def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaModel:
     alpha = hyper["alpha"]
     with_ln = mode.with_ln
-    encoder = _EXPERIMENTS[cfg.experiment].encoder(hyper, with_ln)
-    init_parameters(encoder, derive_seed(cfg.seed, "init:encoder"))
+    encoder = _EXPERIMENTS[cfg.experiment].encoder(
+        hyper, with_ln, derive_seed(cfg.seed, "init:encoder"))
     pred_widths = (hyper["emb_dim"], hyper["pred_hidden"], hyper["emb_dim"])
-    p_fwd = build_mlp(pred_widths, with_ln)
-    init_parameters(p_fwd, derive_seed(cfg.seed, "init:p-fwd"))
+    p_fwd = build_mlp(pred_widths, with_ln, derive_seed(cfg.seed, "init:p-fwd"))
     p_bwd = None
     if alpha != 1.0:
-        p_bwd = build_mlp(pred_widths, with_ln)
-        init_parameters(p_bwd, derive_seed(cfg.seed, "init:p-bwd"))
+        p_bwd = build_mlp(pred_widths, with_ln, derive_seed(cfg.seed, "init:p-bwd"))
     return BiJepaModel(encoder, p_fwd, p_bwd, alpha, hyper["tau"], mode)
 
 
@@ -237,14 +235,14 @@ def _final_loss(history: list) -> float:
 
 def _mlp_encoder(in_dim: int):
     """Encoder builder for context windows ``in_dim`` values wide."""
-    def build(hyper: dict, with_ln: bool):
+    def build(hyper: dict, with_ln: bool, seed: int):
         hidden = hyper["enc_hidden"]
-        return build_mlp((in_dim, hidden, hidden, hyper["emb_dim"]), with_ln)
+        return build_mlp((in_dim, hidden, hidden, hyper["emb_dim"]), with_ln, seed)
     return build
 
 
-def _conv_encoder(hyper: dict, with_ln: bool):
-    return build_conv_encoder()
+def _conv_encoder(hyper: dict, with_ln: bool, seed: int):
+    return build_conv_encoder(hyper["emb_dim"], seed)
 
 
 def _sine_batches(batch: int, noise_std: float, rng):
@@ -355,7 +353,7 @@ def _triptychs(test_views: ViewBatch, generated: np.ndarray) -> list:
 @dataclass(frozen=True)
 class _Experiment:
     hyper: dict         # base hyperparameters, each overridable with --set
-    encoder: Callable   # (hyper, with_ln) -> encoder Network
+    encoder: Callable   # (hyper, with_ln, seed) -> encoder Network
     data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
     probes: Callable    # (model, held-out splits, ProbeConfig) -> (metrics, forecast, images)
     verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)

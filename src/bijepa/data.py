@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -150,8 +150,8 @@ class LorenzDataset:
     train: ViewBatch
     probe: ViewBatch
     test: ViewBatch
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    std: np.ndarray = field(default_factory=lambda: np.ones(3))
+    mean: np.ndarray
+    std: np.ndarray
 
 
 def build_lorenz_dataset(seed: int) -> LorenzDataset:

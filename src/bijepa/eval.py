@@ -36,7 +36,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import MNIST_STD, ViewBatch, shuffled_epochs
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
-from .nn import Network, build_mlp, init_parameters
+from .nn import Network, build_mlp
 from .optim import AdamW
 from .seeding import derive_seed, stream
 
@@ -159,8 +159,7 @@ def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Networ
     """Full-batch AdamW fit of a linear probe, with every gradient taken
     from the sufficient statistics (no autodiff graph)."""
     d, o = stats.cross.shape[0] - 1, stats.cross.shape[1]
-    probe = build_mlp((d, o), False)
-    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
+    probe = build_mlp((d, o), False, derive_seed(cfg.seed, "probe-init"))
     # Network packs w then b, row-major, so its storage read as a
     # (d+1)×o matrix is Θ = [W; bᵀ]; AdamW's updates land in it
     theta = probe.flat.reshape(d + 1, o)
@@ -225,16 +224,15 @@ def protocol_b(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
 
 def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn,
                 cfg: ProbeConfig) -> np.ndarray:
-    """Fit ``build_mlp(widths(feature dim), False)`` on the frozen left-half
-    embeddings of the train split, by mini-batch epochs with a seeded
-    shuffle per epoch; return its outputs on the test split.
+    """Fit ``build_mlp(widths(feature dim), False, seed)`` on the frozen
+    left-half embeddings of the train split, by mini-batch epochs with a
+    seeded shuffle per epoch; return its outputs on the test split.
 
     ``loss_fn(outputs, rows)`` scores a batch against the train rows it
     was drawn from.
     """
     feats = _embed(model, mnist.train.x.values, through_predictor=False)
-    probe = build_mlp(widths(feats.shape[1]), False)
-    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
+    probe = build_mlp(widths(feats.shape[1]), False, derive_seed(cfg.seed, "probe-init"))
     opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
     n = feats.shape[0]
     batches = shuffled_epochs(n, cfg.batch, stream(cfg.seed, "probe-shuffle"),

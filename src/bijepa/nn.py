@@ -1,9 +1,15 @@
-"""Layers, network builders, initialization, and state copies.
+"""Layers, network builders and state copies.
 
 A Network is an ordered list of layers applied in sequence. Two builders
 cover every architecture used by the experiments: ``build_mlp`` makes
 every MLP (the encoders, the predictors and the probes), and
-``build_conv_encoder`` the fixed conv encoder for half-image inputs.
+``build_conv_encoder`` the conv encoder for half-image inputs.
+
+Layers are drawn when they are built. ``Linear`` and ``Conv2d`` weights
+are Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) from the generator they
+are given; biases start at zero, norm gammas at one and betas at zero.
+A builder takes a seed and hands one generator to its layers in layer
+order, so a network is a deterministic function of its seed.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ class SpecMismatchError(ValueError):
 
 
 class Layer:
-    """Base layer: parameters, buffers, an initializer and a forward. The
-    defaults describe a layer without state."""
+    """Base layer: parameters, buffers and a forward. The defaults
+    describe a layer without state."""
 
     def params(self):
         return []
@@ -30,24 +36,17 @@ class Layer:
     def buffers(self):
         return []
 
-    def init(self, rng) -> None:
-        pass
-
 
 class Linear(Layer):
-    def __init__(self, in_dim: int, out_dim: int):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"Linear dims must be >= 1, got ({in_dim}, {out_dim})")
-        self.w = Tensor(np.zeros((in_dim, out_dim)), requires_grad=True)
+        bound = 1.0 / np.sqrt(in_dim)
+        self.w = Tensor(rng.uniform(-bound, bound, (in_dim, out_dim)), requires_grad=True)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def params(self):
         return [self.w, self.b]
-
-    def init(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.w.shape[0])
-        self.w.values[...] = rng.uniform(-bound, bound, self.w.shape)
-        self.b.values[...] = 0.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.linear(x, self.w, self.b)
@@ -61,10 +60,6 @@ class LayerNorm(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def init(self, rng) -> None:
-        self.gamma.values[...] = 1.0
-        self.beta.values[...] = 0.0
-
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta)
 
@@ -77,17 +72,13 @@ class ReLU(Layer):
 class Conv2d(Layer):
     """3x3 kernel, stride 2, zero-padding 1 (the only configuration used)."""
 
-    def __init__(self, in_ch: int, out_ch: int):
-        self.k = Tensor(np.zeros((out_ch, in_ch, 3, 3)), requires_grad=True)
+    def __init__(self, in_ch: int, out_ch: int, rng: np.random.Generator):
+        bound = 1.0 / np.sqrt(in_ch * 9)
+        self.k = Tensor(rng.uniform(-bound, bound, (out_ch, in_ch, 3, 3)), requires_grad=True)
         self.b = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def params(self):
         return [self.k, self.b]
-
-    def init(self, rng: np.random.Generator) -> None:
-        bound = 1.0 / np.sqrt(self.k.shape[1] * 9)
-        self.k.values[...] = rng.uniform(-bound, bound, self.k.shape)
-        self.b.values[...] = 0.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.conv2d(x, self.k, self.b)
@@ -109,12 +100,6 @@ class BatchNorm2d(Layer):
 
     def buffers(self):
         return [self.running_mean, self.running_var]
-
-    def init(self, rng) -> None:
-        self.gamma.values[...] = 1.0
-        self.beta.values[...] = 0.0
-        self.running_mean[...] = 0.0
-        self.running_var[...] = 1.0
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return ad.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
@@ -194,45 +179,38 @@ class Network:
 # builders
 
 
-def build_mlp(widths: tuple[int, ...], with_ln: bool) -> Network:
+def build_mlp(widths: tuple[int, ...], with_ln: bool, seed: int) -> Network:
     """A ``Linear`` between each pair of consecutive ``widths``; every one
     but the last is followed by a ``LayerNorm`` (if ``with_ln``) and a
-    ``ReLU``."""
+    ``ReLU``. The weights are drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     layers: list = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         if layers:
             if with_ln:
                 layers.append(LayerNorm(fan_in))
             layers.append(ReLU())
-        layers.append(Linear(fan_in, fan_out))
+        layers.append(Linear(fan_in, fan_out, rng))
     return Network(layers)
 
 
-def build_conv_encoder() -> Network:
-    """Half-image encoder: (B,1,28,14) -> (B,64).
+def build_conv_encoder(emb_dim: int, seed: int) -> Network:
+    """Half-image encoder: (B,1,28,14) -> (B,emb_dim), drawn from ``seed``.
 
     Two stride-2 convs take 28x14 to 7x4, so the flatten width is
     64*7*4 = 1792.
     """
+    rng = np.random.default_rng(seed)
     return Network([
-        Conv2d(1, 32),
+        Conv2d(1, 32, rng),
         BatchNorm2d(32),
         ReLU(),
-        Conv2d(32, 64),
+        Conv2d(32, 64, rng),
         BatchNorm2d(64),
         ReLU(),
         Flatten(),
-        Linear(1792, 128),
+        Linear(1792, 128, rng),
         LayerNorm(128),
         ReLU(),
-        Linear(128, 64),
+        Linear(128, emb_dim, rng),
     ])
-
-
-def init_parameters(net: Network, seed: int) -> None:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases,
-    gamma=1, beta=0. Deterministic given seed."""
-    rng = np.random.default_rng(seed)
-    for layer in net.layers:
-        layer.init(rng)
-

@@ -18,7 +18,7 @@ import numpy as np
 from bijepa.autodiff import Tensor, mse_loss, mul, sum_all
 from bijepa.cli import ExperimentReport
 from bijepa.eval import ProbeConfig
-from bijepa.nn import Linear, Network, init_parameters
+from bijepa.nn import Linear, Network
 from bijepa.optim import AdamW
 from bijepa.seeding import derive_seed
 
@@ -81,8 +81,8 @@ def reference_probe_fit(feats: np.ndarray, targets: np.ndarray,
     builds ``mse_loss(linear(F), T)`` over the whole split and
     back-propagates it. Same init, seed stream and optimizer as
     ``eval._train_regression_probe``."""
-    probe = Network([Linear(feats.shape[1], targets.shape[1])])
-    init_parameters(probe, derive_seed(cfg.seed, "probe-init"))
+    rng = np.random.default_rng(derive_seed(cfg.seed, "probe-init"))
+    probe = Network([Linear(feats.shape[1], targets.shape[1], rng)])
     opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
     f = Tensor(feats)
     t = Tensor(targets)

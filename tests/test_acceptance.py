@@ -27,7 +27,7 @@ from bijepa.autodiff import Tensor
 from bijepa.cli import RunConfig, _build_model, effective_hyper, run_suite
 from bijepa.data import SineConfig, gen_sine_batch, integrate_lorenz
 from bijepa.jepa import total_loss, train_step
-from bijepa.nn import init_parameters
+from bijepa.nn import build_mlp
 from bijepa.optim import AdamW
 from bijepa.seeding import stream
 
@@ -222,7 +222,7 @@ def test_criterion_03_classic_reduction():
             RunConfig("sine", "classic", seed=1000 + fixture), hyper, mode)
         # decouple the target from the online weights so the identity is
         # tested away from the freshly-cloned special case
-        init_parameters(model.target_encoder, 2000 + fixture)
+        model.target_encoder.flat[...] = build_mlp((10, 64, 64, 16), True, 2000 + fixture).flat
 
         x = rng.standard_normal((8, SineConfig.T // 2))
         y = rng.standard_normal((8, SineConfig.T // 2))

@@ -362,6 +362,22 @@ class TestMnistRun:
         assert len(report.loss_history) == 1  # ceil(64/256)
         assert len(list(out.glob("recon_*.pgm"))) == 24
 
+    def test_emb_dim_sets_conv_encoder_width(self, tmp_path, monkeypatch):
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=64, n_test=16)
+        build, models = cli._build_model, []
+
+        def recording(*args):
+            models.append(build(*args))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "_build_model", recording)
+        report = run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
+                               overrides={"epochs": 1, "probe_epochs": 1, "emb_dim": 32}))
+        assert models[0].online_encoder.spec()[-1] == ("Linear", (128, 32), (32,))
+        assert report.config["emb_dim"] == 32
+        assert 0.0 <= report.accuracy <= 1.0 and math.isfinite(report.decoder_mse)
+
     def test_train_limit_build_never_converts_the_whole_file(self, tmp_path):
         # rows and halves are cut from the uint8 file, so a 512-image
         # build from a 4096-image file stays below one float64 copy of it

@@ -17,7 +17,7 @@ from bijepa.eval import (
 from bijepa.jepa import (
     BiJepaModel, ConstraintMode, encode_for_inference, predict_forward_for_inference,
 )
-from bijepa.nn import Linear, Network, ReLU, build_conv_encoder, build_mlp, init_parameters
+from bijepa.nn import Linear, Network, ReLU, build_conv_encoder, build_mlp
 from bijepa.seeding import derive_seed
 
 from helpers import fingerprint, garbage_cycles_after, reference_probe_fit
@@ -26,14 +26,11 @@ IN_DIM, EMB, HIDDEN = 6, 8, 16
 
 
 def make_model(seed=0, p_fwd=None, p_bwd="default"):
-    enc = build_mlp((IN_DIM, HIDDEN, HIDDEN, EMB), True)
-    init_parameters(enc, derive_seed(seed, "init:encoder"))
+    enc = build_mlp((IN_DIM, HIDDEN, HIDDEN, EMB), True, derive_seed(seed, "init:encoder"))
     if p_fwd is None:
-        p_fwd = build_mlp((EMB, HIDDEN, EMB), True)
-        init_parameters(p_fwd, derive_seed(seed, "init:p-fwd"))
+        p_fwd = build_mlp((EMB, HIDDEN, EMB), True, derive_seed(seed, "init:p-fwd"))
     if p_bwd == "default":
-        p_bwd = build_mlp((EMB, HIDDEN, EMB), True)
-        init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
+        p_bwd = build_mlp((EMB, HIDDEN, EMB), True, derive_seed(seed, "init:p-bwd"))
     return BiJepaModel(enc, p_fwd, p_bwd, 0.5, 0.99, ConstraintMode.EXPRESSIVE)
 
 
@@ -71,7 +68,7 @@ class TestSufficientStatisticsProbe:
     def test_gradient_matches_autodiff(self, constant_column):
         feats, targets = probe_problem(11, constant_column=constant_column)
         d, o = feats.shape[1], targets.shape[1]
-        lin = Linear(d, o)
+        lin = Linear(d, o, np.random.default_rng(0))
         rng = np.random.default_rng(12)
         lin.w.values[...] = rng.standard_normal((d, o))
         lin.b.values[...] = rng.standard_normal(o)
@@ -173,10 +170,8 @@ class TestFeatureGraphs:
 
     @staticmethod
     def lorenz_size_model():
-        enc = build_mlp((60, 128, 128, 32), True)
-        init_parameters(enc, derive_seed(0, "init:encoder"))
-        p_fwd = build_mlp((32, 128, 32), True)
-        init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
+        enc = build_mlp((60, 128, 128, 32), True, derive_seed(0, "init:encoder"))
+        p_fwd = build_mlp((32, 128, 32), True, derive_seed(0, "init:p-fwd"))
         return BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
 
     @pytest.mark.parametrize("through_predictor", [False, True])
@@ -226,10 +221,8 @@ class TestFeatureGraphs:
                                   self.unchunked(model, x[:rows], through_predictor)), rows
 
     def test_chunk_size_leaves_conv_features_unchanged(self):
-        enc = build_conv_encoder()
-        init_parameters(enc, derive_seed(0, "init:encoder"))
-        p_fwd = build_mlp((64, HIDDEN, 64), True)
-        init_parameters(p_fwd, derive_seed(0, "init:p-fwd"))
+        enc = build_conv_encoder(64, derive_seed(0, "init:encoder"))
+        p_fwd = build_mlp((64, HIDDEN, 64), True, derive_seed(0, "init:p-fwd"))
         model = BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
         x = np.random.default_rng(44).standard_normal((384, 1, 28, 14))  # 256 + 128
         # one train-mode pass moves the running statistics eval mode uses
@@ -266,7 +259,8 @@ class TestRegressionProtocols:
         # relu(x) - relu(-x) == x exactly, so protocol B sees the same
         # features as protocol A and the probes train identically
         w = np.concatenate([np.eye(EMB), -np.eye(EMB)], axis=1)
-        p_fwd = Network([Linear(EMB, 2 * EMB), ReLU(), Linear(2 * EMB, EMB)])
+        rng = np.random.default_rng(0)
+        p_fwd = Network([Linear(EMB, 2 * EMB, rng), ReLU(), Linear(2 * EMB, EMB, rng)])
         p_fwd.layers[0].w.values[...] = w
         p_fwd.layers[2].w.values[...] = w.T
         model = make_model(seed=2, p_fwd=p_fwd)
@@ -367,12 +361,10 @@ class TestGenerativeDecoder:
     def conv_free_model(seed):
         # flat 392-pixel inputs keep the fixture cheap; the decoder only
         # needs an embedding, not a conv stack
-        enc = build_mlp((392, HIDDEN, HIDDEN, EMB), True)
-        init_parameters(enc, derive_seed(seed, "init:encoder"))
-        p_fwd = build_mlp((EMB, HIDDEN, EMB), True)
-        init_parameters(p_fwd, derive_seed(seed, "init:p-fwd"))
-        p_bwd = build_mlp((EMB, HIDDEN, EMB), True)
-        init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
+        enc = build_mlp((392, HIDDEN, HIDDEN, EMB), True,
+                        derive_seed(seed, "init:encoder"))
+        p_fwd = build_mlp((EMB, HIDDEN, EMB), True, derive_seed(seed, "init:p-fwd"))
+        p_bwd = build_mlp((EMB, HIDDEN, EMB), True, derive_seed(seed, "init:p-bwd"))
         return BiJepaModel(enc, p_fwd, p_bwd, 0.5, 0.99, ConstraintMode.EXPRESSIVE)
 
     def test_mse_and_prediction_shape(self):

@@ -11,7 +11,7 @@ from bijepa.jepa import (
     BiJepaModel, ConstraintMode, _branch, encode_for_inference,
     predict_forward_for_inference, total_loss, train_step,
 )
-from bijepa.nn import build_conv_encoder, build_mlp, init_parameters
+from bijepa.nn import build_conv_encoder, build_mlp
 from bijepa.optim import AdamW, ema_update
 from bijepa.seeding import derive_seed
 
@@ -21,14 +21,12 @@ IN_DIM, HIDDEN, EMB = 6, 16, 8
 
 
 def make_networks(mode: ConstraintMode, seed: int, with_bwd: bool):
-    enc = build_mlp((IN_DIM, HIDDEN, HIDDEN, EMB), mode.with_ln)
-    init_parameters(enc, derive_seed(seed, "init:encoder"))
-    p_fwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln)
-    init_parameters(p_fwd, derive_seed(seed, "init:p-fwd"))
+    enc = build_mlp((IN_DIM, HIDDEN, HIDDEN, EMB), mode.with_ln,
+                    derive_seed(seed, "init:encoder"))
+    p_fwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln, derive_seed(seed, "init:p-fwd"))
     p_bwd = None
     if with_bwd:
-        p_bwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln)
-        init_parameters(p_bwd, derive_seed(seed, "init:p-bwd"))
+        p_bwd = build_mlp((EMB, HIDDEN, EMB), mode.with_ln, derive_seed(seed, "init:p-bwd"))
     return enc, p_fwd, p_bwd
 
 
@@ -61,10 +59,9 @@ class TestConstruction:
         assert model.target_encoder is not model.online_encoder
         assert fingerprint(model.target_encoder) == fingerprint(model.online_encoder)
 
-        enc = build_conv_encoder()
-        init_parameters(enc, 0)
+        enc = build_conv_encoder(64, 0)
         enc(Tensor(np.random.default_rng(1).standard_normal((4, 1, 28, 14))))
-        p_fwd = build_mlp((64, HIDDEN, 64), True)
+        p_fwd = build_mlp((64, HIDDEN, 64), True, 1)
         conv = BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
         assert fingerprint(conv.target_encoder) == fingerprint(enc)
         pairs = [(a, b) for online, target in zip(enc.layers, conv.target_encoder.layers)

@@ -1,4 +1,4 @@
-"""Network construction, initialization, copies, and buffers."""
+"""Network construction and its seeded draws, copies, and buffers."""
 
 from types import SimpleNamespace
 
@@ -12,8 +12,8 @@ from bijepa.data import ViewBatch
 from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
     BatchNorm2d, LayerNorm, Linear, Network, ReLU, build_conv_encoder, build_mlp,
-    init_parameters,
 )
+from bijepa.seeding import derive_seed
 
 from helpers import fingerprint
 
@@ -25,76 +25,74 @@ def param_count(net: Network) -> int:
 class TestBuilders:
     def test_mlp_encoder_param_count(self):
         # 704 + 128 + 4160 + 128 + 1040
-        net = build_mlp((10, 64, 64, 16), True)
+        net = build_mlp((10, 64, 64, 16), True, 0)
         assert param_count(net) == 6160
 
     def test_mlp_encoder_without_ln(self):
-        net = build_mlp((10, 64, 64, 16), False)
+        net = build_mlp((10, 64, 64, 16), False, 0)
         assert param_count(net) == 5904
         assert all(kind != "LayerNorm" for kind, *_ in net.spec())
-        with_ln = build_mlp((10, 64, 64, 16), True)
+        with_ln = build_mlp((10, 64, 64, 16), True, 0)
         assert sum(kind == "LayerNorm" for kind, *_ in with_ln.spec()) == 2
 
     def test_predictor_param_count(self):
         # 1088 + 128 + 1040
-        net = build_mlp((16, 64, 16), True)
+        net = build_mlp((16, 64, 16), True, 0)
         assert param_count(net) == 2256
 
     def test_conv_encoder_param_count(self):
         # 320 + 64 + 18496 + 128 + 229504 + 256 + 8256
-        net = build_conv_encoder()
+        net = build_conv_encoder(64, 0)
         assert param_count(net) == 257024
 
     def test_mlp_output_shape(self):
-        net = build_mlp((10, 64, 64, 16), True)
-        init_parameters(net, 0)
+        net = build_mlp((10, 64, 64, 16), True, 0)
         y = net(Tensor(np.zeros((5, 10))))
         assert y.shape == (5, 16)
 
     def test_conv_output_shape(self):
-        net = build_conv_encoder()
-        init_parameters(net, 0)
+        net = build_conv_encoder(64, 0)
         net.eval()
         y = net(Tensor(np.zeros((2, 1, 28, 14))))
         assert y.shape == (2, 64)
 
     def test_predictor_preserves_dim(self):
-        net = build_mlp((32, 128, 32), True)
-        init_parameters(net, 1)
+        net = build_mlp((32, 128, 32), True, 1)
         assert net(Tensor(np.zeros((3, 32)))).shape == (3, 32)
 
 
-# Every MLP the experiments build, by its build_mlp arguments, with its
-# layer list written out by hand.
+# Every MLP the experiments build, by its build_mlp widths and LN flag,
+# with its layer list written out by hand as a function of a generator.
 REFERENCE_MLPS = {
-    "sine encoder": ((10, 64, 64, 16), True, lambda: [
-        Linear(10, 64), LayerNorm(64), ReLU(),
-        Linear(64, 64), LayerNorm(64), ReLU(), Linear(64, 16)]),
-    "sine encoder, no LN": ((10, 64, 64, 16), False, lambda: [
-        Linear(10, 64), ReLU(), Linear(64, 64), ReLU(), Linear(64, 16)]),
-    "lorenz encoder": ((60, 128, 128, 32), True, lambda: [
-        Linear(60, 128), LayerNorm(128), ReLU(),
-        Linear(128, 128), LayerNorm(128), ReLU(), Linear(128, 32)]),
-    "lorenz encoder, no LN": ((60, 128, 128, 32), False, lambda: [
-        Linear(60, 128), ReLU(), Linear(128, 128), ReLU(), Linear(128, 32)]),
-    "sine predictor": ((16, 64, 16), True, lambda: [
-        Linear(16, 64), LayerNorm(64), ReLU(), Linear(64, 16)]),
-    "sine predictor, no LN": ((16, 64, 16), False, lambda: [
-        Linear(16, 64), ReLU(), Linear(64, 16)]),
-    "lorenz predictor": ((32, 128, 32), True, lambda: [
-        Linear(32, 128), LayerNorm(128), ReLU(), Linear(128, 32)]),
-    "mnist predictor": ((64, 128, 64), True, lambda: [
-        Linear(64, 128), LayerNorm(128), ReLU(), Linear(128, 64)]),
-    "sine regression probe": ((16, 10), False, lambda: [Linear(16, 10)]),
-    "lorenz regression probe": ((32, 60), False, lambda: [Linear(32, 60)]),
-    "classifier": ((64, 10), False, lambda: [Linear(64, 10)]),
-    "decoder": ((64, 256, 392), False, lambda: [
-        Linear(64, 256), ReLU(), Linear(256, 392)]),
+    "sine encoder": ((10, 64, 64, 16), True, lambda rng: [
+        Linear(10, 64, rng), LayerNorm(64), ReLU(),
+        Linear(64, 64, rng), LayerNorm(64), ReLU(), Linear(64, 16, rng)]),
+    "sine encoder, no LN": ((10, 64, 64, 16), False, lambda rng: [
+        Linear(10, 64, rng), ReLU(), Linear(64, 64, rng), ReLU(), Linear(64, 16, rng)]),
+    "lorenz encoder": ((60, 128, 128, 32), True, lambda rng: [
+        Linear(60, 128, rng), LayerNorm(128), ReLU(),
+        Linear(128, 128, rng), LayerNorm(128), ReLU(), Linear(128, 32, rng)]),
+    "lorenz encoder, no LN": ((60, 128, 128, 32), False, lambda rng: [
+        Linear(60, 128, rng), ReLU(),
+        Linear(128, 128, rng), ReLU(), Linear(128, 32, rng)]),
+    "sine predictor": ((16, 64, 16), True, lambda rng: [
+        Linear(16, 64, rng), LayerNorm(64), ReLU(), Linear(64, 16, rng)]),
+    "sine predictor, no LN": ((16, 64, 16), False, lambda rng: [
+        Linear(16, 64, rng), ReLU(), Linear(64, 16, rng)]),
+    "lorenz predictor": ((32, 128, 32), True, lambda rng: [
+        Linear(32, 128, rng), LayerNorm(128), ReLU(), Linear(128, 32, rng)]),
+    "mnist predictor": ((64, 128, 64), True, lambda rng: [
+        Linear(64, 128, rng), LayerNorm(128), ReLU(), Linear(128, 64, rng)]),
+    "sine regression probe": ((16, 10), False, lambda rng: [Linear(16, 10, rng)]),
+    "lorenz regression probe": ((32, 60), False, lambda rng: [Linear(32, 60, rng)]),
+    "classifier": ((64, 10), False, lambda rng: [Linear(64, 10, rng)]),
+    "decoder": ((64, 256, 392), False, lambda rng: [
+        Linear(64, 256, rng), ReLU(), Linear(256, 392, rng)]),
 }
 
 
 def reference_spec(name: str) -> tuple:
-    return Network(REFERENCE_MLPS[name][2]()).spec()
+    return Network(REFERENCE_MLPS[name][2](np.random.default_rng(0))).spec()
 
 
 class TestArchitectures:
@@ -104,10 +102,9 @@ class TestArchitectures:
     @pytest.mark.parametrize("name", sorted(REFERENCE_MLPS))
     def test_build_mlp_matches_reference(self, name):
         widths, with_ln, layers = REFERENCE_MLPS[name]
-        net, ref = build_mlp(widths, with_ln), Network(layers())
+        net = build_mlp(widths, with_ln, 11)
+        ref = Network(layers(np.random.default_rng(11)))
         assert net.spec() == ref.spec()
-        init_parameters(net, 11)
-        init_parameters(ref, 11)
         assert fingerprint(net) == fingerprint(ref)
 
     @pytest.mark.parametrize("experiment, variant, encoder, predictor", [
@@ -122,7 +119,7 @@ class TestArchitectures:
         cfg = RunConfig(experiment, variant)
         hyper, mode = effective_hyper(cfg)
         model = _build_model(cfg, hyper, mode)
-        want = build_conv_encoder().spec() if encoder is None else reference_spec(encoder)
+        want = build_conv_encoder(64, 0).spec() if encoder is None else reference_spec(encoder)
         assert model.online_encoder.spec() == want
         for p in filter(None, (model.p_fwd, model.p_bwd)):
             assert p.spec() == reference_spec(predictor)
@@ -132,8 +129,8 @@ class TestArchitectures:
         """Every network ``eval`` builds through ``build_mlp``, in order."""
         built = []
 
-        def recording(widths, with_ln):
-            built.append(build_mlp(widths, with_ln))
+        def recording(widths, with_ln, seed):
+            built.append(build_mlp(widths, with_ln, seed))
             return built[-1]
 
         monkeypatch.setattr(ev, "build_mlp", recording)
@@ -166,25 +163,22 @@ class TestArchitectures:
 
 
 class TestInit:
+    """Builders draw every network from their seed."""
+
     def test_deterministic(self):
-        a = build_mlp((10, 64, 64, 16), True)
-        b = build_mlp((10, 64, 64, 16), True)
-        init_parameters(a, 42)
-        init_parameters(b, 42)
+        a = build_mlp((10, 64, 64, 16), True, 42)
+        b = build_mlp((10, 64, 64, 16), True, 42)
         for ta, tb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(ta.values, tb.values)
 
     def test_seed_changes_weights(self):
-        a = build_mlp((10, 64, 64, 16), True)
-        b = build_mlp((10, 64, 64, 16), True)
-        init_parameters(a, 0)
-        init_parameters(b, 1)
+        a = build_mlp((10, 64, 64, 16), True, 0)
+        b = build_mlp((10, 64, 64, 16), True, 1)
         assert any(not np.array_equal(ta.values, tb.values)
                    for ta, tb in zip(a.parameters(), b.parameters()))
 
     def test_weight_bounds_and_zero_bias(self):
-        net = build_mlp((10, 64, 64, 16), True)
-        init_parameters(net, 7)
+        net = build_mlp((10, 64, 64, 16), True, 7)
         lin, ln = net.layers[0], net.layers[1]
         w0 = lin.w.values
         assert np.abs(w0).max() <= 1.0 / np.sqrt(10.0)
@@ -194,10 +188,79 @@ class TestInit:
         assert np.array_equal(ln.beta.values, np.zeros(64))
 
     def test_conv_fan_in_bound(self):
-        net = build_conv_encoder()
-        init_parameters(net, 7)
+        net = build_conv_encoder(64, 7)
         k = net.layers[3].k.values  # 32 -> 64 conv
         assert np.abs(k).max() <= 1.0 / np.sqrt(32.0 * 9.0)
+        assert np.array_equal(net.layers[3].b.values, np.zeros(64))
+        bn = net.layers[4]
+        assert np.array_equal(bn.gamma.values, np.ones(64))
+        assert np.array_equal(bn.beta.values, np.zeros(64))
+        assert np.array_equal(bn.running_mean, np.zeros(64))
+        assert np.array_equal(bn.running_var, np.ones(64))
+
+
+class _Captured(Exception):
+    """Carries a network out of the code that built it."""
+
+
+class TestInitialParameters:
+    """The seed-0 initial parameters, pinned by ``fingerprint``: a change
+    in draw order, bounds or seed streams fails here. Each network is
+    reached through the code that builds it in a run or a gate."""
+
+    # (online encoder, p_fwd, p_bwd); classic has no p_bwd
+    MODELS = {
+        "sine": ("ceb345cc7f88e215391d025270952572dda3f4cb0ad53e882a07b98379125a38",
+                 "fec06c2807ea84fa14e68cbb0db75c9a879f714d51cc7a3a492ae2676c8a8eb9",
+                 "1ccc2acd74d1068a337465d3975fe4af91bd1af2cb17c5f07ed4c551b0e680e0"),
+        "lorenz": ("af48c4650bdb6d3b9b650b7d439ff400da51f82a9be661353085825046b82c88",
+                   "d1d46eff11913e69038b222dea6b67b409a5e00cce3852d1c79d8ed256c59636",
+                   "f3565df9e5e2e35f7bd66cb48e4d3e598aefe30e02edb46ef3e29f12a4e5e56c"),
+        "mnist": ("b9f85559703c76ecda2ac732db63c7a9475ff093ae1a77bf6a175c9a5ddacd1b",
+                  "9c13991559aa669cfe3b7dbd3a592816dd60017095d7db01da110cba0e8d100f",
+                  "58020fdc9f81539d89029fbc720fb88fd6289dd3b3822d7f1160ff5f672e63bf"),
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(MODELS))
+    @pytest.mark.parametrize("variant", ["bijepa-expressive", "classic"])
+    def test_experiment_models(self, experiment, variant):
+        cfg = RunConfig(experiment, variant, seed=0)
+        hyper, mode = effective_hyper(cfg)
+        model = _build_model(cfg, hyper, mode)
+        got = tuple(None if net is None else fingerprint(net)
+                    for net in (model.online_encoder, model.p_fwd, model.p_bwd))
+        want = self.MODELS[experiment]
+        assert got == (want if variant != "classic" else want[:2] + (None,))
+
+    def test_regression_probe(self, monkeypatch):
+        """The sine probe (16 -> 10) as a seed-0 run's probe config draws
+        it, read when its optimizer is made."""
+        def capture(nets, **_):
+            raise _Captured(nets[0])
+
+        monkeypatch.setattr(ev, "AdamW", capture)
+        stats = _ProbeStatistics.of(np.zeros((4, 16)), np.zeros((4, 10)))
+        with pytest.raises(_Captured) as got:
+            _train_regression_probe(stats, ProbeConfig(seed=derive_seed(0, "probe")))
+        assert fingerprint(got.value.args[0]) == \
+            "16100743e22d8a8b7755757e328d7feb57e0d44d406a2e44ca75a44b8d4bdfdd"
+
+    def test_gate3_fixture_0(self, monkeypatch):
+        """Gate 3's first fixture, read when the gate first takes its loss."""
+        import test_acceptance as gates
+
+        def capture(model, x, y):
+            raise _Captured(model)
+
+        monkeypatch.setattr(gates, "total_loss", capture)
+        with pytest.raises(_Captured) as got:
+            gates.test_criterion_03_classic_reduction()
+        model = got.value.args[0]
+        assert tuple(fingerprint(net) for net in (
+            model.online_encoder, model.target_encoder, model.p_fwd)) == (
+            "499d1e79d0714f5007cc3ede3b93511c598c62876136aa86f49c7f48afe9b796",
+            "aed6c1c840591b78d0c59b799fa243935c42799dd16533f4e93ae60dcf589137",
+            "f9dfea6bc776dd7216b6cddd15a5e406ce28b23e45abe05f7bb3a06d165ae3e1")
 
 
 class TestNetworkCopy:
@@ -208,11 +271,9 @@ class TestNetworkCopy:
     def sources() -> list[Network]:
         """MLP encoders with and without LayerNorm, and the conv encoder
         after one train-mode forward has moved its running statistics."""
-        nets = [build_mlp((10, 64, 64, 16), True),
-                build_mlp((10, 64, 64, 16), False),
-                build_conv_encoder()]
-        for seed, net in enumerate(nets):
-            init_parameters(net, seed)
+        nets = [build_mlp((10, 64, 64, 16), True, 0),
+                build_mlp((10, 64, 64, 16), False, 1),
+                build_conv_encoder(64, 2)]
         nets[-1](Tensor(np.random.default_rng(3).standard_normal((4, 1, 28, 14))))
         return nets
 
@@ -253,22 +314,19 @@ class TestNetworkCopy:
 
 class TestCloneAndFingerprint:
     def test_fingerprint_sensitive_to_single_entry(self):
-        net = build_mlp((10, 64, 64, 16), True)
-        init_parameters(net, 0)
+        net = build_mlp((10, 64, 64, 16), True, 0)
         before = fingerprint(net)
         net.parameters()[-1].values[0] += 1e-9
         assert fingerprint(net) != before
 
-        conv = build_conv_encoder()
-        init_parameters(conv, 0)
+        conv = build_conv_encoder(64, 0)
         before = fingerprint(conv)
         bn = next(layer for layer in conv.layers if isinstance(layer, BatchNorm2d))
         bn.running_mean[0] += 1e-9
         assert fingerprint(conv) != before
 
     def test_forward_ignores_grad_state(self):
-        net = build_mlp((10, 64, 64, 16), True)
-        init_parameters(net, 0)
+        net = build_mlp((10, 64, 64, 16), True, 0)
         x = np.ones((2, 10))
         y1 = net(Tensor(x)).values.copy()
         loss = sum_all(net(Tensor(x)))
@@ -291,12 +349,14 @@ class TestStorage:
         assert offset == net.flat.size
 
     def test_construction_packs_values(self):
-        first, second = Linear(3, 2), Linear(2, 1)
+        rng = np.random.default_rng(0)
+        first, second = Linear(3, 2, rng), Linear(2, 1, rng)
         first.w.values[...] = np.arange(6.0).reshape(3, 2)
+        second.w.values[...] = [[8.0], [9.0]]
         second.b.values[...] = 7.0
         net = Network([first, ReLU(), second])
         self.assert_owned(net)
-        assert np.array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 7])
+        assert np.array_equal(net.flat, [0, 1, 2, 3, 4, 5, 0, 0, 8, 9, 7])
 
     @pytest.mark.parametrize("experiment", ["sine", "lorenz", "mnist"])
     @pytest.mark.parametrize("variant", ["bijepa-expressive", "classic"])
@@ -317,8 +377,7 @@ class TestStorage:
         self.assert_owned(probe)
 
     def test_layer_in_second_network_refused_not_repacked(self):
-        first = build_mlp((4, 8, 4), True)
-        init_parameters(first, 0)
+        first = build_mlp((4, 8, 4), True, 0)
         before = fingerprint(first)
         with pytest.raises(ValueError, match="views another array"):
             Network(first.layers)
@@ -326,14 +385,14 @@ class TestStorage:
         assert fingerprint(first) == before
 
     def test_layer_listed_twice_refused(self):
-        layer = Linear(3, 3)
+        layer = Linear(3, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="views another array"):
             Network([layer, layer])
 
 
 class TestBuffers:
     def test_bn_stats_are_buffers_not_params(self):
-        net = build_conv_encoder()
+        net = build_conv_encoder(64, 0)
         bns = [layer for layer in net.layers if isinstance(layer, BatchNorm2d)]
         assert len(bns) == 2
         for bn in bns:
@@ -383,8 +442,7 @@ class TestMode:
         assert net.train().mode == "train"
 
     def test_bn_eval_uses_running_stats(self):
-        net = build_conv_encoder()
-        init_parameters(net, 0)
+        net = build_conv_encoder(64, 0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 1, 28, 14))
         net.train()

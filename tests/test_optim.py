@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bijepa.autodiff import Tensor
-from bijepa.nn import Layer, Network, SpecMismatchError, build_conv_encoder, \
-    build_mlp, init_parameters
+from bijepa.nn import Layer, Network, SpecMismatchError, build_conv_encoder, build_mlp
 from bijepa.optim import AdamW, ema_update
 
 from helpers import fingerprint
@@ -169,8 +168,7 @@ class TestParameterStorage:
 
     @staticmethod
     def registered_net():
-        net = build_mlp((4, 8, 4), True)
-        init_parameters(net, 0)
+        net = build_mlp((4, 8, 4), True, 0)
         opt = AdamW([net], lr=1e-2)
         return net, opt
 
@@ -193,16 +191,14 @@ class TestParameterStorage:
         assert offset == net.flat.size
 
     def test_registration_keeps_values(self):
-        net = build_mlp((4, 8, 4), True)
-        init_parameters(net, 0)
+        net = build_mlp((4, 8, 4), True, 0)
         before = fingerprint(net)
         AdamW([net], lr=1e-2)
         assert fingerprint(net) == before
 
     def test_clone_into_writes_optimizer_storage(self):
         net, opt = self.registered_net()
-        other = build_mlp((4, 8, 4), True)
-        init_parameters(other, 2)
+        other = build_mlp((4, 8, 4), True, 2)
         net.flat[...] = other.flat
         assert fingerprint(net) == fingerprint(other)
         assert np.array_equal(net.flat, np.concatenate(
@@ -212,8 +208,7 @@ class TestParameterStorage:
     def test_four_flat_buffers_and_a_step_allocates_none(self):
         # m, v, one scratch buffer and the gathered gradient, which the
         # update overwrites once both moments have read it
-        net = build_mlp((32, 128, 32), True)
-        init_parameters(net, 0)
+        net = build_mlp((32, 128, 32), True, 0)
         nbytes = net.flat.nbytes
         tracemalloc.start()
         try:
@@ -236,11 +231,9 @@ class TestParameterStorage:
             AdamW([net, net], lr=1e-3)
 
     def test_updates_never_rebind_values(self):
-        online = build_mlp((4, 8, 8, 3), True)
-        target = build_mlp((4, 8, 8, 3), True)
-        p_fwd = build_mlp((3, 8, 3), True)
-        for seed, net in enumerate((online, target, p_fwd)):
-            init_parameters(net, seed)
+        online = build_mlp((4, 8, 8, 3), True, 0)
+        target = build_mlp((4, 8, 8, 3), True, 1)
+        p_fwd = build_mlp((3, 8, 3), True, 2)
         nets = (online, target, p_fwd)
         storage = [p.values for net in nets for p in net.parameters()]
         opt = AdamW([online, p_fwd], lr=1e-2, weight_decay=1e-4)
@@ -356,10 +349,8 @@ class TestAdamWStep:
 class TestEma:
     @staticmethod
     def pair(seed_online=0, seed_target=1):
-        online = build_mlp((4, 8, 4), False)
-        target = build_mlp((4, 8, 4), False)
-        init_parameters(online, seed_online)
-        init_parameters(target, seed_target)
+        online = build_mlp((4, 8, 4), False, seed_online)
+        target = build_mlp((4, 8, 4), False, seed_target)
         return online, target
 
     def test_single_step_convex_combination(self):
@@ -372,9 +363,7 @@ class TestEma:
 
     def test_in_place_update_allocates_no_arrays(self):
         # 32x64 weights (16 KiB): a temporary of any of them would show
-        online, target = build_mlp((32, 64, 32), True), build_mlp((32, 64, 32), True)
-        init_parameters(online, 0)
-        init_parameters(target, 1)
+        online, target = build_mlp((32, 64, 32), True, 0), build_mlp((32, 64, 32), True, 1)
         ema_update(target, online, 0.9)  # first call sizes the scratch
         storage = [p.values for p in target.parameters()]
         tracemalloc.start()
@@ -416,8 +405,8 @@ class TestEma:
         assert gap < gap0 * tau ** 100 * (1.0 + 1e-9) + 1e-15
 
     def test_spec_mismatch_rejected(self):
-        online = build_mlp((4, 8, 8, 2), True)
-        target = build_mlp((4, 8, 8, 2), False)
+        online = build_mlp((4, 8, 8, 2), True, 0)
+        target = build_mlp((4, 8, 8, 2), False, 1)
         with pytest.raises(SpecMismatchError):
             ema_update(target, online, 0.5)
 
@@ -432,9 +421,7 @@ class TestEma:
         assert fingerprint(target) == before
 
     def test_conv_encoder_convex_combination(self):
-        online, target = build_conv_encoder(), build_conv_encoder()
-        init_parameters(online, 0)
-        init_parameters(target, 1)
+        online, target = build_conv_encoder(64, 0), build_conv_encoder(64, 1)
         tau = 0.99
         want = [tau * p_t.values + (1.0 - tau) * p_o.values
                 for p_t, p_o in zip(target.parameters(), online.parameters())]
@@ -448,10 +435,8 @@ class TestEmaArena:
 
     @staticmethod
     def pair():
-        online = build_mlp((4, 8, 8, 3), True)
-        target = build_mlp((4, 8, 8, 3), True)
-        init_parameters(online, 0)
-        init_parameters(target, 1)
+        online = build_mlp((4, 8, 8, 3), True, 0)
+        target = build_mlp((4, 8, 8, 3), True, 1)
         return online, target
 
     @staticmethod
@@ -477,8 +462,7 @@ class TestEmaArena:
 
     def test_registered_online_keeps_optimizer_storage(self):
         online, target = self.pair()
-        p_fwd = build_mlp((3, 8, 3), True)
-        init_parameters(p_fwd, 2)
+        p_fwd = build_mlp((3, 8, 3), True, 2)
         opt = AdamW([online, p_fwd], lr=1e-2)
         for step in range(3):
             for p in online.parameters() + p_fwd.parameters():
@@ -505,11 +489,10 @@ class TestEmaArena:
     def test_new_online_network_rechecked(self):
         online, target = self.pair()
         ema_update(target, online, 0.9)
-        other = build_mlp((4, 8, 4), True)
+        other = build_mlp((4, 8, 4), True, 2)
         with pytest.raises(SpecMismatchError):
             ema_update(target, other, 0.9)
-        online2, _ = self.pair()
-        init_parameters(online2, 5)
+        online2 = build_mlp((4, 8, 8, 3), True, 5)
         want = self.expected(target, online2, 0.5)
         ema_update(target, online2, 0.5)
         self.assert_values(target, want)
