@@ -31,8 +31,8 @@ from .data import (
 # no run calls these, but perfbench/tracer.py wraps them by name here
 from .data import load_mnist_idx, split_vertical  # noqa: F401
 from .eval import (
-    ProbeConfig, forecast_table, generative_decoder, linear_probe_classify,
-    protocol_a, protocol_b, write_pgm,
+    forecast_table, generative_decoder, linear_probe_classify, protocol_a,
+    protocol_b, write_pgm,
 )
 from .jepa import BiJepaModel, ConstraintMode, train_step
 from .nn import build_conv_encoder, build_mlp
@@ -315,10 +315,11 @@ def resolve_mnist_dir(explicit: str | None) -> Path:
         "set BIJEPA_MNIST_DIR, or run `bijepa fetch-mnist --out mnist-data`")
 
 
-def _regression_probes(model: BiJepaModel, held_out, probe_cfg: ProbeConfig):
+def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
     """Protocols A and B; returns (metrics, forecast records, images)."""
-    ra = protocol_a(model, held_out, probe_cfg)
-    rb = protocol_b(model, held_out, probe_cfg)
+    settings = {"lr": hyper["probe_lr"], "steps": hyper["probe_steps"], "seed": seed}
+    ra = protocol_a(model, held_out, **settings)
+    rb = protocol_b(model, held_out, **settings)
     metrics = {
         "protocol_a_mse": ra.mse, "protocol_b_mse": rb.mse,
         "protocol_a_mse_exact": ra.mse_exact, "protocol_b_mse_exact": rb.mse_exact,
@@ -327,11 +328,13 @@ def _regression_probes(model: BiJepaModel, held_out, probe_cfg: ProbeConfig):
     return metrics, forecast_table(held_out.test, ra, rb), []
 
 
-def _image_probes(model: BiJepaModel, views, probe_cfg: ProbeConfig):
+def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
     """Digit classifier and right-half decoder; returns (metrics, forecast
     records, images)."""
-    racc = linear_probe_classify(model, views, probe_cfg)
-    rdec = generative_decoder(model, views, probe_cfg)
+    settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"],
+                "batch": hyper["probe_batch"], "seed": seed}
+    racc = linear_probe_classify(model, views, **settings)
+    rdec = generative_decoder(model, views, **settings)
     metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
     return metrics, [], _triptychs(views.test, rdec.predictions)
 
@@ -355,7 +358,7 @@ class _Experiment:
     hyper: dict         # base hyperparameters, each overridable with --set
     encoder: Callable   # (hyper, with_ln, seed) -> encoder Network
     data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
-    probes: Callable    # (model, held-out splits, ProbeConfig) -> (metrics, forecast, images)
+    probes: Callable    # (model, held-out splits, hyper, seed) -> (metrics, forecast, images)
     verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)
     own_domains: dict   # domains that differ from _DOMAINS for this experiment
 
@@ -411,13 +414,11 @@ def run(cfg: RunConfig) -> ExperimentReport:
     model = _build_model(cfg, hyper, mode)
     opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
-    probe_cfg = ProbeConfig(seed=derive_seed(cfg.seed, "probe"), **{
-        f.name: hyper[f"probe_{f.name}"] for f in fields(ProbeConfig)
-        if f"probe_{f.name}" in hyper})
 
     batches, n_steps, held_out = experiment.data(cfg, hyper)
     history, diverged = _train(model, opt, batches, n_steps)
-    metrics, forecast, images = experiment.probes(model, held_out, probe_cfg)
+    metrics, forecast, images = experiment.probes(
+        model, held_out, hyper, derive_seed(cfg.seed, "probe"))
 
     report = ExperimentReport(
         config=_echo_config(cfg, hyper, mode),
@@ -444,42 +445,31 @@ def _echo_config(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> dict:
     return echo
 
 
-def emit_outputs(report: ExperimentReport, out_dir, images=()) -> list[Path]:
+def emit_outputs(report: ExperimentReport, out_dir, images) -> None:
     """Write report.json, loss.csv, forecast.csv, and the given
     reconstruction images, (file name, uint8 array) pairs, into out_dir.
-    Returns the written paths.
 
     report.json and the CSVs are streamed into their files as they are
     encoded; report.json is the report's fields (the values themselves,
     not deep copies) as indented JSON with sorted keys."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
 
-    path = out / "report.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump({fd.name: getattr(report, fd.name) for fd in fields(report)}, fh,
                   indent=2, sort_keys=True)
-    written.append(path)
 
-    path = out / "loss.csv"
-    _write_csv(path, "step,total,fwd,bwd,emb_norm", (
+    _write_csv(out / "loss.csv", "step,total,fwd,bwd,emb_norm", (
         f"{step},{total!r},{fwd!r},{bwd!r},{norm!r}"
         for step, total, fwd, bwd, norm in report.loss_history))
-    written.append(path)
 
     if report.forecast:
-        path = out / "forecast.csv"
-        _write_csv(path, "sample,truth,proto_a,proto_b", (
+        _write_csv(out / "forecast.csv", "sample,truth,proto_a,proto_b", (
             f"{rec['sample']},{rec['truth']!r},{rec['proto_a']!r},{rec['proto_b']!r}"
             for rec in report.forecast))
-        written.append(path)
 
     for name, image in images:
-        path = out / name
-        write_pgm(path, image)
-        written.append(path)
-    return written
+        write_pgm(out / name, image)
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -606,7 +596,7 @@ _DEFAULT_MNIST_URL = "https://ossci-datasets.s3.amazonaws.com/mnist/"
 _FETCH_TIMEOUT_S = 60.0
 
 
-def fetch_mnist(out_dir, base_url: str = _DEFAULT_MNIST_URL) -> list[Path]:
+def fetch_mnist(out_dir, base_url: str) -> list[Path]:
     """Download, decompress, and size-verify the four IDX files of
     ``_MNIST_FILES``.
 

@@ -42,15 +42,6 @@ from .seeding import derive_seed, stream
 
 
 @dataclass
-class ProbeConfig:
-    lr: float = 1e-3
-    steps: int = 2000
-    epochs: int = 10
-    batch: int = 256
-    seed: int = 0
-
-
-@dataclass
 class ProbeResult:
     """``mse_exact`` (test MSE of the least-squares probe) and
     ``train_mse`` (the fitted probe's MSE on its own split) are set by
@@ -155,11 +146,12 @@ class _ProbeStatistics:
         return np.linalg.lstsq(self.gram, self.cross, rcond=None)[0]
 
 
-def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Network:
+def _train_regression_probe(stats: _ProbeStatistics, lr: float, steps: int,
+                            seed: int) -> Network:
     """Full-batch AdamW fit of a linear probe, with every gradient taken
     from the sufficient statistics (no autodiff graph)."""
     d, o = stats.cross.shape[0] - 1, stats.cross.shape[1]
-    probe = build_mlp((d, o), False, derive_seed(cfg.seed, "probe-init"))
+    probe = build_mlp((d, o), False, derive_seed(seed, "probe-init"))
     # Network packs w then b, row-major, so its storage read as a
     # (d+1)×o matrix is Θ = [W; bᵀ]; AdamW's updates land in it
     theta = probe.flat.reshape(d + 1, o)
@@ -167,8 +159,8 @@ def _train_regression_probe(stats: _ProbeStatistics, cfg: ProbeConfig) -> Networ
     lin = probe.layers[0]
     grad = np.empty_like(theta)
     lin.w.grad, lin.b.grad = grad[:d], grad[d]
-    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
-    for _ in range(cfg.steps):
+    opt = AdamW([probe], lr=lr, weight_decay=0.0)
+    for _ in range(steps):
         stats.gradient(theta, out=grad)
         opt.step()
     opt.zero_grad()
@@ -187,14 +179,15 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((preds - targets) ** 2))
 
 
-def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
-                         through_predictor: bool) -> ProbeResult:
+def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
+                         lr: float, steps: int, seed: int) -> ProbeResult:
     """Fit a probe on the frozen features of the probe split, report its
     MSE on the test split, with the least-squares probe's test MSE and
     the fitted probe's probe-split MSE beside it."""
     feats = _embed(model, dataset.probe.x.values, through_predictor)
     stats = _ProbeStatistics.of(feats, dataset.probe.y.values)
-    theta = _train_regression_probe(stats, cfg).flat.reshape(stats.cross.shape)
+    theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
+        stats.cross.shape)
     test_feats = _embed(model, dataset.test.x.values, through_predictor)
     test_targets = dataset.test.y.values
     preds = _affine(test_feats, theta)
@@ -204,26 +197,28 @@ def _regression_protocol(model: BiJepaModel, dataset, cfg: ProbeConfig,
         train_mse=stats.mse(theta))
 
 
-def protocol_a(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
+def protocol_a(model: BiJepaModel, dataset, *, lr: float, steps: int,
+               seed: int) -> ProbeResult:
     """Does the context embedding carry the target observation?
 
     Trains a probe from frozen context embeddings to the flattened
     target window on the probe split; reports MSE on the test split.
     """
-    return _regression_protocol(model, dataset, cfg, through_predictor=False)
+    return _regression_protocol(model, dataset, False, lr, steps, seed)
 
 
-def protocol_b(model: BiJepaModel, dataset, cfg: ProbeConfig) -> ProbeResult:
+def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
+               seed: int) -> ProbeResult:
     """Can the frozen forward predictor forecast the target?
 
     Same probe setup as protocol A, but features are the predicted
     target embeddings: predictor(encoder(context)), both frozen.
     """
-    return _regression_protocol(model, dataset, cfg, through_predictor=True)
+    return _regression_protocol(model, dataset, True, lr, steps, seed)
 
 
-def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn,
-                cfg: ProbeConfig) -> np.ndarray:
+def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
+                epochs: int, batch: int, seed: int) -> np.ndarray:
     """Fit ``build_mlp(widths(feature dim), False, seed)`` on the frozen
     left-half embeddings of the train split, by mini-batch epochs with a
     seeded shuffle per epoch; return its outputs on the test split.
@@ -232,12 +227,11 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn,
     was drawn from.
     """
     feats = _embed(model, mnist.train.x.values, through_predictor=False)
-    probe = build_mlp(widths(feats.shape[1]), False, derive_seed(cfg.seed, "probe-init"))
-    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
+    probe = build_mlp(widths(feats.shape[1]), False, derive_seed(seed, "probe-init"))
+    opt = AdamW([probe], lr=lr, weight_decay=0.0)
     n = feats.shape[0]
-    batches = shuffled_epochs(n, cfg.batch, stream(cfg.seed, "probe-shuffle"),
-                              drop_last=False)
-    for idx in itertools.islice(batches, cfg.epochs * math.ceil(n / cfg.batch)):
+    batches = shuffled_epochs(n, batch, stream(seed, "probe-shuffle"), drop_last=False)
+    for idx in itertools.islice(batches, epochs * math.ceil(n / batch)):
         loss = loss_fn(probe(Tensor(feats[idx])), idx)
         opt.zero_grad()
         loss.backward()
@@ -247,7 +241,8 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn,
     return _predict(probe, test_feats)
 
 
-def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResult:
+def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
+                          batch: int, seed: int) -> ProbeResult:
     """Linear classifier on frozen left-half embeddings.
 
     ``mnist`` carries train/test ViewBatches with digit labels. Reports
@@ -256,13 +251,15 @@ def linear_probe_classify(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeR
     labels = mnist.train.labels
     logits = _fit_epochs(
         model, mnist, lambda dim: (dim, 10),
-        lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]), cfg)
+        lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]),
+        lr, epochs, batch, seed)
     pred_labels = logits.argmax(axis=1)
     accuracy = float((pred_labels == mnist.test.labels).mean())
     return ProbeResult(accuracy=accuracy, predictions=pred_labels)
 
 
-def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResult:
+def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
+                       batch: int, seed: int) -> ProbeResult:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
     A small MLP (hidden 256) regresses the normalized right half.
@@ -274,7 +271,8 @@ def generative_decoder(model: BiJepaModel, mnist, cfg: ProbeConfig) -> ProbeResu
     targets = mnist.train.y.values.reshape(mnist.train.size, -1)
     preds = _fit_epochs(
         model, mnist, lambda dim: (dim, 256, targets.shape[1]),
-        lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])), cfg)
+        lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
+        lr, epochs, batch, seed)
     test_targets = mnist.test.y.values.reshape(mnist.test.size, -1)
     return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
                        predictions=preds)

@@ -17,7 +17,6 @@ import numpy as np
 
 from bijepa.autodiff import Tensor, mse_loss, mul, sum_all
 from bijepa.cli import ExperimentReport
-from bijepa.eval import ProbeConfig
 from bijepa.nn import Linear, Network
 from bijepa.optim import AdamW
 from bijepa.seeding import derive_seed
@@ -75,18 +74,18 @@ def check_grads(op, arrays: list[np.ndarray], rng, tol: float = TOL) -> float:
     return worst
 
 
-def reference_probe_fit(feats: np.ndarray, targets: np.ndarray,
-                        cfg: ProbeConfig) -> Network:
+def reference_probe_fit(feats: np.ndarray, targets: np.ndarray, lr: float,
+                        steps: int, seed: int) -> Network:
     """The regression probe fitted through the autodiff engine: each step
     builds ``mse_loss(linear(F), T)`` over the whole split and
     back-propagates it. Same init, seed stream and optimizer as
     ``eval._train_regression_probe``."""
-    rng = np.random.default_rng(derive_seed(cfg.seed, "probe-init"))
+    rng = np.random.default_rng(derive_seed(seed, "probe-init"))
     probe = Network([Linear(feats.shape[1], targets.shape[1], rng)])
-    opt = AdamW([probe], lr=cfg.lr, weight_decay=0.0)
+    opt = AdamW([probe], lr=lr, weight_decay=0.0)
     f = Tensor(feats)
     t = Tensor(targets)
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         loss = mse_loss(probe(f), t)
         opt.zero_grad()
         loss.backward()

@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bijepa import cli
+from bijepa import cli, eval as ev
 from bijepa.cli import (
     ConfigError, Domain, ExperimentReport, RunConfig, _final_loss, _parse_set,
     effective_hyper, emit_outputs, fetch_mnist, main, resolve_mnist_dir, run,
     run_suite,
 )
+from bijepa.seeding import derive_seed
 
 from helpers import load_report, write_idx
 
@@ -267,7 +268,7 @@ class TestEmitOutputs:
             protocol_b_mse=0.2,
             forecast=[{"sample": i, "truth": i / 7, "proto_a": -i / 3, "proto_b": 0.1 * i}
                       for i in range(3)])
-        emit_outputs(report, tmp_path)
+        emit_outputs(report, tmp_path, [])
         expected_json = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
         assert (tmp_path / "report.json").read_bytes() == expected_json.encode()
         lines = ["step,total,fwd,bwd,emb_norm"]
@@ -438,6 +439,57 @@ class TestMnistRun:
                 p = tmp_path / f"recon_{i:02d}_{part}.pgm"
                 assert p.exists()
                 assert p.read_bytes().startswith(b"P5\n14 28\n255\n")
+
+
+class TestProbeSettings:
+    """A run's probes read the experiment table's ``probe_*`` keys, with
+    --set overrides applied, and draw from the run's probe seed."""
+
+    @pytest.fixture
+    def probe_calls(self, monkeypatch):
+        optimizers, seeds = [], []
+
+        class RecordingAdamW(ev.AdamW):
+            def __init__(self, nets, lr, **kwargs):
+                super().__init__(nets, lr, **kwargs)
+                self.steps = 0
+                optimizers.append((lr, kwargs, self))
+
+            def step(self):
+                self.steps += 1
+                return super().step()
+
+        build_mlp = ev.build_mlp
+
+        def recording_build_mlp(widths, with_ln, seed):
+            seeds.append(seed)
+            return build_mlp(widths, with_ln, seed)
+
+        monkeypatch.setattr(ev, "AdamW", RecordingAdamW)
+        monkeypatch.setattr(ev, "build_mlp", recording_build_mlp)
+        return optimizers, seeds
+
+    @staticmethod
+    def check(probe_calls, lr, steps):
+        optimizers, seeds = probe_calls
+        assert [(got_lr, kwargs) for got_lr, kwargs, _ in optimizers] == \
+            [(lr, {"weight_decay": 0.0})] * 2
+        assert [opt.steps for _, _, opt in optimizers] == [steps] * 2
+        assert seeds == [derive_seed(derive_seed(0, "probe"), "probe-init")] * 2
+
+    @pytest.mark.parametrize("experiment", ["sine", "lorenz"])
+    def test_regression_probes(self, probe_calls, experiment):
+        overrides = {"steps": 5, "probe_lr": 0.02, "probe_steps": 7}
+        run(RunConfig(experiment, "classic", seed=0, overrides=overrides))
+        self.check(probe_calls, 0.02, 7)
+
+    def test_image_probes(self, probe_calls, tmp_path):
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=64, n_test=16)
+        overrides = {"epochs": 1, "probe_lr": 0.03, "probe_epochs": 2, "probe_batch": 16}
+        run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
+                      overrides=overrides))
+        self.check(probe_calls, 0.03, 2 * math.ceil(64 / 16))
 
 
 class TestResolveMnistDir:

@@ -11,7 +11,7 @@ from bijepa.autodiff import Tensor
 from bijepa.data import MNIST_MEAN, MNIST_STD, ViewBatch, denormalize_to_u8
 from bijepa.eval import (
     _affine, _embed, _mse, _predict, _ProbeStatistics, _train_regression_probe,
-    ProbeConfig, ProbeResult, forecast_table, generative_decoder,
+    ProbeResult, forecast_table, generative_decoder,
     linear_probe_classify, protocol_a, protocol_b, write_pgm,
 )
 from bijepa.jepa import (
@@ -81,9 +81,8 @@ class TestSufficientStatisticsProbe:
 
     def test_fit_matches_autodiff_reference(self):
         feats, targets = probe_problem(13)
-        cfg = ProbeConfig(lr=1e-2, steps=200, seed=5)
-        probe = _train_regression_probe(_ProbeStatistics.of(feats, targets), cfg)
-        reference = reference_probe_fit(feats, targets, cfg)
+        probe = _train_regression_probe(_ProbeStatistics.of(feats, targets), 1e-2, 200, 5)
+        reference = reference_probe_fit(feats, targets, 1e-2, 200, 5)
         np.testing.assert_allclose(probe.flat, reference.flat, rtol=1e-9)
 
     def test_theta_is_the_probe_storage(self, monkeypatch):
@@ -97,7 +96,7 @@ class TestSufficientStatisticsProbe:
         monkeypatch.setattr(_ProbeStatistics, "gradient", recording)
         feats, targets = probe_problem(14)
         probe = _train_regression_probe(_ProbeStatistics.of(feats, targets),
-                                        ProbeConfig(steps=3))
+                                        1e-3, 3, 0)
         assert len(seen) == 3
         assert all(np.shares_memory(theta, probe.flat) for theta in seen)
 
@@ -121,17 +120,17 @@ class TestSufficientStatisticsProbe:
         monkeypatch.setattr(ev, "AdamW", CountingAdamW)
         feats, targets = probe_problem(15)
         _train_regression_probe(_ProbeStatistics.of(feats, targets),
-                                ProbeConfig(steps=37))
+                                1e-3, 37, 0)
         assert nodes == []
         assert steps == list(range(37))
-        reference_probe_fit(feats, targets, ProbeConfig(steps=1))
+        reference_probe_fit(feats, targets, 1e-3, 1, 0)
         assert nodes, "the counting Node sees autodiff graphs"
 
     @pytest.mark.parametrize("constant_column", [False, True])
     def test_train_mse_from_statistics(self, constant_column):
         feats, targets = probe_problem(16, constant_column=constant_column)
         stats = _ProbeStatistics.of(feats, targets)
-        probe = _train_regression_probe(stats, ProbeConfig(steps=50))
+        probe = _train_regression_probe(stats, 1e-3, 50, 0)
         direct = float(np.mean((probe(Tensor(feats)).values - targets) ** 2))
         theta = probe.flat.reshape(-1, targets.shape[1])
         assert stats.mse(theta) == pytest.approx(direct, rel=1e-10)
@@ -147,7 +146,7 @@ class TestSufficientStatisticsProbe:
     def test_protocol_reports_exact_and_train_mse(self):
         model = make_model(seed=6)
         ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
-        r = protocol_b(model, ds, ProbeConfig(steps=100))
+        r = protocol_b(model, ds, lr=1e-3, steps=100, seed=0)
         feats = _embed(model, ds.probe.x.values, through_predictor=True)
         test_feats = _embed(model, ds.test.x.values, through_predictor=True)
         ones = np.ones((feats.shape[0], 1))
@@ -237,7 +236,7 @@ class TestRegressionProtocols:
     def test_realizable_target_fits_to_zero(self):
         model = make_model()
         ds = regression_dataset(model, np.random.default_rng(0))
-        r = protocol_a(model, ds, ProbeConfig(lr=1e-2, steps=4000))
+        r = protocol_a(model, ds, lr=1e-2, steps=4000, seed=0)
         assert r.mse < 1e-6
 
     def test_collapsed_encoder_hits_variance_floor(self):
@@ -251,7 +250,7 @@ class TestRegressionProtocols:
         xp = rng.standard_normal((256, IN_DIM))
         yp = rng.standard_normal((256, 5)) * 2.0 + 1.0
         ds = SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xp, yp))
-        r = protocol_a(model, ds, ProbeConfig())
+        r = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
         var = float(yp.var())
         assert abs(r.mse - var) < 0.01 * var
 
@@ -265,16 +264,16 @@ class TestRegressionProtocols:
         p_fwd.layers[2].w.values[...] = w.T
         model = make_model(seed=2, p_fwd=p_fwd)
         ds = regression_dataset(model, np.random.default_rng(2))
-        ra = protocol_a(model, ds, ProbeConfig())
-        rb = protocol_b(model, ds, ProbeConfig())
+        ra = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
+        rb = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
         assert ra.mse == rb.mse
         assert np.array_equal(ra.predictions, rb.predictions)
 
     def test_probe_determinism(self):
         model = make_model(seed=3)
         ds = regression_dataset(model, np.random.default_rng(3))
-        r1 = protocol_b(model, ds, ProbeConfig())
-        r2 = protocol_b(model, ds, ProbeConfig())
+        r1 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        r2 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
         assert r1.mse == r2.mse
         assert np.array_equal(r1.predictions, r2.predictions)
 
@@ -284,8 +283,8 @@ class TestRegressionProtocols:
         prints = [fingerprint(n) for n in (model.online_encoder,
                                            model.target_encoder,
                                            model.p_fwd, model.p_bwd)]
-        protocol_a(model, ds, ProbeConfig(steps=50))
-        protocol_b(model, ds, ProbeConfig(steps=50))
+        protocol_a(model, ds, lr=1e-3, steps=50, seed=0)
+        protocol_b(model, ds, lr=1e-3, steps=50, seed=0)
         after = [fingerprint(n) for n in (model.online_encoder,
                                           model.target_encoder,
                                           model.p_fwd, model.p_bwd)]
@@ -296,7 +295,7 @@ class TestRegressionProtocols:
         n, d, o = dims
         feats, targets = probe_problem(d + o, n=n, d=d, o=o)
         probe = _train_regression_probe(_ProbeStatistics.of(feats, targets),
-                                        ProbeConfig(steps=3))
+                                        1e-3, 3, 0)
         theta = probe.flat.reshape(d + 1, o)
         test_feats = np.random.default_rng(n).standard_normal((n + 3, d))
         assert _affine(test_feats, theta).tobytes() == _predict(probe, test_feats).tobytes()
@@ -309,8 +308,8 @@ class TestRegressionProtocols:
 
         model = make_model(seed=5, p_bwd=Boom([]))
         ds = regression_dataset(model, np.random.default_rng(5))
-        protocol_a(model, ds, ProbeConfig(steps=20))
-        protocol_b(model, ds, ProbeConfig(steps=20))
+        protocol_a(model, ds, lr=1e-3, steps=20, seed=0)
+        protocol_b(model, ds, lr=1e-3, steps=20, seed=0)
 
 
 def classification_fixture(rng, n_train=2000, n_test=4000):
@@ -325,7 +324,7 @@ class TestClassifierProbe:
     def test_random_features_random_labels_chance_level(self):
         model = make_model(seed=2)
         mn = classification_fixture(np.random.default_rng(0))
-        r = linear_probe_classify(model, mn, ProbeConfig(lr=1e-2))
+        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, batch=256, seed=0)
         assert 0.08 <= r.accuracy <= 0.12
 
     def test_separable_features_learned(self):
@@ -338,13 +337,13 @@ class TestClassifierProbe:
         mn = SimpleNamespace(
             train=ViewBatch(x[:2000], x[:2000], labels=labels[:2000]),
             test=ViewBatch(x[2000:], x[2000:], labels=labels[2000:]))
-        r = linear_probe_classify(model, mn, ProbeConfig(lr=1e-2))
+        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, batch=256, seed=0)
         assert r.accuracy > 0.95
 
     def test_prediction_vector_shape(self):
         model = make_model(seed=8)
         mn = classification_fixture(np.random.default_rng(8), n_test=500)
-        r = linear_probe_classify(model, mn, ProbeConfig(epochs=1))
+        r = linear_probe_classify(model, mn, lr=1e-3, epochs=1, batch=256, seed=0)
         assert r.predictions.shape == (500,)
         assert set(np.unique(r.predictions)) <= set(range(10))
 
@@ -374,7 +373,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:100], imgs[:100]))
         model = self.conv_free_model(9)
-        r = generative_decoder(model, mn, ProbeConfig(epochs=2))
+        r = generative_decoder(model, mn, lr=1e-3, epochs=2, batch=256, seed=0)
         assert r.predictions.shape == (100, 392)
         assert r.mse >= 0.0
 
@@ -384,7 +383,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:64], imgs[:64]))
         model = self.conv_free_model(10)
-        r = generative_decoder(model, mn, ProbeConfig(epochs=1))
+        r = generative_decoder(model, mn, lr=1e-3, epochs=1, batch=256, seed=0)
         # the reported MSE reads in raw pixel units, the predictions stay normalized
         assert r.mse == _mse(r.predictions, imgs[:64]) * MNIST_STD ** 2
 

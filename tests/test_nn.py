@@ -9,7 +9,7 @@ from bijepa import eval as ev
 from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
 from bijepa.cli import _EXPERIMENTS, RunConfig, _build_model, effective_hyper
 from bijepa.data import ViewBatch
-from bijepa.eval import ProbeConfig, _ProbeStatistics, _train_regression_probe
+from bijepa.eval import _ProbeStatistics, _train_regression_probe
 from bijepa.nn import (
     BatchNorm2d, LayerNorm, Linear, Network, ReLU, build_conv_encoder, build_mlp,
 )
@@ -143,8 +143,8 @@ class TestArchitectures:
         hyper, mode = effective_hyper(cfg)
         model = _build_model(cfg, hyper, mode)
         _, _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
-        ev.protocol_a(model, held_out, ProbeConfig(steps=1))
-        ev.protocol_b(model, held_out, ProbeConfig(steps=1))
+        ev.protocol_a(model, held_out, lr=1e-3, steps=1, seed=0)
+        ev.protocol_b(model, held_out, lr=1e-3, steps=1, seed=0)
         assert [net.spec() for net in built_probes] == [reference_spec(probe)] * 2
 
     def test_image_probes(self, built_probes):
@@ -155,9 +155,9 @@ class TestArchitectures:
         halves = rng.standard_normal((2, 4, 1, 28, 14))
         views = ViewBatch(halves[0], halves[1], np.arange(4))
         mnist = SimpleNamespace(train=views, test=views)
-        cfg = ProbeConfig(epochs=1, batch=4)
-        ev.linear_probe_classify(model, mnist, cfg)
-        ev.generative_decoder(model, mnist, cfg)
+        settings = {"lr": 1e-3, "epochs": 1, "batch": 4, "seed": 0}
+        ev.linear_probe_classify(model, mnist, **settings)
+        ev.generative_decoder(model, mnist, **settings)
         assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
                                                         reference_spec("decoder")]
 
@@ -233,7 +233,7 @@ class TestInitialParameters:
         assert got == (want if variant != "classic" else want[:2] + (None,))
 
     def test_regression_probe(self, monkeypatch):
-        """The sine probe (16 -> 10) as a seed-0 run's probe config draws
+        """The sine probe (16 -> 10) as a seed-0 run's probe seed draws
         it, read when its optimizer is made."""
         def capture(nets, **_):
             raise _Captured(nets[0])
@@ -241,7 +241,7 @@ class TestInitialParameters:
         monkeypatch.setattr(ev, "AdamW", capture)
         stats = _ProbeStatistics.of(np.zeros((4, 16)), np.zeros((4, 10)))
         with pytest.raises(_Captured) as got:
-            _train_regression_probe(stats, ProbeConfig(seed=derive_seed(0, "probe")))
+            _train_regression_probe(stats, 1e-3, 2000, derive_seed(0, "probe"))
         assert fingerprint(got.value.args[0]) == \
             "16100743e22d8a8b7755757e328d7feb57e0d44d406a2e44ca75a44b8d4bdfdd"
 
@@ -373,7 +373,7 @@ class TestStorage:
         rng = np.random.default_rng(0)
         stats = _ProbeStatistics.of(rng.standard_normal((16, 4)),
                                     rng.standard_normal((16, 3)))
-        probe = _train_regression_probe(stats, ProbeConfig(steps=3))
+        probe = _train_regression_probe(stats, 1e-3, 3, 0)
         self.assert_owned(probe)
 
     def test_layer_in_second_network_refused_not_repacked(self):
