@@ -6,8 +6,9 @@ them in reverse execution order, and accumulates gradients into the
 ``grad`` slot of every leaf that requires them. Graphs are single-use
 and are rebuilt on every forward pass.
 
-Primitives take ``Tensor``s: arrays become tensors where data enters the
-program, through ``Tensor()``, and nowhere else. No vjp writes into its
+Primitives take ``Tensor``s; ``data`` is numpy-only, and arrays become
+tensors through ``Tensor()`` only where a network reads them: in
+``cli._train`` and in ``eval``'s forwards. No vjp writes into its
 incoming gradient, and no two arrays one vjp returns share memory, so a
 gradient array the pass builds belongs to one tensor and is given to it
 without a copy.

@@ -24,6 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import (
     LorenzConfig, SineConfig, ViewBatch, build_lorenz_dataset, denormalize_to_u8,
     gen_sine_batch, load_mnist_halves, shuffled_epochs,
@@ -209,7 +210,7 @@ def _train(model: BiJepaModel, opt: AdamW, batches, n_steps: int):
     diverged = False
     for step in range(n_steps):
         batch = next(batches)
-        m = train_step(model, opt, batch.x, batch.y, step)
+        m = train_step(model, opt, Tensor(batch.x), Tensor(batch.y), step)
         history.append([step, m.total_loss, m.fwd_loss, m.bwd_loss,
                         m.mean_embedding_norm])
         diverged = diverged or m.diverged
@@ -344,9 +345,9 @@ def _triptychs(test_views: ViewBatch, generated: np.ndarray) -> list:
     for the first 8 test samples."""
     images = []
     for i in range(min(8, test_views.size)):
-        ctx = denormalize_to_u8(test_views.x.values[i, 0])
+        ctx = denormalize_to_u8(test_views.x[i, 0])
         gen = denormalize_to_u8(generated[i].reshape(28, 14))
-        tru = denormalize_to_u8(test_views.y.values[i, 0])
+        tru = denormalize_to_u8(test_views.y[i, 0])
         images.append((f"recon_{i:02d}_input.pgm", ctx))
         images.append((f"recon_{i:02d}_gen.pgm", gen))
         images.append((f"recon_{i:02d}_truth.pgm", tru))

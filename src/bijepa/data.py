@@ -15,7 +15,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .autodiff import Tensor
 from .seeding import stream
 
 
@@ -26,17 +25,15 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class ViewBatch:
-    """Paired context/target views with aligned leading batch dims."""
+    """Paired context/target views: C-contiguous float64 arrays of equal length."""
 
-    x: Tensor
-    y: Tensor
+    x: np.ndarray
+    y: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.x, Tensor):
-            self.x = Tensor(self.x)
-        if not isinstance(self.y, Tensor):
-            self.y = Tensor(self.y)
+        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
+        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError(
                 f"batch dims differ: x {self.x.shape[0]} vs y {self.y.shape[0]}")
@@ -50,12 +47,9 @@ class ViewBatch:
         return self.x.shape[0]
 
     def take(self, idx) -> "ViewBatch":
-        """Row-indexed sub-batch (fresh tensors, no graph linkage)."""
-        return ViewBatch(
-            Tensor(self.x.values[idx]),
-            Tensor(self.y.values[idx]),
-            None if self.labels is None else self.labels[idx],
-        )
+        """Row-indexed sub-batch (fresh arrays)."""
+        return ViewBatch(self.x[idx], self.y[idx],
+                         None if self.labels is None else self.labels[idx])
 
 
 def shuffled_epochs(n: int, batch: int, rng: np.random.Generator, drop_last: bool):
@@ -97,7 +91,7 @@ def gen_sine_batch(b: int, noise_std: float, rng: np.random.Generator) -> ViewBa
     grid = np.arange(t, dtype=np.float64)
     s = np.sin(omega * grid + phase) + rng.normal(0.0, noise_std, size=(b, t))
     half = t // 2
-    return ViewBatch(Tensor(s[:, :half]), Tensor(s[:, half:]))
+    return ViewBatch(s[:, :half], s[:, half:])
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +173,7 @@ def build_lorenz_dataset(seed: int) -> LorenzDataset:
         traj -= mean
         traj /= std
         n = traj.shape[0]
-        return ViewBatch(Tensor(traj[:, :half].reshape(n, -1)),
-                         Tensor(traj[:, half:].reshape(n, -1)))
+        return ViewBatch(traj[:, :half].reshape(n, -1), traj[:, half:].reshape(n, -1))
 
     traj = trajectories(0, cfg.n_train)
     mean = traj.reshape(-1, 3).mean(axis=0)
@@ -277,8 +270,8 @@ def load_mnist_halves(images_path, labels_path, limit: int) -> ViewBatch:
     if limit:
         images, labels = images[:limit], labels[:limit]
     views = split_vertical(images[:, None, :, :], labels.astype(np.int64))
-    _normalize_pixels(views.x.values)
-    _normalize_pixels(views.y.values)
+    _normalize_pixels(views.x)
+    _normalize_pixels(views.y)
     return views
 
 
@@ -289,8 +282,7 @@ def split_vertical(images: np.ndarray, labels: np.ndarray | None = None) -> View
     if images.ndim != 4 or images.shape[1:] != (1, 28, 28):
         raise ValueError(f"expected (N,1,28,28) images, got {images.shape}")
     c = MNIST_SPLIT_COL
-    return ViewBatch(Tensor(images[:, :, :, :c]), Tensor(images[:, :, :, c:]),
-                     labels=labels)
+    return ViewBatch(images[:, :, :, :c], images[:, :, :, c:], labels=labels)
 
 
 def denormalize_to_u8(pixels: np.ndarray) -> np.ndarray:

@@ -184,12 +184,12 @@ def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
     """Fit a probe on the frozen features of the probe split, report its
     MSE on the test split, with the least-squares probe's test MSE and
     the fitted probe's probe-split MSE beside it."""
-    feats = _embed(model, dataset.probe.x.values, through_predictor)
-    stats = _ProbeStatistics.of(feats, dataset.probe.y.values)
+    feats = _embed(model, dataset.probe.x, through_predictor)
+    stats = _ProbeStatistics.of(feats, dataset.probe.y)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
         stats.cross.shape)
-    test_feats = _embed(model, dataset.test.x.values, through_predictor)
-    test_targets = dataset.test.y.values
+    test_feats = _embed(model, dataset.test.x, through_predictor)
+    test_targets = dataset.test.y
     preds = _affine(test_feats, theta)
     return ProbeResult(
         mse=_mse(preds, test_targets), predictions=preds,
@@ -226,7 +226,7 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
     ``loss_fn(outputs, rows)`` scores a batch against the train rows it
     was drawn from.
     """
-    feats = _embed(model, mnist.train.x.values, through_predictor=False)
+    feats = _embed(model, mnist.train.x, through_predictor=False)
     probe = build_mlp(widths(feats.shape[1]), False, derive_seed(seed, "probe-init"))
     opt = AdamW([probe], lr=lr, weight_decay=0.0)
     n = feats.shape[0]
@@ -237,7 +237,7 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
         loss.backward()
         opt.step()
     opt.zero_grad()
-    test_feats = _embed(model, mnist.test.x.values, through_predictor=False)
+    test_feats = _embed(model, mnist.test.x, through_predictor=False)
     return _predict(probe, test_feats)
 
 
@@ -268,12 +268,12 @@ def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
     factor is exact). Predictions stay in normalized units for image
     dumps.
     """
-    targets = mnist.train.y.values.reshape(mnist.train.size, -1)
+    targets = mnist.train.y.reshape(mnist.train.size, -1)
     preds = _fit_epochs(
         model, mnist, lambda dim: (dim, 256, targets.shape[1]),
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
         lr, epochs, batch, seed)
-    test_targets = mnist.test.y.values.reshape(mnist.test.size, -1)
+    test_targets = mnist.test.y.reshape(mnist.test.size, -1)
     return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
                        predictions=preds)
 
@@ -282,7 +282,7 @@ def forecast_table(test_batch: ViewBatch, result_a: ProbeResult,
                    result_b: ProbeResult) -> list[dict]:
     """One record per test sample: truth and both probes' 1-step
     forecasts, read from the first target-window element."""
-    truth = test_batch.y.values[:, 0]
+    truth = test_batch.y[:, 0]
     a = result_a.predictions[:, 0]
     b = result_b.predictions[:, 0]
     return [

@@ -19,8 +19,8 @@ class AdamW:
 
     Only the listed networks are ever touched; the target encoder is
     never listed, which is the structural half of the stop-gradient
-    guarantee. A NaN/Inf gradient aborts the step and raises the
-    ``diverged`` flag instead of corrupting parameters.
+    guarantee. A NaN/Inf gradient aborts the step instead of corrupting
+    parameters.
 
     Each network owns its parameters' storage (``Network.flat``), and the
     optimizer updates those buffers in place. ``m``, ``v``, the gathered
@@ -57,7 +57,6 @@ class AdamW:
                 self._grad_views.append(self._grad[offset:offset + p.size].reshape(p.shape))
                 offset += p.size
         self.step_count = 0
-        self.diverged = False
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -66,9 +65,9 @@ class AdamW:
     def step(self) -> bool:
         """Apply one update from the accumulated ``grad`` slots.
 
-        Returns False (and raises the diverged flag) if any gradient is
-        non-finite; parameters, moments and the step count are left
-        untouched in that case. A missing gradient counts as zero.
+        Returns False if any gradient is non-finite; parameters, moments
+        and the step count are left untouched in that case. A missing
+        gradient counts as zero.
         """
         for p, g in zip(self.params, self._grad_views):
             if p.grad is None:
@@ -77,7 +76,6 @@ class AdamW:
                 g[...] = p.grad
         g = self._grad
         if not np.isfinite(g, out=self._finite).all():
-            self.diverged = True
             return False
 
         self.step_count += 1

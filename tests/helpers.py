@@ -145,6 +145,17 @@ def write_idx(path, magic: int, arr: np.ndarray) -> None:
         f.write(arr.astype(np.uint8).tobytes())
 
 
+def write_synthetic_mnist(directory, n_train: int, n_test: int) -> None:
+    """Random-pixel, random-label stand-ins for the four IDX files."""
+    rng = np.random.default_rng(0)
+    directory.mkdir()
+    for prefix, n in (("train", n_train), ("t10k", n_test)):
+        write_idx(directory / f"{prefix}-images-idx3-ubyte", 0x803,
+                  rng.integers(0, 256, (n, 28, 28)))
+        write_idx(directory / f"{prefix}-labels-idx1-ubyte", 0x801,
+                  rng.integers(0, 10, n))
+
+
 def load_report(run_dir) -> ExperimentReport:
     """The report.json a run wrote to ``run_dir`` (an exact float round trip)."""
     return ExperimentReport(**json.loads((Path(run_dir) / "report.json").read_text()))

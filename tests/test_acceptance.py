@@ -295,7 +295,7 @@ def test_criterion_05_lorenz_oracle():
 
 def test_criterion_06_sine_identity():
     batch = gen_sine_batch(128, 0.0, stream(6, "acceptance:sine"))
-    seq = np.concatenate([batch.x.values, batch.y.values], axis=1)
+    seq = np.concatenate([batch.x, batch.y], axis=1)
     inner = seq[:, 1:-1]
     outer = seq[:, :-2] + seq[:, 2:]
     # recover 2cos(w) per row by least squares, then check the

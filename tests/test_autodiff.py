@@ -2,6 +2,7 @@
 
 import contextlib
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -762,3 +763,51 @@ class TestTensor:
     def test_float64_storage(self):
         t = Tensor(np.arange(3, dtype=np.int32))
         assert t.values.dtype == np.float64
+
+
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+def _bn(x, c):
+    return batch_norm2d(x, _ones(c), _ones(c), np.zeros(c), np.ones(c), True)
+
+
+# shape checks of the public primitives: a malformed call, the exception
+# it must raise and a fragment of its message
+MALFORMED_CALLS = {
+    "add": (lambda: add(_ones(2, 3), _ones(3, 2)), ShapeError, "add: shapes (2, 3) and (3, 2)"),
+    "mul": (lambda: mul(_ones(2, 3), _ones(2)), ShapeError, "mul: shapes (2, 3) and (2,)"),
+    "flatten": (lambda: flatten(_ones(3)), ShapeError, "flatten needs at least 2 axes"),
+    "linear rank": (lambda: linear(_ones(3), _ones(3, 2), _ones(2)), ShapeError,
+                    "linear expects x:(B,I) w:(I,O) b:(O,)"),
+    "layer_norm rank": (lambda: layer_norm(_ones(2, 3, 4), _ones(4), _ones(4)), ShapeError,
+                        "layer_norm expects (B,D)"),
+    "layer_norm affine": (lambda: layer_norm(_ones(2, 3), _ones(4), _ones(3)), ShapeError,
+                          "layer_norm: gamma/beta must be (3,)"),
+    "batch_norm2d rank": (lambda: _bn(_ones(2, 3, 4), 3), ShapeError,
+                          "batch_norm2d expects (B,C,H,W)"),
+    "batch_norm2d affine": (lambda: _bn(_ones(2, 3, 4, 4), 2), ShapeError,
+                            "batch_norm2d: gamma/beta must be (3,)"),
+    "conv2d kernel": (lambda: conv2d(_ones(1, 1, 4, 4), _ones(2, 1, 5, 5), _ones(2)),
+                      ShapeError, "conv2d expects (Cout,Cin,3,3) kernel"),
+    "conv2d channels": (lambda: conv2d(_ones(1, 2, 4, 4), _ones(2, 1, 3, 3), _ones(2)),
+                        ShapeError, "kernel expects 1 input channels, got 2"),
+    "conv2d bias": (lambda: conv2d(_ones(1, 1, 4, 4), _ones(2, 1, 3, 3), _ones(3)),
+                    ShapeError, "conv2d: bias must be (2,)"),
+    "softmax_cross_entropy logits": (
+        lambda: softmax_cross_entropy(_ones(3), np.zeros(3, dtype=np.int64)), ShapeError,
+        "expects (B,K) logits"),
+    "softmax_cross_entropy labels": (
+        lambda: softmax_cross_entropy(_ones(2, 3), np.zeros(3, dtype=np.int64)), ShapeError,
+        "labels must be (2,), got (3,)"),
+    "sphere_project": (lambda: sphere_project(_ones(3)), ShapeError,
+                       "sphere_project expects (B,D)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CALLS)
+def test_malformed_call_rejected(case):
+    call, error, fragment = MALFORMED_CALLS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

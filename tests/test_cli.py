@@ -25,7 +25,7 @@ from bijepa.cli import (
 )
 from bijepa.seeding import derive_seed
 
-from helpers import load_report, write_idx
+from helpers import load_report, write_synthetic_mnist
 
 TINY_SINE = {"steps": 60, "probe_steps": 40, "probe_set_size": 64,
              "test_batch": 8}
@@ -340,17 +340,6 @@ class TestLorenzRun:
         assert all(row[3] == 0.0 for row in report.loss_history)  # no bwd term
 
 
-def write_synthetic_mnist(directory, n_train: int, n_test: int) -> None:
-    """Random-pixel, random-label stand-ins for the four IDX files."""
-    rng = np.random.default_rng(0)
-    directory.mkdir()
-    for prefix, n in (("train", n_train), ("t10k", n_test)):
-        write_idx(directory / f"{prefix}-images-idx3-ubyte", 0x803,
-                  rng.integers(0, 256, (n, 28, 28)))
-        write_idx(directory / f"{prefix}-labels-idx1-ubyte", 0x801,
-                  rng.integers(0, 10, n))
-
-
 class TestMnistRun:
     def test_synthetic_mnist_run(self, tmp_path):
         data, out = tmp_path / "idx", tmp_path / "out"
@@ -659,6 +648,7 @@ def mnist_server(tmp_path, monkeypatch):
                         {name: len(blob) for name, blob in payloads.items()})
     yield url, payloads, src
     server.shutdown()
+    server.server_close()
 
 
 class TestFetchMnist:
@@ -700,6 +690,7 @@ class TestFetchMnist:
             assert placed[0].read_bytes() == b"RAWBYTES"
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_corrupted_existing_file_refetched(self, tmp_path, mnist_server):
         url, payloads, _ = mnist_server

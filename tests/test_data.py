@@ -1,11 +1,15 @@
 """Data generators: sine views, Lorenz trajectories, MNIST IDX loading."""
 
+import ast
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bijepa import data
 from bijepa.data import (
     MNIST_MEAN, MNIST_STD, IdxFormatError, LorenzConfig, LorenzDataset,
     ViewBatch, build_lorenz_dataset, gen_sine_batch,
@@ -14,14 +18,17 @@ from bijepa.data import (
 )
 from bijepa.seeding import stream
 
-from helpers import write_idx
+from helpers import write_idx, write_synthetic_mnist
 
 
 class TestViewBatch:
     def test_coerces_arrays(self):
-        vb = ViewBatch(np.zeros((4, 3)), np.ones((4, 3)))
+        ints = np.arange(12).reshape(3, 4)
+        vb = ViewBatch(ints.T, np.ones((4, 3), dtype=np.float32))
         assert vb.size == 4
-        assert vb.x.values.dtype == np.float64
+        for view in (vb.x, vb.y):
+            assert view.dtype == np.float64 and view.flags.c_contiguous
+        assert np.array_equal(vb.x, ints.T)
 
     def test_batch_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -36,14 +43,48 @@ class TestViewBatch:
                        np.arange(12.0).reshape(4, 3) + 100,
                        labels=np.array([0, 1, 2, 3]))
         sub = vb.take([2, 0])
-        assert np.array_equal(sub.x.values, [[6, 7, 8], [0, 1, 2]])
+        assert np.array_equal(sub.x, [[6, 7, 8], [0, 1, 2]])
         assert np.array_equal(sub.labels, [2, 0])
 
     def test_take_is_a_copy(self):
         vb = ViewBatch(np.zeros((3, 2)), np.zeros((3, 2)))
         sub = vb.take([0])
-        vb.x.values[0, 0] = 9.0
-        assert sub.x.values[0, 0] == 0.0
+        vb.x[0, 0] = 9.0
+        assert sub.x[0, 0] == 0.0
+
+
+class TestNumpyOnly:
+    """The data layer hands out plain arrays: tensors are made where a
+    network reads them, never here."""
+
+    def test_data_imports_nothing_from_autodiff(self):
+        imported = set()
+        for node in ast.walk(ast.parse(Path(data.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not [name for name in imported if "autodiff" in name]
+
+    def test_every_producer_yields_contiguous_float64_arrays(self, tmp_path):
+        write_synthetic_mnist(tmp_path / "idx", n_train=6, n_test=2)
+        sine = gen_sine_batch(5, 0.1, stream(0, "t"))
+        lorenz = build_lorenz_dataset(0)
+        produced = {
+            "gen_sine_batch": sine,
+            "lorenz train": lorenz.train,
+            "lorenz probe": lorenz.probe,
+            "lorenz test": lorenz.test,
+            "load_mnist_halves": load_mnist_halves(
+                tmp_path / "idx" / "train-images-idx3-ubyte",
+                tmp_path / "idx" / "train-labels-idx1-ubyte", 0),
+            "split_vertical": split_vertical(np.zeros((2, 1, 28, 28), dtype=np.uint8)),
+            "take": sine.take(np.array([3, 0])),
+        }
+        for name, batch in produced.items():
+            for view in (batch.x, batch.y):
+                assert type(view) is np.ndarray, name
+                assert view.dtype == np.float64 and view.flags.c_contiguous, name
 
 
 class TestShuffledEpochs:
@@ -82,19 +123,19 @@ class TestSine:
     def test_determinism(self):
         a = gen_sine_batch(64, 0.05, stream(5, "t"))
         b = gen_sine_batch(64, 0.05, stream(5, "t"))
-        assert np.array_equal(a.x.values, b.x.values)
-        assert np.array_equal(a.y.values, b.y.values)
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.y, b.y)
 
     def test_noise_free_amplitude(self):
         vb = gen_sine_batch(64, 0.0, stream(1, "t"))
-        assert np.abs(vb.x.values).max() <= 1.0 + 1e-12
+        assert np.abs(vb.x).max() <= 1.0 + 1e-12
 
     def test_three_term_recurrence(self):
         # a pure sinusoid satisfies S_{i+1} + S_{i-1} = 2 cos(omega) S_i;
         # recover cos(omega) per row by least squares and check residuals,
         # including across the context/target seam
         vb = gen_sine_batch(32, 0.0, stream(2, "t"))
-        s = np.concatenate([vb.x.values, vb.y.values], axis=1)
+        s = np.concatenate([vb.x, vb.y], axis=1)
         mid, left, right = s[:, 1:-1], s[:, :-2], s[:, 2:]
         cosw = (mid * (left + right)).sum(axis=1) / (2.0 * (mid * mid).sum(axis=1))
         resid = np.abs(left + right - 2.0 * cosw[:, None] * mid)
@@ -104,7 +145,7 @@ class TestSine:
 
     def test_noise_breaks_recurrence(self):
         vb = gen_sine_batch(32, 0.05, stream(2, "t"))
-        s = np.concatenate([vb.x.values, vb.y.values], axis=1)
+        s = np.concatenate([vb.x, vb.y], axis=1)
         mid, left, right = s[:, 1:-1], s[:, :-2], s[:, 2:]
         cosw = (mid * (left + right)).sum(axis=1) / (2.0 * (mid * mid).sum(axis=1))
         resid = np.abs(left + right - 2.0 * cosw[:, None] * mid)
@@ -170,15 +211,15 @@ class TestLorenzDataset:
         assert ds.test.x.shape == (20, 60)
 
     def test_train_split_normalized(self, ds):
-        full = np.concatenate([ds.train.x.values.reshape(2000, 20, 3),
-                               ds.train.y.values.reshape(2000, 20, 3)], axis=1)
+        full = np.concatenate([ds.train.x.reshape(2000, 20, 3),
+                               ds.train.y.reshape(2000, 20, 3)], axis=1)
         flat = full.reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() < 1e-9
         assert np.abs(flat.std(axis=0) - 1.0).max() < 1e-9
 
     def test_probe_stats_deviate(self, ds):
-        flat = np.concatenate([ds.probe.x.values.reshape(1000, 20, 3),
-                               ds.probe.y.values.reshape(1000, 20, 3)],
+        flat = np.concatenate([ds.probe.x.reshape(1000, 20, 3),
+                               ds.probe.y.reshape(1000, 20, 3)],
                               axis=1).reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() > 1e-9
 
@@ -186,8 +227,8 @@ class TestLorenzDataset:
         # undo the normalization and each consecutive pair of rows,
         # including the context/target seam, must be one Euler step apart
         cfg = LorenzConfig()
-        full = np.concatenate([ds.train.x.values.reshape(2000, 20, 3),
-                               ds.train.y.values.reshape(2000, 20, 3)],
+        full = np.concatenate([ds.train.x.reshape(2000, 20, 3),
+                               ds.train.y.reshape(2000, 20, 3)],
                               axis=1)[:50]
         raw = full * ds.std + ds.mean
         x, y, z = raw[:, :-1, 0], raw[:, :-1, 1], raw[:, :-1, 2]
@@ -206,14 +247,14 @@ class TestLorenzDataset:
                               (ds.test, cfg.n_train + cfg.n_probe)):
             for row in (0, 1, split.size - 1):
                 traj = (integrate_lorenz(inits[offset + row], cfg.T) - ds.mean) / ds.std
-                assert np.array_equal(traj[:20].reshape(-1), split.x.values[row])
-                assert np.array_equal(traj[20:].reshape(-1), split.y.values[row])
+                assert np.array_equal(traj[:20].reshape(-1), split.x[row])
+                assert np.array_equal(traj[20:].reshape(-1), split.y[row])
 
     def test_build_holds_one_split_at_a_time(self, ds):
         # integrating every split at once held all trajectories beside
         # their cut views (2.0-2.3x the data); one split at a time stays
         # near the data itself
-        split_bytes = sum(v.x.values.nbytes + v.y.values.nbytes
+        split_bytes = sum(v.x.nbytes + v.y.nbytes
                           for v in (ds.train, ds.probe, ds.test))
         tracemalloc.start()
         try:
@@ -226,9 +267,9 @@ class TestLorenzDataset:
 
     def test_determinism_and_seed_sensitivity(self, ds):
         again = build_lorenz_dataset(seed=0)
-        assert np.array_equal(ds.train.x.values, again.train.x.values)
+        assert np.array_equal(ds.train.x, again.train.x)
         other = build_lorenz_dataset(seed=1)
-        assert not np.array_equal(ds.train.x.values, other.train.x.values)
+        assert not np.array_equal(ds.train.x, other.train.x)
 
 
 @pytest.fixture
@@ -318,9 +359,9 @@ class TestMnistHalves:
         px, lb = load_mnist_idx(ipath, lpath)
         rows = slice(None, limit or None)
         expected = split_vertical(px[rows], lb[rows])
-        assert views.x.values.dtype == np.float64 and views.labels.dtype == np.int64
-        assert np.array_equal(views.x.values, expected.x.values)
-        assert np.array_equal(views.y.values, expected.y.values)
+        assert views.x.dtype == np.float64 and views.labels.dtype == np.int64
+        assert np.array_equal(views.x, expected.x)
+        assert np.array_equal(views.y, expected.y)
         assert np.array_equal(views.labels, expected.labels)
 
     def test_format_errors_raised(self, idx_pair, tmp_path):
@@ -336,7 +377,7 @@ class TestSplitVertical:
         images = rng.standard_normal((6, 1, 28, 28))
         vb = split_vertical(images, labels=np.arange(6))
         assert vb.x.shape == (6, 1, 28, 14) and vb.y.shape == (6, 1, 28, 14)
-        rebuilt = np.concatenate([vb.x.values, vb.y.values], axis=3)
+        rebuilt = np.concatenate([vb.x, vb.y], axis=3)
         assert np.array_equal(rebuilt, images)
         assert np.array_equal(vb.labels, np.arange(6))
 
@@ -345,9 +386,29 @@ class TestSplitVertical:
         images[0, 0, :, 13] = 1.0  # last context column
         images[0, 0, :, 14] = 2.0  # first target column
         vb = split_vertical(images)
-        assert vb.x.values[0, 0, 0, 13] == 1.0
-        assert vb.y.values[0, 0, 0, 0] == 2.0
+        assert vb.x[0, 0, 0, 13] == 1.0
+        assert vb.y[0, 0, 0, 0] == 2.0
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             split_vertical(np.zeros((3, 28, 28)))
+
+
+# each malformed IDX pair (images, labels), the exception and a fragment
+# of its message
+MALFORMED_IDX = {
+    "truncated image header": (struct.pack(">3i", 0x803, 1, 28),
+                               struct.pack(">2i", 0x801, 1) + bytes(1),
+                               IdxFormatError, "truncated header"),
+    "truncated label header": (struct.pack(">4i", 0x803, 1, 28, 28) + bytes(784),
+                               struct.pack(">i", 0x801), IdxFormatError, "truncated header"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_IDX)
+def test_malformed_idx_rejected(case, tmp_path):
+    images, labels, error, fragment = MALFORMED_IDX[case]
+    (tmp_path / "i").write_bytes(images)
+    (tmp_path / "l").write_bytes(labels)
+    with pytest.raises(error, match=re.escape(fragment)):
+        load_mnist_idx(tmp_path / "i", tmp_path / "l")

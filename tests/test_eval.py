@@ -147,15 +147,15 @@ class TestSufficientStatisticsProbe:
         model = make_model(seed=6)
         ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
         r = protocol_b(model, ds, lr=1e-3, steps=100, seed=0)
-        feats = _embed(model, ds.probe.x.values, through_predictor=True)
-        test_feats = _embed(model, ds.test.x.values, through_predictor=True)
+        feats = _embed(model, ds.probe.x, through_predictor=True)
+        test_feats = _embed(model, ds.test.x, through_predictor=True)
         ones = np.ones((feats.shape[0], 1))
-        coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y.values,
+        coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y,
                                rcond=None)[0]
-        exact = float(np.mean((test_feats @ coef[:-1] + coef[-1] - ds.test.y.values) ** 2))
+        exact = float(np.mean((test_feats @ coef[:-1] + coef[-1] - ds.test.y) ** 2))
         assert r.mse_exact == pytest.approx(exact, rel=1e-9)
         # the least-squares fit is the floor on the probe split
-        floor = _ProbeStatistics.of(feats, ds.probe.y.values)
+        floor = _ProbeStatistics.of(feats, ds.probe.y)
         assert r.train_mse >= floor.mse(floor.least_squares()) > 0.0
 
 
@@ -401,7 +401,7 @@ class TestForecastTable:
 
     def test_perfect_probes_align(self):
         vb = ViewBatch(np.zeros((3, 2)), np.array([[1.0, 9], [2, 9], [3, 9]]))
-        perfect = ProbeResult(mse=0.0, predictions=vb.y.values.copy())
+        perfect = ProbeResult(mse=0.0, predictions=vb.y.copy())
         for rec in forecast_table(vb, perfect, perfect):
             assert rec["truth"] == rec["proto_a"] == rec["proto_b"]
 

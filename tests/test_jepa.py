@@ -1,12 +1,15 @@
 """Training-system structure: stop-gradient/EMA wiring, the alpha=1
 reduction to the one-directional baseline, and constraint regimes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bijepa import autodiff as ad
 from bijepa.autodiff import Tensor
-from bijepa.cli import RunConfig, _build_model, effective_hyper
+from bijepa.cli import RunConfig, _build_model, _train, effective_hyper
+from bijepa.data import ViewBatch
 from bijepa.jepa import (
     BiJepaModel, ConstraintMode, _branch, encode_for_inference,
     predict_forward_for_inference, total_loss, train_step,
@@ -348,7 +351,9 @@ class TestDivergenceHandling:
         assert m.diverged
         assert opt.step_count == 1
 
-    def test_nan_loss_skips_update(self):
+    def test_nan_gradient_skips_update(self):
+        # LayerNorm and ReLU keep this NaN out of the loss, not out of
+        # the gradient: AdamW refuses the step
         model, opt = make_model()
         model.online_encoder.parameters()[0].values[0, 0] = np.nan
         rng = np.random.default_rng(19)
@@ -356,6 +361,36 @@ class TestDivergenceHandling:
         m = train_step(model, opt, x, y)
         assert m.diverged
         assert opt.step_count == 0
+
+    @staticmethod
+    def nan_loss_model():
+        """A model whose forward loss is NaN on every batch, because the
+        forward predictor's last bias is NaN."""
+        model, opt = make_model()
+        model.p_fwd.layers[-1].b.values[0] = np.nan
+        return model, opt
+
+    def test_nan_loss_skips_backward_step_and_ema(self, monkeypatch):
+        model, opt = self.nan_loss_model()
+        nets = (model.online_encoder, model.target_encoder, model.p_fwd, model.p_bwd)
+        before = [net.flat.copy() for net in nets]
+        calls = []
+        monkeypatch.setattr(Tensor, "backward", lambda loss: calls.append("backward"))
+        monkeypatch.setattr(opt, "step", lambda: calls.append("step"))
+        m = train_step(model, opt, *batch(np.random.default_rng(19)))
+        assert math.isnan(m.total_loss) and m.diverged
+        assert calls == []
+        for net, flat in zip(nets, before):
+            assert np.array_equal(net.flat, flat, equal_nan=True)
+
+    def test_train_stops_at_nan_loss(self):
+        model, opt = self.nan_loss_model()
+        rng = np.random.default_rng(20)
+        batches = (ViewBatch(rng.standard_normal((8, IN_DIM)), rng.standard_normal((8, IN_DIM)))
+                   for _ in range(5))
+        history, diverged = _train(model, opt, batches, n_steps=5)
+        assert diverged
+        assert len(history) == 1 and math.isnan(history[0][1])
 
     def test_mode_switch_covers_all_networks(self):
         model, _ = make_model(alpha=0.5)

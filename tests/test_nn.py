@@ -1,5 +1,6 @@
 """Network construction and its seeded draws, copies, and buffers."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -451,3 +452,19 @@ class TestMode:
         y1 = net(Tensor(x)).values
         y2 = net(Tensor(x)).values  # eval passes must not drift stats
         assert np.array_equal(y1, y2)
+
+
+# each malformed construction, the exception and a fragment of its message
+MALFORMED_LAYERS = {
+    "Linear no inputs": (lambda rng: Linear(0, 3, rng), ValueError,
+                         "Linear dims must be >= 1, got (0, 3)"),
+    "Linear no outputs": (lambda rng: Linear(2, 0, rng), ValueError,
+                          "Linear dims must be >= 1, got (2, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LAYERS)
+def test_malformed_layer_rejected(case):
+    build, error, fragment = MALFORMED_LAYERS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        build(np.random.default_rng(0))

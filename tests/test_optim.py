@@ -121,7 +121,6 @@ class TestFlatAdamWMatchesReference:
             p.grad = rng.standard_normal(p.shape)
         params[-1].grad[0] = np.nan  # the last tensor: everything before it is gathered
         assert not opt.step()
-        assert opt.diverged
         assert np.array_equal(net.flat, before[0])
         assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
         assert opt.step_count == before[3]
@@ -136,7 +135,7 @@ class TestFlatAdamWMatchesReference:
             p.grad = g.copy()
         with np.errstate(over="ignore"):  # g*g overflows in v, in both
             assert opt.step() and ref.step(grads)
-        assert not opt.diverged and opt.step_count == 1
+        assert opt.step_count == 1
         for p, want in zip(params, ref.values):
             assert np.array_equal(p.values, want)
         # v is inf at the two huge entries, which therefore do not move
@@ -155,7 +154,6 @@ class TestFlatAdamWMatchesReference:
             p.grad = np.full(p.shape, 0.25)
         params[0].grad[0, 0], params[2].grad[3] = np.inf, -np.inf
         assert not opt.step()
-        assert opt.diverged
         assert np.array_equal(net.flat, before[0])
         assert np.array_equal(opt.m, before[1]) and np.array_equal(opt.v, before[2])
         assert opt.step_count == before[3]
@@ -307,7 +305,6 @@ class TestAdamWStep:
         p.grad = np.array([1.0])
         q.grad = np.array([np.nan])
         assert not opt.step()
-        assert opt.diverged
         assert p.values[0] == 1.0 and q.values[0] == 2.0
         assert opt.step_count == 0
 
@@ -316,7 +313,6 @@ class TestAdamWStep:
         opt = AdamW([net_of(p)], lr=1e-3)
         p.grad = np.array([np.inf])
         assert not opt.step()
-        assert opt.diverged
 
     def test_zero_grad_clears_slots(self):
         p = scalar_param(1.0)
