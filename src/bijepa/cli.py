@@ -178,10 +178,8 @@ _NATURAL = Domain(int, ge=0)
 _DOMAINS = {
     "lr": _POSITIVE, "weight_decay": _NON_NEGATIVE, "tau": _FRACTION, "alpha": _FRACTION,
     "steps": _COUNT, "epochs": _COUNT, "batch": _COUNT,
-    "enc_hidden": _COUNT, "emb_dim": _COUNT, "pred_hidden": _COUNT,
-    "noise_std": _NON_NEGATIVE, "train_limit": _NATURAL,
+    "enc_hidden": _COUNT, "emb_dim": _COUNT, "pred_hidden": _COUNT, "train_limit": _NATURAL,
     "probe_lr": _POSITIVE, "probe_steps": _COUNT, "probe_epochs": _COUNT,
-    "probe_batch": _COUNT, "probe_set_size": _COUNT, "test_batch": _COUNT,
 }
 
 
@@ -260,11 +258,11 @@ def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
 
 def _sine_data(cfg: RunConfig, hyper: dict):
     """A fresh batch every step; fixed probe and test sets."""
-    noise_std = hyper["noise_std"]
+    noise_std = SineConfig.noise_std
     held_out = SimpleNamespace(
-        probe=gen_sine_batch(hyper["probe_set_size"], noise_std,
+        probe=gen_sine_batch(SineConfig.n_probe, noise_std,
                              stream(cfg.seed, "data:sine-probe")),
-        test=gen_sine_batch(hyper["test_batch"], noise_std,
+        test=gen_sine_batch(SineConfig.n_test, noise_std,
                             stream(cfg.seed, "data:sine-test")),
     )
     batches = _sine_batches(hyper["batch"], noise_std, stream(cfg.seed, "data:sine"))
@@ -332,8 +330,7 @@ def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
 def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
     """Digit classifier and right-half decoder; returns (metrics, forecast
     records, images)."""
-    settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"],
-                "batch": hyper["probe_batch"], "seed": seed}
+    settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
     racc = linear_probe_classify(model, views, **settings)
     rdec = generative_decoder(model, views, **settings)
     metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
@@ -372,9 +369,7 @@ _EXPERIMENTS = {
         hyper={
             "lr": 1e-3, "steps": 2000, "batch": 64, "tau": 0.995,
             "enc_hidden": 64, "emb_dim": 16, "pred_hidden": 64,
-            "noise_std": 0.05,
             "probe_lr": 1e-3, "probe_steps": 2000,
-            "probe_set_size": 1024, "test_batch": 64,
         },
         encoder=_mlp_encoder(SineConfig.T // 2), data=_sine_data,
         probes=_regression_probes, verdict=("protocol_b_mse", "protoB", operator.lt),
@@ -396,7 +391,7 @@ _EXPERIMENTS = {
             # probes get a larger lr than the encoder: a 64->10 softmax
             # head needs weights of order 10 and will not plateau within
             # 10 epochs at 1e-3
-            "probe_lr": 1e-2, "probe_epochs": 10, "probe_batch": 256,
+            "probe_lr": 1e-2, "probe_epochs": 10,
         },
         encoder=_conv_encoder, data=_mnist_data, probes=_image_probes,
         verdict=("accuracy", "accuracy", operator.gt),

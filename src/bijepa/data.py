@@ -69,12 +69,15 @@ def shuffled_epochs(n: int, batch: int, rng: np.random.Generator, drop_last: boo
 
 
 class SineConfig:
-    """The sequence length and the ranges frequencies and phases are
-    drawn from, all fixed."""
+    """The sequence length, the ranges frequencies and phases are drawn
+    from, the noise a run adds and its held-out split sizes, all fixed."""
 
     T: ClassVar[int] = 20
     omega_range: ClassVar[tuple[float, float]] = (0.8, 1.2)
     phase_range: ClassVar[tuple[float, float]] = (0.0, 2.0 * np.pi)
+    noise_std: ClassVar[float] = 0.05
+    n_probe: ClassVar[int] = 1024
+    n_test: ClassVar[int] = 64
 
 
 def gen_sine_batch(b: int, noise_std: float, rng: np.random.Generator) -> ViewBatch:

@@ -64,6 +64,8 @@ class ProbeResult:
 
 # rows per feature-extraction forward
 _EMBED_CHUNK = 256
+# rows per mini-batch of the image probes' fits
+_PROBE_BATCH = 256
 
 
 def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool) -> np.ndarray:
@@ -218,7 +220,7 @@ def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
 
 
 def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
-                epochs: int, batch: int, seed: int) -> np.ndarray:
+                epochs: int, seed: int) -> np.ndarray:
     """Fit ``build_mlp(widths(feature dim), False, seed)`` on the frozen
     left-half embeddings of the train split, by mini-batch epochs with a
     seeded shuffle per epoch; return its outputs on the test split.
@@ -229,7 +231,7 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
     feats = _embed(model, mnist.train.x, through_predictor=False)
     probe = build_mlp(widths(feats.shape[1]), False, derive_seed(seed, "probe-init"))
     opt = AdamW([probe], lr=lr, weight_decay=0.0)
-    n = feats.shape[0]
+    n, batch = feats.shape[0], _PROBE_BATCH
     batches = shuffled_epochs(n, batch, stream(seed, "probe-shuffle"), drop_last=False)
     for idx in itertools.islice(batches, epochs * math.ceil(n / batch)):
         loss = loss_fn(probe(Tensor(feats[idx])), idx)
@@ -242,7 +244,7 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
 
 
 def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                          batch: int, seed: int) -> ProbeResult:
+                          seed: int) -> ProbeResult:
     """Linear classifier on frozen left-half embeddings.
 
     ``mnist`` carries train/test ViewBatches with digit labels. Reports
@@ -252,14 +254,14 @@ def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
     logits = _fit_epochs(
         model, mnist, lambda dim: (dim, 10),
         lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]),
-        lr, epochs, batch, seed)
+        lr, epochs, seed)
     pred_labels = logits.argmax(axis=1)
     accuracy = float((pred_labels == mnist.test.labels).mean())
     return ProbeResult(accuracy=accuracy, predictions=pred_labels)
 
 
 def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                       batch: int, seed: int) -> ProbeResult:
+                       seed: int) -> ProbeResult:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
     A small MLP (hidden 256) regresses the normalized right half.
@@ -272,7 +274,7 @@ def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
     preds = _fit_epochs(
         model, mnist, lambda dim: (dim, 256, targets.shape[1]),
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
-        lr, epochs, batch, seed)
+        lr, epochs, seed)
     test_targets = mnist.test.y.reshape(mnist.test.size, -1)
     return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
                        predictions=preds)

@@ -3,11 +3,11 @@ printed verdict line each.
 
 Criteria 1-6 are fast deterministic properties of the numeric core.
 Criteria 7-13 train the suites at real scale through ``run_suite``, three
-seeds per variant, and check the report.json files it writes: minutes for
-the sine family, a couple of minutes per Lorenz run, and roughly ten
-minutes per MNIST run when the IDX files are available (criterion 12 is
-skipped otherwise). Their tests carry the ``slow`` marker, so
-``pytest -m "not slow"`` runs the fast gates alone.
+seeds per variant, and check the report.json files it writes: a few
+seconds per sine run and under ten seconds per Lorenz run with one BLAS
+thread, and roughly ten minutes per MNIST run when the IDX files are
+available (criterion 12 is skipped otherwise). Their tests carry the
+``slow`` marker, so ``pytest -m "not slow"`` runs the fast gates alone.
 
 A criterion that fails is reported honestly; tolerances here are fixed
 and are not to be loosened to force a pass.

@@ -23,12 +23,12 @@ from bijepa.cli import (
     effective_hyper, emit_outputs, fetch_mnist, main, resolve_mnist_dir, run,
     run_suite,
 )
-from bijepa.seeding import derive_seed
+from bijepa.data import SineConfig, gen_sine_batch
+from bijepa.seeding import derive_seed, stream
 
 from helpers import load_report, write_synthetic_mnist
 
-TINY_SINE = {"steps": 60, "probe_steps": 40, "probe_set_size": 64,
-             "test_batch": 8}
+TINY_SINE = {"steps": 60, "probe_steps": 40}
 
 
 class TestEffectiveHyper:
@@ -89,6 +89,18 @@ class TestEffectiveHyper:
         with pytest.raises(ConfigError):
             effective_hyper(RunConfig("sine", "classic",
                                       overrides={"momentum": 0.9}))
+
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("sine", "noise_std", 0.05), ("sine", "probe_set_size", 1024),
+        ("sine", "test_batch", 64), ("mnist", "probe_batch", 256)])
+    def test_constant_is_not_an_override(self, experiment, key, value):
+        # no run varies these, so not even their fixed value is a key:
+        # the gated held-out splits cannot be resized
+        with pytest.raises(ConfigError, match=f"unknown override '{key}'"):
+            effective_hyper(RunConfig(experiment, "classic", overrides={key: value}))
+
+    def test_sine_and_lorenz_take_the_same_keys(self):
+        assert set(cli._EXPERIMENTS["sine"].hyper) == set(cli._EXPERIMENTS["lorenz"].hyper)
 
     def test_override_coercion(self):
         hyper, _ = effective_hyper(RunConfig(
@@ -166,7 +178,7 @@ class TestDomains:
 
     @pytest.mark.parametrize("experiment,setting", [
         ("sine", "steps=-5"), ("sine", "batch=0"), ("sine", "lr=-1"),
-        ("sine", "tau=1.5"), ("sine", "noise_std=-1"), ("sine", "probe_steps=-3"),
+        ("sine", "tau=1.5"), ("sine", "probe_lr=0"), ("sine", "probe_steps=-3"),
         ("sine", "weight_decay=-0.1"), ("lorenz", "integrator=rk4"),
         ("lorenz", "batch=2001"), ("mnist", "batch=1"), ("mnist", "train_limit=-1")])
     def test_out_of_domain_exits_two(self, experiment, setting, capsys):
@@ -207,6 +219,21 @@ def tiny_sine_report(tmp_path_factory):
     return run(cfg), out
 
 
+def test_sine_held_out_splits_are_fixed():
+    """A sine run probes and tests on SineConfig's split sizes at its
+    noise, drawn from the run's named streams."""
+    assert (SineConfig.n_probe, SineConfig.n_test, SineConfig.noise_std) == (1024, 64, 0.05)
+    cfg = RunConfig("sine", "classic", seed=2)
+    hyper, _ = effective_hyper(cfg)
+    _, _, held_out = cli._sine_data(cfg, hyper)
+    for split, n, name in ((held_out.probe, SineConfig.n_probe, "data:sine-probe"),
+                           (held_out.test, SineConfig.n_test, "data:sine-test")):
+        assert split.x.shape == split.y.shape == (n, SineConfig.T // 2)
+        expected = gen_sine_batch(n, SineConfig.noise_std, stream(2, name))
+        assert split.x.tobytes() == expected.x.tobytes()
+        assert split.y.tobytes() == expected.y.tobytes()
+
+
 class TestRunArtifacts:
     def test_report_fields(self, tiny_sine_report):
         report, _ = tiny_sine_report
@@ -242,7 +269,7 @@ class TestRunArtifacts:
         assert len(loss_lines) == TINY_SINE["steps"] + 1
         fc_lines = (out / "forecast.csv").read_text().strip().split("\n")
         assert fc_lines[0] == "sample,truth,proto_a,proto_b"
-        assert len(fc_lines) == TINY_SINE["test_batch"] + 1
+        assert len(fc_lines) == SineConfig.n_test + 1
 
     def test_csv_floats_round_trip(self, tiny_sine_report):
         report, out = tiny_sine_report
@@ -252,7 +279,7 @@ class TestRunArtifacts:
 
     def test_forecast_matches_report(self, tiny_sine_report):
         report, _ = tiny_sine_report
-        assert len(report.forecast) == TINY_SINE["test_batch"]
+        assert len(report.forecast) == SineConfig.n_test
         rec = report.forecast[0]
         assert set(rec) == {"sample", "truth", "proto_a", "proto_b"}
 
@@ -298,8 +325,7 @@ class TestHeapPolicy:
     def test_run_keeps_freed_heap(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
-        run(RunConfig("sine", "classic", overrides={
-            "steps": 2, "probe_steps": 2, "probe_set_size": 8, "test_batch": 4}))
+        run(RunConfig("sine", "classic", overrides={"steps": 2, "probe_steps": 2}))
         assert calls == [1]
 
 
@@ -472,10 +498,11 @@ class TestProbeSettings:
         run(RunConfig(experiment, "classic", seed=0, overrides=overrides))
         self.check(probe_calls, 0.02, 7)
 
-    def test_image_probes(self, probe_calls, tmp_path):
+    def test_image_probes(self, probe_calls, tmp_path, monkeypatch):
         data = tmp_path / "idx"
         write_synthetic_mnist(data, n_train=64, n_test=16)
-        overrides = {"epochs": 1, "probe_lr": 0.03, "probe_epochs": 2, "probe_batch": 16}
+        monkeypatch.setattr(ev, "_PROBE_BATCH", 16)
+        overrides = {"epochs": 1, "probe_lr": 0.03, "probe_epochs": 2}
         run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
                       overrides=overrides))
         self.check(probe_calls, 0.03, 2 * math.ceil(64 / 16))
@@ -577,8 +604,7 @@ class TestSuite:
 class TestMainEntry:
     def test_run_exit_zero(self, capsys):
         code = main(["run", "--experiment", "sine", "--variant", "classic",
-                     "--set", "steps=40", "--set", "probe_steps=20",
-                     "--set", "probe_set_size=32", "--set", "test_batch=4"])
+                     "--set", "steps=40", "--set", "probe_steps=20"])
         assert code == 0
         out = capsys.readouterr().out
         assert "final_train_loss=" in out

@@ -324,7 +324,7 @@ class TestClassifierProbe:
     def test_random_features_random_labels_chance_level(self):
         model = make_model(seed=2)
         mn = classification_fixture(np.random.default_rng(0))
-        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, batch=256, seed=0)
+        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
         assert 0.08 <= r.accuracy <= 0.12
 
     def test_separable_features_learned(self):
@@ -337,13 +337,13 @@ class TestClassifierProbe:
         mn = SimpleNamespace(
             train=ViewBatch(x[:2000], x[:2000], labels=labels[:2000]),
             test=ViewBatch(x[2000:], x[2000:], labels=labels[2000:]))
-        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, batch=256, seed=0)
+        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
         assert r.accuracy > 0.95
 
     def test_prediction_vector_shape(self):
         model = make_model(seed=8)
         mn = classification_fixture(np.random.default_rng(8), n_test=500)
-        r = linear_probe_classify(model, mn, lr=1e-3, epochs=1, batch=256, seed=0)
+        r = linear_probe_classify(model, mn, lr=1e-3, epochs=1, seed=0)
         assert r.predictions.shape == (500,)
         assert set(np.unique(r.predictions)) <= set(range(10))
 
@@ -373,7 +373,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:100], imgs[:100]))
         model = self.conv_free_model(9)
-        r = generative_decoder(model, mn, lr=1e-3, epochs=2, batch=256, seed=0)
+        r = generative_decoder(model, mn, lr=1e-3, epochs=2, seed=0)
         assert r.predictions.shape == (100, 392)
         assert r.mse >= 0.0
 
@@ -383,7 +383,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:64], imgs[:64]))
         model = self.conv_free_model(10)
-        r = generative_decoder(model, mn, lr=1e-3, epochs=1, batch=256, seed=0)
+        r = generative_decoder(model, mn, lr=1e-3, epochs=1, seed=0)
         # the reported MSE reads in raw pixel units, the predictions stay normalized
         assert r.mse == _mse(r.predictions, imgs[:64]) * MNIST_STD ** 2
 

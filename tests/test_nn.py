@@ -156,7 +156,7 @@ class TestArchitectures:
         halves = rng.standard_normal((2, 4, 1, 28, 14))
         views = ViewBatch(halves[0], halves[1], np.arange(4))
         mnist = SimpleNamespace(train=views, test=views)
-        settings = {"lr": 1e-3, "epochs": 1, "batch": 4, "seed": 0}
+        settings = {"lr": 1e-3, "epochs": 1, "seed": 0}
         ev.linear_probe_classify(model, mnist, **settings)
         ev.generative_decoder(model, mnist, **settings)
         assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
