@@ -62,7 +62,7 @@ _METRICS = ("final_train_loss", "protocol_a_mse", "protocol_b_mse",
 class RunConfig:
     experiment: str
     variant: str
-    seed: int = 0
+    seed: int | str = 0  # text is read as Domain reads it
     out_dir: str | None = None
     mnist_dir: str | None = None
     overrides: dict = field(default_factory=dict)
@@ -126,8 +126,9 @@ def effective_hyper(cfg: RunConfig) -> tuple[dict, ConstraintMode]:
 class Domain:
     """The values one hyperparameter may take: a number type plus bounds.
 
-    Integer keys take integers, integral floats and integer strings;
-    float keys take finite numbers and numeric strings; neither takes a
+    The one reader of a number a user types, by any path: text is read
+    the way ``int()`` reads it, or else the way ``float()`` does. Integer
+    keys take integral values, float keys finite ones; neither takes a
     boolean.
     """
 
@@ -149,14 +150,19 @@ class Domain:
         kind = self.kind
         error = ConfigError(f"{key} needs "
                             f"{'an integer' if kind is int else 'a finite number'}, got {value!r}")
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, bool):
             raise error
         try:
+            if isinstance(value, str):  # as int() reads it, else as float() does
+                try:
+                    value = int(value)
+                except ValueError:
+                    value = float(value)
             coerced = kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise error from None
-        if not math.isfinite(coerced):
+        # an integer key's value must be integral, a float key's finite
+        if (coerced != value) if kind is int else not math.isfinite(coerced):
             raise error
         return coerced
 
@@ -302,12 +308,13 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
 
 def resolve_mnist_dir(explicit: str | None) -> Path:
     """The --mnist-dir flag when given, and nothing else; without it,
-    BIJEPA_MNIST_DIR, then ./mnist-data."""
+    BIJEPA_MNIST_DIR, then ./mnist-data. A directory counts only if it
+    holds all four files of ``_MNIST_FILES``."""
     candidates = [explicit] if explicit else [
         d for d in (os.environ.get("BIJEPA_MNIST_DIR"), "mnist-data") if d]
     for candidate in candidates:
         d = Path(candidate)
-        if (d / "train-images-idx3-ubyte").exists():
+        if all((d / name).exists() for name in _MNIST_FILES):
             return d
     raise FileNotFoundError(
         f"MNIST IDX files not found in {', '.join(candidates)}; pass --mnist-dir, "
@@ -479,7 +486,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 # suite
 
 
-def run_suite(seeds: list[int], variants: list[str], experiment: str,
+def run_suite(seeds: list[int | str], variants: list[str], experiment: str,
               out_dir=None, mnist_dir=None, overrides: dict | None = None) -> dict:
     """Cross product of seeds and variants with per-variant means and
     ordering verdicts. Member failures are recorded, not fatal."""
@@ -638,21 +645,19 @@ def fetch_mnist(out_dir, base_url: str) -> list[Path]:
 
 
 def _parse_set(pairs: list[str]) -> dict:
+    """``KEY=VALUE`` pairs as {key: value text}; ``Domain`` reads the text."""
     overrides = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
+        key, _, value = pair.partition("=")
+        overrides[key] = value
     return overrides
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """--steps and --epochs are shorthands for the overrides of the same
-    name; an explicit --set of that key wins."""
+    """--steps and --epochs are exactly the --set overrides of the same
+    name, text included; an explicit --set of that key wins."""
     flags = {k: getattr(args, k) for k in ("steps", "epochs")
              if getattr(args, k) is not None}
     return {**flags, **_parse_set(args.set)}
@@ -668,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("run", help="train one configuration and run its probes")
     rp.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS))
     rp.add_argument("--variant", required=True, choices=tuple(_VARIANTS))
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", default=0)
 
     sp = sub.add_parser("suite", help="run a seeds x variants cross product")
     sp.add_argument("--experiment", required=True, choices=tuple(_EXPERIMENTS))
@@ -680,8 +685,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for q in (rp, sp):
         q.add_argument("--out", default=None)
         q.add_argument("--mnist-dir", default=None)
-        q.add_argument("--steps", type=int, default=None)
-        q.add_argument("--epochs", type=int, default=None)
+        q.add_argument("--steps", default=None)
+        q.add_argument("--epochs", default=None)
         q.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     fp = sub.add_parser("fetch-mnist", help="download the four IDX files")
@@ -728,11 +733,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"accuracy={report.accuracy} decoder_mse={report.decoder_mse} "
                   f"diverged={report.diverged}")
         elif args.command == "suite":
-            try:
-                seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-            except ValueError:
-                raise ConfigError(f"--seeds takes comma-separated integers, "
-                                  f"got {args.seeds!r}") from None
+            seeds = [s for s in args.seeds.split(",") if s != ""]
             variants = [v for v in args.variants.split(",") if v != ""]
             result = run_suite(seeds, variants, args.experiment, out_dir=args.out,
                                mnist_dir=args.mnist_dir, overrides=_overrides(args))

@@ -147,8 +147,6 @@ class LorenzDataset:
     train: ViewBatch
     probe: ViewBatch
     test: ViewBatch
-    mean: np.ndarray
-    std: np.ndarray
 
 
 def build_lorenz_dataset(seed: int) -> LorenzDataset:
@@ -187,8 +185,6 @@ def build_lorenz_dataset(seed: int) -> LorenzDataset:
         train=train,
         probe=cut(trajectories(cfg.n_train, cfg.n_train + cfg.n_probe)),
         test=cut(trajectories(cfg.n_train + cfg.n_probe, n_total)),
-        mean=mean,
-        std=std,
     )
 
 

@@ -119,7 +119,8 @@ class TestEffectiveHyper:
                             (int, 2.5), (int, "2.5"), (int, True),
                             (int, float("inf")), (float, True), (float, False),
                             (float, float("nan")), (float, "inf"),
-                            (float, float("-inf"))]:
+                            (float, float("-inf")), (float, 10 ** 400),
+                            (float, "1" + "0" * 400), (int, np.float32(2.5))]:
             with pytest.raises(ConfigError):
                 Domain(kind).check("key", value)
 
@@ -188,13 +189,105 @@ class TestDomains:
 
 
 class TestParseSet:
-    def test_json_and_raw_values(self):
-        got = _parse_set(["steps=120", "lr=0.5", "integrator=rk4"])
-        assert got == {"steps": 120, "lr": 0.5, "integrator": "rk4"}
+    def test_values_stay_text(self):
+        # Domain reads the text, as it reads every other path's
+        got = _parse_set(["steps=120", "lr=0.5", "integrator=rk4", "tau=", "batch=a=b"])
+        assert got == {"steps": "120", "lr": "0.5", "integrator": "rk4", "tau": "",
+                       "batch": "a=b"}
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
             _parse_set(["steps"])
+
+
+# A number as a user may type it, and the value every path reads it as
+# (None: refused, with the config-error code on the command line)
+TYPED = [("2", 2), ("2.0", 2), ("1e0", 1), (" 2", 2), ("+2", 2), ("2.5", None),
+         ("x", None), ("inf", None), ("nan", None), ("true", None), ('"2"', None),
+         ("-1", None)]
+RUN_ARGV = ["run", "--experiment", "sine", "--variant", "classic"]
+SUITE_ARGV = ["suite", "--experiment", "sine", "--variants", "classic"]
+
+
+def _or_refused(read):
+    """``read()``, or None when it raises ConfigError."""
+    try:
+        return read()
+    except ConfigError:
+        return None
+
+
+def _run_seed(cfg: RunConfig) -> int:
+    """The seed ``run`` trains with: checked by effective_hyper, then read."""
+    effective_hyper(cfg)
+    return cli._NATURAL.check("seed", cfg.seed)
+
+
+class TestOneParser:
+    """--set, --steps, --seed, --seeds and the Python API read a typed
+    number one way, through Domain: to the same value or the same
+    refusal."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """What main passes run (the RunConfig) or run_suite (the seeds),
+        one item a call; stand-ins take their places, so nothing trains."""
+        calls = []
+        report = ExperimentReport(config={}, final_train_loss=0.0, loss_history=[],
+                                  diverged=False, wall_time=0.0)
+        monkeypatch.setattr(cli, "run", lambda cfg: calls.append(cfg) or report)
+        monkeypatch.setattr(cli, "run_suite", lambda seeds, *args, **kwargs: (
+            calls.append(seeds) or {"means": {}, "verdicts": {}, "rows": []}))
+        return calls
+
+    @staticmethod
+    def passed(calls, argv):
+        assert main(argv) == 0
+        return calls.pop()
+
+    @staticmethod
+    def check(reads: dict, value):
+        assert reads == dict.fromkeys(reads, value)
+        assert all(type(read) is type(value) for read in reads.values())
+
+    @pytest.mark.parametrize("text,value", TYPED)
+    def test_steps(self, calls, text, value):
+        def steps(cfg):
+            return effective_hyper(cfg)[0]["steps"]
+        self.check({
+            "--set": _or_refused(lambda: steps(
+                self.passed(calls, [*RUN_ARGV, "--set", f"steps={text}"]))),
+            "--steps": _or_refused(lambda: steps(
+                self.passed(calls, [*RUN_ARGV, "--steps", text]))),
+            "RunConfig": _or_refused(lambda: steps(
+                RunConfig("sine", "classic", overrides={"steps": text}))),
+        }, value)
+
+    @pytest.mark.parametrize("text,value", TYPED)
+    def test_seed(self, calls, text, value):
+        def suite_seed(seeds):
+            [seed] = [cli._NATURAL.check("seed", seed) for seed in seeds]
+            return seed
+
+        def run_suite_seed():
+            run_suite([text], ["classic"], "sine")  # its member goes to the stand-in run
+            return calls.pop().seed
+        self.check({
+            "--seed": _or_refused(lambda: _run_seed(
+                self.passed(calls, [*RUN_ARGV, "--seed", text]))),
+            "--seeds": _or_refused(lambda: suite_seed(
+                self.passed(calls, [*SUITE_ARGV, "--seeds", text]))),
+            "RunConfig": _or_refused(lambda: _run_seed(RunConfig("sine", "classic", seed=text))),
+            "run_suite": _or_refused(run_suite_seed),
+        }, value)
+
+    @pytest.mark.parametrize("text", [text for text, value in TYPED if value is None])
+    def test_refusals_exit_two(self, text, capsys):
+        # each is refused before anything trains
+        for argv in ([*RUN_ARGV, "--set", f"steps={text}"], [*RUN_ARGV, "--steps", text],
+                     [*RUN_ARGV, "--seed", text], [*SUITE_ARGV, "--seeds", text]):
+            assert main(argv) == 2, argv
+            assert "config error" in capsys.readouterr().err
 
 
 class TestFinalLoss:
@@ -508,28 +601,29 @@ class TestProbeSettings:
         self.check(probe_calls, 0.03, 2 * math.ceil(64 / 16))
 
 
+def _idx_dir(d: Path, names=tuple(cli._MNIST_FILES)) -> Path:
+    """``d``, made, with an empty stand-in for each named IDX file."""
+    d.mkdir()
+    for name in names:
+        (d / name).write_bytes(b"")
+    return d
+
+
 class TestResolveMnistDir:
     def test_explicit_wins(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for d in (a, b):
-            d.mkdir()
-            (d / "train-images-idx3-ubyte").write_bytes(b"")
+        a, b = _idx_dir(tmp_path / "a"), _idx_dir(tmp_path / "b")
         monkeypatch.setenv("BIJEPA_MNIST_DIR", str(b))
         assert resolve_mnist_dir(str(a)) == a
 
     def test_env_fallback(self, tmp_path, monkeypatch):
-        d = tmp_path / "env"
-        d.mkdir()
-        (d / "train-images-idx3-ubyte").write_bytes(b"")
+        d = _idx_dir(tmp_path / "env")
         monkeypatch.setenv("BIJEPA_MNIST_DIR", str(d))
         assert resolve_mnist_dir(None) == d
 
     def test_cwd_fallback(self, tmp_path, monkeypatch):
         monkeypatch.delenv("BIJEPA_MNIST_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
-        d = tmp_path / "mnist-data"
-        d.mkdir()
-        (d / "train-images-idx3-ubyte").write_bytes(b"")
+        _idx_dir(tmp_path / "mnist-data")
         assert str(resolve_mnist_dir(None)) == "mnist-data"
 
     def test_missing_everywhere(self, tmp_path, monkeypatch):
@@ -541,14 +635,28 @@ class TestResolveMnistDir:
     def test_explicit_dir_is_the_only_candidate(self, tmp_path, monkeypatch):
         # a flag naming a directory without the IDX files fails; it does
         # not fall through to the environment's directory
-        a, b = tmp_path / "a", tmp_path / "b"
-        for d in (a, b):
-            d.mkdir()
-        (b / "train-images-idx3-ubyte").write_bytes(b"")
+        a, b = _idx_dir(tmp_path / "a", ()), _idx_dir(tmp_path / "b")
         monkeypatch.setenv("BIJEPA_MNIST_DIR", str(b))
         with pytest.raises(FileNotFoundError) as excinfo:
             resolve_mnist_dir(str(a))
         assert str(a) in str(excinfo.value)
+
+    @pytest.mark.parametrize("missing", (
+        # fetch_mnist places one file at a time: a download that failed
+        # after the first leaves only the train images, and a run must
+        # refuse that directory before it reads them
+        tuple(cli._MNIST_FILES)[1:],
+        *((name,) for name in cli._MNIST_FILES)),
+        ids=["train-images-only", *(f"no-{name}" for name in cli._MNIST_FILES)])
+    def test_partial_directory_is_refused(self, tmp_path, monkeypatch, missing):
+        monkeypatch.delenv("BIJEPA_MNIST_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        d = _idx_dir(tmp_path / "mnist-data",
+                     [name for name in cli._MNIST_FILES if name not in missing])
+        with pytest.raises(FileNotFoundError):
+            resolve_mnist_dir(str(d))
+        with pytest.raises(FileNotFoundError):
+            resolve_mnist_dir(None)
 
 
 class TestSuite:

@@ -204,6 +204,22 @@ def ds():
     return build_lorenz_dataset(seed=0)
 
 
+def _seed0_starts() -> np.ndarray:
+    cfg = LorenzConfig
+    n_total = cfg.n_train + cfg.n_probe + cfg.n_test
+    return stream(0, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
+
+
+@pytest.fixture(scope="module")
+def train_stats():
+    """Per-coordinate mean and std of the seed-0 train trajectories,
+    integrated by the criterion 5 oracle: the statistics the dataset is
+    normalized with."""
+    flat = integrate_lorenz(_seed0_starts()[:LorenzConfig.n_train],
+                            LorenzConfig.T).reshape(-1, 3)
+    return flat.mean(axis=0), flat.std(axis=0)
+
+
 class TestLorenzDataset:
     def test_split_sizes_and_width(self, ds):
         assert ds.train.x.shape == (2000, 60) and ds.train.y.shape == (2000, 60)
@@ -223,30 +239,31 @@ class TestLorenzDataset:
                               axis=1).reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() > 1e-9
 
-    def test_rows_chain_by_one_integration_step(self, ds):
+    def test_rows_chain_by_one_integration_step(self, ds, train_stats):
         # undo the normalization and each consecutive pair of rows,
         # including the context/target seam, must be one Euler step apart
         cfg = LorenzConfig()
         full = np.concatenate([ds.train.x.reshape(2000, 20, 3),
                                ds.train.y.reshape(2000, 20, 3)],
                               axis=1)[:50]
-        raw = full * ds.std + ds.mean
+        mean, std = train_stats
+        raw = full * std + mean
         x, y, z = raw[:, :-1, 0], raw[:, :-1, 1], raw[:, :-1, 2]
         stepped = raw[:, :-1] + cfg.dt * np.stack(
             [cfg.sigma * (y - x), x * (cfg.rho - z) - y, x * y - cfg.beta * z],
             axis=-1)
         assert np.abs(stepped - raw[:, 1:]).max() < 1e-9
 
-    def test_rows_are_the_oracle_trajectories(self, ds):
+    def test_rows_are_the_oracle_trajectories(self, ds, train_stats):
         # redraw the seed-0 starts and integrate a few with the criterion 5
-        # oracle: normalized and cut 20/20 they are the dataset's rows
+        # oracle: normalized with the train statistics and cut 20/20 they
+        # are the dataset's rows
         cfg = LorenzConfig()
-        n_total = cfg.n_train + cfg.n_probe + cfg.n_test
-        inits = stream(0, "data:lorenz").uniform(*cfg.init_range, size=(n_total, 3))
+        inits, (mean, std) = _seed0_starts(), train_stats
         for split, offset in ((ds.train, 0), (ds.probe, cfg.n_train),
                               (ds.test, cfg.n_train + cfg.n_probe)):
             for row in (0, 1, split.size - 1):
-                traj = (integrate_lorenz(inits[offset + row], cfg.T) - ds.mean) / ds.std
+                traj = (integrate_lorenz(inits[offset + row], cfg.T) - mean) / std
                 assert np.array_equal(traj[:20].reshape(-1), split.x[row])
                 assert np.array_equal(traj[20:].reshape(-1), split.y[row])
 
