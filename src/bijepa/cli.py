@@ -5,6 +5,11 @@ Subcommands: ``run`` (one experiment/variant/seed), ``suite`` (cross
 product of seeds and variants with an aggregate table), ``fetch-mnist``
 (download the four canonical IDX files). Exit codes: 0 success, 1 run
 error, 2 configuration error.
+
+This module alone writes the run directory: the probes in ``eval``
+return the report fields they measured and their test predictions, and
+``run`` turns those into ``report.json``, ``forecast.csv`` and the PGM
+triptychs. A run pins numpy's BLAS to one thread itself.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import operator
 import os
 import sys
 import time
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -31,10 +37,7 @@ from .data import (
 )
 # no run calls these, but perfbench/tracer.py wraps them by name here
 from .data import load_mnist_idx, split_vertical  # noqa: F401
-from .eval import (
-    forecast_table, generative_decoder, linear_probe_classify, protocol_a,
-    protocol_b, write_pgm,
-)
+from .eval import generative_decoder, linear_probe_classify, protocol_a, protocol_b
 from .jepa import BiJepaModel, ConstraintMode, train_step
 from .nn import build_conv_encoder, build_mlp
 from .optim import AdamW
@@ -75,6 +78,8 @@ class ExperimentReport:
     loss_history: list
     diverged: bool
     wall_time: float
+    # probe fields: None unless one of the run's probes measures it, and
+    # each probe in eval returns what it measured under these names
     protocol_a_mse: float | None = None
     protocol_b_mse: float | None = None
     # diagnostics beside the gated probe MSEs: the least-squares probe's
@@ -322,26 +327,34 @@ def resolve_mnist_dir(explicit: str | None) -> Path:
 
 
 def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
-    """Protocols A and B; returns (metrics, forecast records, images)."""
+    """Protocols A and B; returns (report fields, forecast records, images)."""
     settings = {"lr": hyper["probe_lr"], "steps": hyper["probe_steps"], "seed": seed}
-    ra = protocol_a(model, held_out, **settings)
-    rb = protocol_b(model, held_out, **settings)
-    metrics = {
-        "protocol_a_mse": ra.mse, "protocol_b_mse": rb.mse,
-        "protocol_a_mse_exact": ra.mse_exact, "protocol_b_mse_exact": rb.mse_exact,
-        "protocol_a_train_mse": ra.train_mse, "protocol_b_train_mse": rb.train_mse,
-    }
-    return metrics, forecast_table(held_out.test, ra, rb), []
+    measured_a, preds_a = protocol_a(model, held_out, **settings)
+    measured_b, preds_b = protocol_b(model, held_out, **settings)
+    return ({**measured_a, **measured_b},
+            forecast_table(held_out.test, preds_a, preds_b), [])
 
 
 def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
-    """Digit classifier and right-half decoder; returns (metrics, forecast
-    records, images)."""
+    """Digit classifier and right-half decoder; returns (report fields,
+    forecast records, images)."""
     settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
-    racc = linear_probe_classify(model, views, **settings)
-    rdec = generative_decoder(model, views, **settings)
-    metrics = {"accuracy": racc.accuracy, "decoder_mse": rdec.mse}
-    return metrics, [], _triptychs(views.test, rdec.predictions)
+    measured_acc, _ = linear_probe_classify(model, views, **settings)
+    measured_dec, generated = generative_decoder(model, views, **settings)
+    return {**measured_acc, **measured_dec}, [], _triptychs(views.test, generated)
+
+
+def forecast_table(test_batch: ViewBatch, preds_a: np.ndarray,
+                   preds_b: np.ndarray) -> list[dict]:
+    """One record per test sample: truth and both probes' 1-step
+    forecasts, read from the first target-window element."""
+    truth = test_batch.y[:, 0]
+    a, b = preds_a[:, 0], preds_b[:, 0]
+    return [
+        {"sample": i, "truth": float(truth[i]),
+         "proto_a": float(a[i]), "proto_b": float(b[i])}
+        for i in range(truth.shape[0])
+    ]
 
 
 def _triptychs(test_views: ViewBatch, generated: np.ndarray) -> list:
@@ -363,7 +376,7 @@ class _Experiment:
     hyper: dict         # base hyperparameters, each overridable with --set
     encoder: Callable   # (hyper, with_ln, seed) -> encoder Network
     data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
-    probes: Callable    # (model, held-out splits, hyper, seed) -> (metrics, forecast, images)
+    probes: Callable    # (model, held-out splits, hyper, seed) -> (fields, forecast, images)
     verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)
     own_domains: dict   # domains that differ from _DOMAINS for this experiment
 
@@ -411,6 +424,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
     artifacts when an output directory is configured."""
     t0 = time.perf_counter()
     _keep_freed_heap()
+    _one_blas_thread()
     hyper, mode = effective_hyper(cfg)
     cfg = replace(cfg, seed=_NATURAL.check("seed", cfg.seed))  # 1.0 and "1" echo as 1
     experiment = _EXPERIMENTS[cfg.experiment]
@@ -420,7 +434,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
 
     batches, n_steps, held_out = experiment.data(cfg, hyper)
     history, diverged = _train(model, opt, batches, n_steps)
-    metrics, forecast, images = experiment.probes(
+    measured, forecast, images = experiment.probes(
         model, held_out, hyper, derive_seed(cfg.seed, "probe"))
 
     report = ExperimentReport(
@@ -430,7 +444,7 @@ def run(cfg: RunConfig) -> ExperimentReport:
         diverged=diverged,
         wall_time=time.perf_counter() - t0,
         forecast=forecast,
-        **metrics,
+        **measured,
     )
     if cfg.out_dir is not None:
         emit_outputs(report, cfg.out_dir, images)
@@ -480,6 +494,16 @@ def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         f.writelines(row + "\n" for row in rows)
+
+
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary PGM (P5), maxval 255, of a (28,14) half image: the only
+    shape a run writes."""
+    image = np.asarray(image)
+    if image.shape != (28, 14):
+        raise ValueError(f"expected a (28,14) image, got {image.shape}")
+    with open(path, "wb") as f:
+        f.write(b"P5\n14 28\n255\n" + image.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +742,30 @@ def _keep_freed_heap() -> None:
     m_trim_threshold, m_mmap_threshold = -1, -3
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 128 << 20)
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's BLAS on one thread, whatever the thread variables say.
+
+    The thread count decides how OpenBLAS splits a product, and so the
+    last bits of its result: a seed-0 Lorenz run on two threads writes a
+    different ``forecast.csv`` from one on a single thread. The setter
+    that numpy's bundled OpenBLAS exports makes a run with the thread
+    variables unset write the bytes of one under
+    ``OPENBLAS_NUM_THREADS=1``. A numpy whose BLAS has no such setter
+    gets a warning and keeps its own thread count.
+    """
+    try:
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        setter = blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        warnings.warn("numpy's BLAS exports no OpenBLAS thread setter; run "
+                      "with OPENBLAS_NUM_THREADS=1 for reproducible bits",
+                      RuntimeWarning, stacklevel=2)
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
 
 
 def main(argv: list[str] | None = None) -> int:

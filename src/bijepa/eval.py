@@ -6,6 +6,11 @@ B from the forward-predicted target embedding (encoder and predictor both
 frozen). The half-image experiment adds a linear classifier and a small
 generative decoder on frozen left-half embeddings.
 
+Each probe entry point returns ``(fields, predictions)``: the report
+fields it measured, keyed by their ``cli.ExperimentReport`` names, and
+its outputs on the test split. This module only measures; ``cli`` turns
+predictions into the run directory's forecast table and images.
+
 Probes optimize only their own parameters; features are extracted once
 as plain arrays, so no gradient can reach the model under evaluation.
 Feature extraction and the image probes' test predictions run under
@@ -34,32 +39,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import MNIST_STD, ViewBatch, shuffled_epochs
+from .data import MNIST_STD, shuffled_epochs
 from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
 from .nn import Network, build_mlp
 from .optim import AdamW
 from .seeding import derive_seed, stream
-
-
-@dataclass
-class ProbeResult:
-    """``mse_exact`` (test MSE of the least-squares probe) and
-    ``train_mse`` (the fitted probe's MSE on its own split) are set by
-    the regression protocols only."""
-
-    mse: float | None = None
-    accuracy: float | None = None
-    predictions: np.ndarray | None = None
-    mse_exact: float | None = None
-    train_mse: float | None = None
-
-    def __post_init__(self):
-        if self.accuracy is not None and not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy out of [0,1]: {self.accuracy}")
-        for name in ("mse", "mse_exact", "train_mse"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"negative {name}: {value}")
 
 
 # rows per feature-extraction forward
@@ -182,10 +166,12 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
-                         lr: float, steps: int, seed: int) -> ProbeResult:
-    """Fit a probe on the frozen features of the probe split, report its
-    MSE on the test split, with the least-squares probe's test MSE and
-    the fitted probe's probe-split MSE beside it."""
+                         name: str, lr: float, steps: int,
+                         seed: int) -> tuple[dict, np.ndarray]:
+    """Fit a probe on the frozen features of the probe split. Returns the
+    report fields ``{name}_mse`` (its test-split MSE), ``{name}_mse_exact``
+    (the least-squares probe's test-split MSE) and ``{name}_train_mse``
+    (its MSE on the probe split), and its test-split predictions."""
     feats = _embed(model, dataset.probe.x, through_predictor)
     stats = _ProbeStatistics.of(feats, dataset.probe.y)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
@@ -193,30 +179,32 @@ def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
     test_feats = _embed(model, dataset.test.x, through_predictor)
     test_targets = dataset.test.y
     preds = _affine(test_feats, theta)
-    return ProbeResult(
-        mse=_mse(preds, test_targets), predictions=preds,
-        mse_exact=_mse(_affine(test_feats, stats.least_squares()), test_targets),
-        train_mse=stats.mse(theta))
+    return {f"{name}_mse": _mse(preds, test_targets),
+            f"{name}_mse_exact": _mse(_affine(test_feats, stats.least_squares()),
+                                      test_targets),
+            f"{name}_train_mse": stats.mse(theta)}, preds
 
 
 def protocol_a(model: BiJepaModel, dataset, *, lr: float, steps: int,
-               seed: int) -> ProbeResult:
+               seed: int) -> tuple[dict, np.ndarray]:
     """Does the context embedding carry the target observation?
 
     Trains a probe from frozen context embeddings to the flattened
-    target window on the probe split; reports MSE on the test split.
+    target window on the probe split; measures the ``protocol_a_*``
+    fields on the test split.
     """
-    return _regression_protocol(model, dataset, False, lr, steps, seed)
+    return _regression_protocol(model, dataset, False, "protocol_a", lr, steps, seed)
 
 
 def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
-               seed: int) -> ProbeResult:
+               seed: int) -> tuple[dict, np.ndarray]:
     """Can the frozen forward predictor forecast the target?
 
     Same probe setup as protocol A, but features are the predicted
-    target embeddings: predictor(encoder(context)), both frozen.
+    target embeddings: predictor(encoder(context)), both frozen; measures
+    the ``protocol_b_*`` fields.
     """
-    return _regression_protocol(model, dataset, True, lr, steps, seed)
+    return _regression_protocol(model, dataset, True, "protocol_b", lr, steps, seed)
 
 
 def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
@@ -244,11 +232,11 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
 
 
 def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                          seed: int) -> ProbeResult:
+                          seed: int) -> tuple[dict, np.ndarray]:
     """Linear classifier on frozen left-half embeddings.
 
-    ``mnist`` carries train/test ViewBatches with digit labels. Reports
-    test accuracy.
+    ``mnist`` carries train/test ViewBatches with digit labels. Measures
+    ``accuracy`` on the test split; the predictions are its labels.
     """
     labels = mnist.train.labels
     logits = _fit_epochs(
@@ -256,16 +244,15 @@ def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
         lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]),
         lr, epochs, seed)
     pred_labels = logits.argmax(axis=1)
-    accuracy = float((pred_labels == mnist.test.labels).mean())
-    return ProbeResult(accuracy=accuracy, predictions=pred_labels)
+    return {"accuracy": float((pred_labels == mnist.test.labels).mean())}, pred_labels
 
 
 def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                       seed: int) -> ProbeResult:
+                       seed: int) -> tuple[dict, np.ndarray]:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
     A small MLP (hidden 256) regresses the normalized right half.
-    The reported test MSE is rescaled by MNIST_STD**2 so it reads in
+    Its test MSE, ``decoder_mse``, is rescaled by MNIST_STD**2 so it reads in
     raw [0,1] pixel units (MSE is invariant to the mean shift, so the
     factor is exact). Predictions stay in normalized units for image
     dumps.
@@ -276,35 +263,4 @@ def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
         lr, epochs, seed)
     test_targets = mnist.test.y.reshape(mnist.test.size, -1)
-    return ProbeResult(mse=_mse(preds, test_targets) * MNIST_STD ** 2,
-                       predictions=preds)
-
-
-def forecast_table(test_batch: ViewBatch, result_a: ProbeResult,
-                   result_b: ProbeResult) -> list[dict]:
-    """One record per test sample: truth and both probes' 1-step
-    forecasts, read from the first target-window element."""
-    truth = test_batch.y[:, 0]
-    a = result_a.predictions[:, 0]
-    b = result_b.predictions[:, 0]
-    return [
-        {"sample": i, "truth": float(truth[i]),
-         "proto_a": float(a[i]), "proto_b": float(b[i])}
-        for i in range(truth.shape[0])
-    ]
-
-
-# ---------------------------------------------------------------------------
-# image dumps
-
-
-def write_pgm(path, image: np.ndarray) -> None:
-    """Binary PGM (P5), maxval 255, of a (28,14) half image: the only
-    shape a run writes."""
-    image = np.asarray(image)
-    if image.shape != (28, 14):
-        raise ValueError(f"expected a (28,14) image, got {image.shape}")
-    data = image.astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    return {"decoder_mse": _mse(preds, test_targets) * MNIST_STD ** 2}, preds

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from bijepa import cli
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py
@@ -20,23 +22,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def find_mnist_dir():
+def find_mnist_dir() -> Path:
+    """The first candidate directory that holds all four IDX files of
+    ``cli._MNIST_FILES``; skips the calling test when there is none. A
+    directory that a failed ``bijepa fetch-mnist`` left half filled does
+    not count, since a run refuses it."""
     candidates = [
         os.environ.get("BIJEPA_MNIST_DIR"),
         "mnist-data",
         Path.home() / "mnist-data",
-        "/root/mnist-data",
     ]
     for cand in candidates:
-        if cand and (Path(cand) / "train-images-idx3-ubyte").exists():
+        if cand and all((Path(cand) / name).exists() for name in cli._MNIST_FILES):
             return Path(cand)
-    return None
+    pytest.skip("MNIST IDX files not available "
+                "(run `bijepa fetch-mnist` or set BIJEPA_MNIST_DIR)")
 
 
 @pytest.fixture(scope="session")
 def mnist_dir():
-    d = find_mnist_dir()
-    if d is None:
-        pytest.skip("MNIST IDX files not available "
-                    "(run `bijepa fetch-mnist` or set BIJEPA_MNIST_DIR)")
-    return d
+    return find_mnist_dir()

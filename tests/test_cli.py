@@ -1,6 +1,7 @@
 """Runner behavior: config validation, artifacts, determinism, suite
 aggregation, and the MNIST fetch helper."""
 
+import ctypes
 import dataclasses
 import gzip
 import http.server
@@ -20,15 +21,40 @@ import pytest
 from bijepa import cli, eval as ev
 from bijepa.cli import (
     ConfigError, Domain, ExperimentReport, RunConfig, _final_loss, _parse_set,
-    effective_hyper, emit_outputs, fetch_mnist, main, resolve_mnist_dir, run,
-    run_suite,
+    effective_hyper, emit_outputs, fetch_mnist, forecast_table, main,
+    resolve_mnist_dir, run, run_suite, write_pgm,
 )
-from bijepa.data import SineConfig, gen_sine_batch
+from bijepa.data import (
+    MNIST_MEAN, MNIST_STD, SineConfig, ViewBatch, denormalize_to_u8, gen_sine_batch,
+)
 from bijepa.seeding import derive_seed, stream
 
+from conftest import find_mnist_dir
 from helpers import load_report, write_synthetic_mnist
 
 TINY_SINE = {"steps": 60, "probe_steps": 40}
+
+# the report fields that each kind of probe measures
+REGRESSION_FIELDS = {f"protocol_{p}_{kind}" for p in "ab"
+                     for kind in ("mse", "mse_exact", "train_mse")}
+IMAGE_FIELDS = {"accuracy", "decoder_mse"}
+
+
+def probe_fields() -> set:
+    """The report's probe fields: the ones a run leaves None unless one
+    of its probes measures them."""
+    return {fd.name for fd in dataclasses.fields(ExperimentReport) if fd.default is None}
+
+
+def measured_fields(report: ExperimentReport) -> set:
+    """The probe fields that ``report`` holds a value for."""
+    return {name for name in probe_fields() if getattr(report, name) is not None}
+
+
+def test_probe_kinds_measure_every_probe_field_once():
+    assert not REGRESSION_FIELDS & IMAGE_FIELDS
+    assert REGRESSION_FIELDS | IMAGE_FIELDS == probe_fields()
+    assert len(probe_fields()) == 8
 
 
 class TestEffectiveHyper:
@@ -338,6 +364,7 @@ class TestRunArtifacts:
                 value = getattr(report, f"{name}_{diagnostic}")
                 assert math.isfinite(value) and value >= 0.0
         assert report.accuracy is None and report.decoder_mse is None
+        assert measured_fields(report) == REGRESSION_FIELDS
         assert len(report.loss_history) == TINY_SINE["steps"]
         assert all(len(row) == 5 for row in report.loss_history)
         assert report.config["constraint_mode"] == "expressive"
@@ -402,6 +429,48 @@ class TestEmitOutputs:
         assert (tmp_path / "forecast.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+class TestForecastTable:
+    def test_record_count_and_keys(self):
+        vb = ViewBatch(np.zeros((5, 4)), np.arange(20.0).reshape(5, 4))
+        preds = np.ones((5, 4))
+        table = forecast_table(vb, preds, 2 * preds)
+        assert len(table) == 5
+        assert table[0] == {"sample": 0, "truth": 0.0, "proto_a": 1.0,
+                            "proto_b": 2.0}
+        assert table[3]["truth"] == 12.0
+
+    def test_perfect_probes_align(self):
+        vb = ViewBatch(np.zeros((3, 2)), np.array([[1.0, 9], [2, 9], [3, 9]]))
+        perfect = vb.y.copy()
+        for rec in forecast_table(vb, perfect, perfect):
+            assert rec["truth"] == rec["proto_a"] == rec["proto_b"]
+
+
+class TestImageDumps:
+    def test_denormalize_round_trip(self):
+        u8 = np.arange(256, dtype=np.uint8)
+        norm = (u8 / 255.0 - MNIST_MEAN) / MNIST_STD
+        assert np.array_equal(denormalize_to_u8(norm), u8)
+
+    def test_denormalize_clips(self):
+        assert denormalize_to_u8(np.array([-100.0]))[0] == 0
+        assert denormalize_to_u8(np.array([100.0]))[0] == 255
+
+    def test_pgm_bytes(self, tmp_path):
+        img = np.arange(392, dtype=np.uint8).reshape(28, 14)
+        path = tmp_path / "x.pgm"
+        write_pgm(path, img)
+        raw = path.read_bytes()
+        assert raw.startswith(b"P5\n14 28\n255\n")
+        assert raw[len(b"P5\n14 28\n255\n"):] == img.tobytes()
+
+    def test_pgm_rejects_other_shapes(self, tmp_path):
+        for shape in ((14, 28), (28, 28), (28,), (1, 28, 14)):
+            with pytest.raises(ValueError):
+                write_pgm(tmp_path / "z.pgm", np.zeros(shape, dtype=np.uint8))
+        assert not (tmp_path / "z.pgm").exists()
+
+
 def test_import_leaves_network_stack_unloaded():
     """Only fetch-mnist needs urllib and gzip; importing the CLI loads
     neither them nor what urllib.request pulls in."""
@@ -420,6 +489,68 @@ class TestHeapPolicy:
         monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
         run(RunConfig("sine", "classic", overrides={"steps": 2, "probe_steps": 2}))
         assert calls == [1]
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_files(out: Path) -> dict:
+    """Every file of a run directory by name, its report.json parsed and
+    without ``wall_time``."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    report = json.loads(files["report.json"])
+    del report["wall_time"]
+    return {**files, "report.json": report}
+
+
+class TestBlasThreads:
+    """A run sets numpy's OpenBLAS to one thread itself, so its bits do
+    not depend on the thread variables of the shell that started it."""
+
+    def test_run_pins_one_thread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append(1))
+        run(RunConfig("sine", "classic", overrides={"steps": 2, "probe_steps": 2}))
+        assert calls == [1]
+
+    def test_pin_sets_the_library_count(self):
+        blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        setter, getter = (blas.scipy_openblas_set_num_threads64_,
+                          blas.scipy_openblas_get_num_threads64_)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(2)
+        cli._one_blas_thread()
+        assert getter() == 1
+
+    def test_missing_setter_warns_and_the_run_goes_on(self, monkeypatch):
+        def no_library(name):
+            raise OSError(f"cannot load {name}")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        with pytest.warns(RuntimeWarning, match="OPENBLAS_NUM_THREADS=1"):
+            report = run(RunConfig("sine", "classic",
+                                   overrides={"steps": 2, "probe_steps": 2}))
+        assert report.protocol_b_mse is not None
+
+    def test_unset_thread_variables_write_the_pinned_bytes(self, tmp_path):
+        """With several cores, OpenBLAS runs as many threads as it finds
+        when no variable says otherwise, and this Lorenz run's probe
+        outputs then round differently from a one-thread run's."""
+        env = {name: value for name, value in os.environ.items()
+               if name not in THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        written = {}
+        for side, pins in (("unset", {}), ("pinned", dict.fromkeys(THREAD_VARS, "1"))):
+            subprocess.run(
+                [sys.executable, "-m", "bijepa.cli", "run", "--experiment", "lorenz",
+                 "--variant", "bijepa-expressive", "--steps", "50",
+                 "--set", "probe_steps=50", "--seed", "0", "--out", str(tmp_path / side)],
+                env={**env, **pins}, capture_output=True, check=True)
+            written[side] = run_files(tmp_path / side)
+        unset, pinned = written["unset"], written["pinned"]
+        assert sorted(unset) == sorted(pinned) == ["forecast.csv", "loss.csv", "report.json"]
+        assert [name for name in unset if unset[name] != pinned[name]] == []
 
 
 class TestDeterminism:
@@ -455,6 +586,7 @@ class TestLorenzRun:
         report = run(cfg)
         assert report.config["alpha"] == 1.0
         assert len(report.forecast) == 20  # test split size
+        assert measured_fields(report) == REGRESSION_FIELDS
         assert (tmp_path / "forecast.csv").exists()
         assert all(row[3] == 0.0 for row in report.loss_history)  # no bwd term
 
@@ -468,6 +600,7 @@ class TestMnistRun:
                                overrides={"epochs": 1, "probe_epochs": 1}))
         assert 0.0 <= report.accuracy <= 1.0
         assert math.isfinite(report.decoder_mse)
+        assert measured_fields(report) == IMAGE_FIELDS
         assert len(report.loss_history) == 1  # ceil(64/256)
         assert len(list(out.glob("recon_*.pgm"))) == 24
 
@@ -541,6 +674,7 @@ class TestMnistRun:
         assert report.decoder_mse is not None
         assert report.protocol_a_mse is None
         assert report.protocol_a_mse_exact is None and report.protocol_b_train_mse is None
+        assert measured_fields(report) == IMAGE_FIELDS
         assert len(report.loss_history) == 2  # ceil(512/256)
         for i in range(8):
             for part in ("input", "gen", "truth"):
@@ -657,6 +791,19 @@ class TestResolveMnistDir:
             resolve_mnist_dir(str(d))
         with pytest.raises(FileNotFoundError):
             resolve_mnist_dir(None)
+
+    def test_half_fetched_directory_skips_the_mnist_tests(self, tmp_path, monkeypatch):
+        # the tests' own search for the files refuses what a run refuses,
+        # so the tests that need them skip instead of failing
+        d = _idx_dir(tmp_path / "mnist-data", ["train-images-idx3-ubyte"])
+        monkeypatch.setenv("BIJEPA_MNIST_DIR", str(d))
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(pytest.skip.Exception):
+            find_mnist_dir()
+        for name in tuple(cli._MNIST_FILES)[1:]:
+            (d / name).write_bytes(b"")
+        assert find_mnist_dir() == d
 
 
 class TestSuite:

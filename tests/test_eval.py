@@ -1,4 +1,5 @@
-"""Probe protocols against frozen models, plus image dump formats."""
+"""Probe protocols against frozen models: the report fields each one
+measures and its test-split predictions."""
 
 import tracemalloc
 from types import SimpleNamespace
@@ -8,11 +9,10 @@ import pytest
 
 from bijepa import autodiff as ad, eval as ev
 from bijepa.autodiff import Tensor
-from bijepa.data import MNIST_MEAN, MNIST_STD, ViewBatch, denormalize_to_u8
+from bijepa.data import MNIST_STD, ViewBatch
 from bijepa.eval import (
     _affine, _embed, _mse, _predict, _ProbeStatistics, _train_regression_probe,
-    ProbeResult, forecast_table, generative_decoder,
-    linear_probe_classify, protocol_a, protocol_b, write_pgm,
+    generative_decoder, linear_probe_classify, protocol_a, protocol_b,
 )
 from bijepa.jepa import (
     BiJepaModel, ConstraintMode, encode_for_inference, predict_forward_for_inference,
@@ -146,17 +146,19 @@ class TestSufficientStatisticsProbe:
     def test_protocol_reports_exact_and_train_mse(self):
         model = make_model(seed=6)
         ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
-        r = protocol_b(model, ds, lr=1e-3, steps=100, seed=0)
+        fields, _ = protocol_b(model, ds, lr=1e-3, steps=100, seed=0)
+        assert set(fields) == {"protocol_b_mse", "protocol_b_mse_exact",
+                               "protocol_b_train_mse"}
         feats = _embed(model, ds.probe.x, through_predictor=True)
         test_feats = _embed(model, ds.test.x, through_predictor=True)
         ones = np.ones((feats.shape[0], 1))
         coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y,
                                rcond=None)[0]
         exact = float(np.mean((test_feats @ coef[:-1] + coef[-1] - ds.test.y) ** 2))
-        assert r.mse_exact == pytest.approx(exact, rel=1e-9)
+        assert fields["protocol_b_mse_exact"] == pytest.approx(exact, rel=1e-9)
         # the least-squares fit is the floor on the probe split
         floor = _ProbeStatistics.of(feats, ds.probe.y)
-        assert r.train_mse >= floor.mse(floor.least_squares()) > 0.0
+        assert fields["protocol_b_train_mse"] >= floor.mse(floor.least_squares()) > 0.0
 
 
 class TestFeatureGraphs:
@@ -236,8 +238,10 @@ class TestRegressionProtocols:
     def test_realizable_target_fits_to_zero(self):
         model = make_model()
         ds = regression_dataset(model, np.random.default_rng(0))
-        r = protocol_a(model, ds, lr=1e-2, steps=4000, seed=0)
-        assert r.mse < 1e-6
+        fields, _ = protocol_a(model, ds, lr=1e-2, steps=4000, seed=0)
+        assert set(fields) == {"protocol_a_mse", "protocol_a_mse_exact",
+                               "protocol_a_train_mse"}
+        assert fields["protocol_a_mse"] < 1e-6
 
     def test_collapsed_encoder_hits_variance_floor(self):
         # a constant embedding admits only constant predictions, so the
@@ -250,9 +254,9 @@ class TestRegressionProtocols:
         xp = rng.standard_normal((256, IN_DIM))
         yp = rng.standard_normal((256, 5)) * 2.0 + 1.0
         ds = SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xp, yp))
-        r = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
+        fields, _ = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
         var = float(yp.var())
-        assert abs(r.mse - var) < 0.01 * var
+        assert abs(fields["protocol_a_mse"] - var) < 0.01 * var
 
     def test_identity_predictor_makes_protocols_agree(self):
         # relu(x) - relu(-x) == x exactly, so protocol B sees the same
@@ -264,18 +268,18 @@ class TestRegressionProtocols:
         p_fwd.layers[2].w.values[...] = w.T
         model = make_model(seed=2, p_fwd=p_fwd)
         ds = regression_dataset(model, np.random.default_rng(2))
-        ra = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
-        rb = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
-        assert ra.mse == rb.mse
-        assert np.array_equal(ra.predictions, rb.predictions)
+        fields_a, preds_a = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
+        fields_b, preds_b = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        assert fields_a["protocol_a_mse"] == fields_b["protocol_b_mse"]
+        assert np.array_equal(preds_a, preds_b)
 
     def test_probe_determinism(self):
         model = make_model(seed=3)
         ds = regression_dataset(model, np.random.default_rng(3))
-        r1 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
-        r2 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
-        assert r1.mse == r2.mse
-        assert np.array_equal(r1.predictions, r2.predictions)
+        fields_1, preds_1 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        fields_2, preds_2 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        assert fields_1["protocol_b_mse"] == fields_2["protocol_b_mse"]
+        assert np.array_equal(preds_1, preds_2)
 
     def test_model_frozen_through_probing(self):
         model = make_model(seed=4)
@@ -324,8 +328,9 @@ class TestClassifierProbe:
     def test_random_features_random_labels_chance_level(self):
         model = make_model(seed=2)
         mn = classification_fixture(np.random.default_rng(0))
-        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
-        assert 0.08 <= r.accuracy <= 0.12
+        fields, _ = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
+        assert set(fields) == {"accuracy"}
+        assert 0.08 <= fields["accuracy"] <= 0.12
 
     def test_separable_features_learned(self):
         # labels derived from the embedding itself must be predictable
@@ -337,15 +342,15 @@ class TestClassifierProbe:
         mn = SimpleNamespace(
             train=ViewBatch(x[:2000], x[:2000], labels=labels[:2000]),
             test=ViewBatch(x[2000:], x[2000:], labels=labels[2000:]))
-        r = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
-        assert r.accuracy > 0.95
+        fields, _ = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
+        assert fields["accuracy"] > 0.95
 
     def test_prediction_vector_shape(self):
         model = make_model(seed=8)
         mn = classification_fixture(np.random.default_rng(8), n_test=500)
-        r = linear_probe_classify(model, mn, lr=1e-3, epochs=1, seed=0)
-        assert r.predictions.shape == (500,)
-        assert set(np.unique(r.predictions)) <= set(range(10))
+        _, pred_labels = linear_probe_classify(model, mn, lr=1e-3, epochs=1, seed=0)
+        assert pred_labels.shape == (500,)
+        assert set(np.unique(pred_labels)) <= set(range(10))
 
 
 class TestGenerativeDecoder:
@@ -373,9 +378,10 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:100], imgs[:100]))
         model = self.conv_free_model(9)
-        r = generative_decoder(model, mn, lr=1e-3, epochs=2, seed=0)
-        assert r.predictions.shape == (100, 392)
-        assert r.mse >= 0.0
+        fields, preds = generative_decoder(model, mn, lr=1e-3, epochs=2, seed=0)
+        assert set(fields) == {"decoder_mse"}
+        assert preds.shape == (100, 392)
+        assert fields["decoder_mse"] >= 0.0
 
     def test_pixel_std_rescales_mse_exactly(self):
         rng = np.random.default_rng(10)
@@ -383,61 +389,6 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:64], imgs[:64]))
         model = self.conv_free_model(10)
-        r = generative_decoder(model, mn, lr=1e-3, epochs=1, seed=0)
+        fields, preds = generative_decoder(model, mn, lr=1e-3, epochs=1, seed=0)
         # the reported MSE reads in raw pixel units, the predictions stay normalized
-        assert r.mse == _mse(r.predictions, imgs[:64]) * MNIST_STD ** 2
-
-
-class TestForecastTable:
-    def test_record_count_and_keys(self):
-        vb = ViewBatch(np.zeros((5, 4)), np.arange(20.0).reshape(5, 4))
-        preds = np.ones((5, 4))
-        table = forecast_table(vb, ProbeResult(mse=0.0, predictions=preds),
-                               ProbeResult(mse=0.0, predictions=2 * preds))
-        assert len(table) == 5
-        assert table[0] == {"sample": 0, "truth": 0.0, "proto_a": 1.0,
-                            "proto_b": 2.0}
-        assert table[3]["truth"] == 12.0
-
-    def test_perfect_probes_align(self):
-        vb = ViewBatch(np.zeros((3, 2)), np.array([[1.0, 9], [2, 9], [3, 9]]))
-        perfect = ProbeResult(mse=0.0, predictions=vb.y.copy())
-        for rec in forecast_table(vb, perfect, perfect):
-            assert rec["truth"] == rec["proto_a"] == rec["proto_b"]
-
-
-class TestProbeResult:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ProbeResult(accuracy=1.2)
-        with pytest.raises(ValueError):
-            ProbeResult(mse=-0.1)
-        with pytest.raises(ValueError):
-            ProbeResult(mse_exact=-0.1)
-        with pytest.raises(ValueError):
-            ProbeResult(train_mse=-0.1)
-
-
-class TestImageDumps:
-    def test_denormalize_round_trip(self):
-        u8 = np.arange(256, dtype=np.uint8)
-        norm = (u8 / 255.0 - MNIST_MEAN) / MNIST_STD
-        assert np.array_equal(denormalize_to_u8(norm), u8)
-
-    def test_denormalize_clips(self):
-        assert denormalize_to_u8(np.array([-100.0]))[0] == 0
-        assert denormalize_to_u8(np.array([100.0]))[0] == 255
-
-    def test_pgm_bytes(self, tmp_path):
-        img = np.arange(392, dtype=np.uint8).reshape(28, 14)
-        path = tmp_path / "x.pgm"
-        write_pgm(path, img)
-        raw = path.read_bytes()
-        assert raw.startswith(b"P5\n14 28\n255\n")
-        assert raw[len(b"P5\n14 28\n255\n"):] == img.tobytes()
-
-    def test_pgm_rejects_other_shapes(self, tmp_path):
-        for shape in ((14, 28), (28, 28), (28,), (1, 28, 14)):
-            with pytest.raises(ValueError):
-                write_pgm(tmp_path / "z.pgm", np.zeros(shape, dtype=np.uint8))
-        assert not (tmp_path / "z.pgm").exists()
+        assert fields["decoder_mse"] == _mse(preds, imgs[:64]) * MNIST_STD ** 2
