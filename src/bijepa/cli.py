@@ -25,6 +25,7 @@ import time
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -207,18 +208,19 @@ def _build_model(cfg: RunConfig, hyper: dict, mode: ConstraintMode) -> BiJepaMod
     return BiJepaModel(encoder, p_fwd, p_bwd, alpha, hyper["tau"], mode)
 
 
-def _train(model: BiJepaModel, opt: AdamW, batches, n_steps: int):
-    """Drive train_step over a batch iterator; returns (history, diverged).
+def _train(model: BiJepaModel, opt: AdamW, batches):
+    """One train_step per batch of ``batches``, the run's whole stream;
+    returns (history, diverged).
 
     History rows are [step, total, fwd, bwd, emb_norm]. A non-finite
-    loss stops training immediately; a merely huge loss only flags the
-    run and keeps recording (the divergence study needs the full trace).
+    loss stops training immediately, before the next batch is drawn; a
+    merely huge loss only flags the run and keeps recording (the
+    divergence study needs the full trace).
     """
     model.train_mode()
     history = []
     diverged = False
-    for step in range(n_steps):
-        batch = next(batches)
+    for step, batch in enumerate(batches):
         m = train_step(model, opt, Tensor(batch.x), Tensor(batch.y), step)
         history.append([step, m.total_loss, m.fwd_loss, m.bwd_loss,
                         m.mean_embedding_norm])
@@ -236,8 +238,8 @@ def _final_loss(history: list) -> float:
 # ---------------------------------------------------------------------------
 # experiments
 #
-# Each experiment names its encoder, its data (training batches, step
-# count and held-out splits) and its probes. The helpers below look the
+# Each experiment names its encoder, its data (every training batch and
+# the held-out splits) and its probes. The helpers below look the
 # data, probe and output functions up by name when they run, so callers
 # that replace those module attributes (timing and tracing harnesses)
 # see every call.
@@ -255,20 +257,8 @@ def _conv_encoder(hyper: dict, with_ln: bool, seed: int):
     return build_conv_encoder(hyper["emb_dim"], seed)
 
 
-def _sine_batches(batch: int, noise_std: float, rng):
-    while True:
-        yield gen_sine_batch(batch, noise_std, rng)
-
-
-def _shuffled_batches(views: ViewBatch, rng, batch: int, drop_last: bool):
-    """Endless epochs over ``views``: the sub-batches that
-    ``shuffled_epochs`` indexes."""
-    for idx in shuffled_epochs(views.size, batch, rng, drop_last):
-        yield views.take(idx)
-
-
 def _sine_data(cfg: RunConfig, hyper: dict):
-    """A fresh batch every step; fixed probe and test sets."""
+    """``steps`` fresh batches, one a step; fixed probe and test sets."""
     noise_std = SineConfig.noise_std
     held_out = SimpleNamespace(
         probe=gen_sine_batch(SineConfig.n_probe, noise_std,
@@ -276,16 +266,17 @@ def _sine_data(cfg: RunConfig, hyper: dict):
         test=gen_sine_batch(SineConfig.n_test, noise_std,
                             stream(cfg.seed, "data:sine-test")),
     )
-    batches = _sine_batches(hyper["batch"], noise_std, stream(cfg.seed, "data:sine"))
-    return batches, hyper["steps"], held_out
+    rng = stream(cfg.seed, "data:sine")
+    batches = (gen_sine_batch(hyper["batch"], noise_std, rng) for _ in range(hyper["steps"]))
+    return batches, held_out
 
 
 def _lorenz_data(cfg: RunConfig, hyper: dict):
-    """Shuffled batches of the train split, full batches only."""
+    """``steps`` shuffled batches of the train split, full batches only."""
     dataset = build_lorenz_dataset(cfg.seed)
-    batches = _shuffled_batches(dataset.train, stream(cfg.seed, "data:batches"),
-                                hyper["batch"], drop_last=True)
-    return batches, hyper["steps"], dataset
+    order = shuffled_epochs(dataset.train.size, hyper["batch"],
+                            stream(cfg.seed, "data:batches"), drop_last=True)
+    return map(dataset.train.take, islice(order, hyper["steps"])), dataset
 
 
 def _mnist_data(cfg: RunConfig, hyper: dict):
@@ -305,10 +296,10 @@ def _mnist_data(cfg: RunConfig, hyper: dict):
             f"a train split of {views.train.size} images leaves a one-row last "
             f"batch at batch={hyper['batch']}, and BatchNorm needs two rows; "
             "change batch or train_limit")
-    batches = _shuffled_batches(views.train, stream(cfg.seed, "data:batches"),
-                                hyper["batch"], drop_last=False)
-    n_steps = hyper["epochs"] * math.ceil(views.train.size / hyper["batch"])
-    return batches, n_steps, views
+    order = shuffled_epochs(views.train.size, hyper["batch"],
+                            stream(cfg.seed, "data:batches"), drop_last=False)
+    steps = hyper["epochs"] * math.ceil(views.train.size / hyper["batch"])
+    return map(views.train.take, islice(order, steps)), views
 
 
 def resolve_mnist_dir(explicit: str | None) -> Path:
@@ -327,21 +318,23 @@ def resolve_mnist_dir(explicit: str | None) -> Path:
 
 
 def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
-    """Protocols A and B; returns (report fields, forecast records, images)."""
+    """Protocols A and B; returns (report fields, images). The fields
+    include the forecast table of both probes' test predictions, and
+    there are no images."""
     settings = {"lr": hyper["probe_lr"], "steps": hyper["probe_steps"], "seed": seed}
     measured_a, preds_a = protocol_a(model, held_out, **settings)
     measured_b, preds_b = protocol_b(model, held_out, **settings)
-    return ({**measured_a, **measured_b},
-            forecast_table(held_out.test, preds_a, preds_b), [])
+    forecast = forecast_table(held_out.test, preds_a, preds_b)
+    return {**measured_a, **measured_b, "forecast": forecast}, []
 
 
 def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
     """Digit classifier and right-half decoder; returns (report fields,
-    forecast records, images)."""
+    images): the decoder's triptychs."""
     settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
     measured_acc, _ = linear_probe_classify(model, views, **settings)
     measured_dec, generated = generative_decoder(model, views, **settings)
-    return {**measured_acc, **measured_dec}, [], _triptychs(views.test, generated)
+    return {**measured_acc, **measured_dec}, _triptychs(views.test, generated)
 
 
 def forecast_table(test_batch: ViewBatch, preds_a: np.ndarray,
@@ -375,8 +368,8 @@ def _triptychs(test_views: ViewBatch, generated: np.ndarray) -> list:
 class _Experiment:
     hyper: dict         # base hyperparameters, each overridable with --set
     encoder: Callable   # (hyper, with_ln, seed) -> encoder Network
-    data: Callable      # (cfg, hyper) -> (batch iterator, step count, held-out splits)
-    probes: Callable    # (model, held-out splits, hyper, seed) -> (fields, forecast, images)
+    data: Callable      # (cfg, hyper) -> (every training batch, held-out splits)
+    probes: Callable    # (model, held-out splits, hyper, seed) -> (report fields, images)
     verdict: tuple      # (suite metric, verdict name, "bijepa beats classic" comparison)
     own_domains: dict   # domains that differ from _DOMAINS for this experiment
 
@@ -432,9 +425,9 @@ def run(cfg: RunConfig) -> ExperimentReport:
     opt = AdamW(model.trainable_networks(), lr=hyper["lr"],
                 weight_decay=hyper["weight_decay"])
 
-    batches, n_steps, held_out = experiment.data(cfg, hyper)
-    history, diverged = _train(model, opt, batches, n_steps)
-    measured, forecast, images = experiment.probes(
+    batches, held_out = experiment.data(cfg, hyper)
+    history, diverged = _train(model, opt, batches)
+    measured, images = experiment.probes(
         model, held_out, hyper, derive_seed(cfg.seed, "probe"))
 
     report = ExperimentReport(
@@ -443,7 +436,6 @@ def run(cfg: RunConfig) -> ExperimentReport:
         loss_history=history,
         diverged=diverged,
         wall_time=time.perf_counter() - t0,
-        forecast=forecast,
         **measured,
     )
     if cfg.out_dir is not None:
@@ -564,25 +556,15 @@ def run_suite(seeds: list[int | str], variants: list[str], experiment: str,
     return result
 
 
-def _paired(rows, variant, seed):
-    for r in rows:
-        if r["variant"] == variant and r["seed"] == seed and r["status"] == "ok":
-            return r
-    return None
-
-
 def _suite_verdicts(rows, variants, experiment, seeds) -> dict:
     """Does bijepa-expressive beat classic on the experiment's suite
     metric for a majority of seeds?"""
     if "bijepa-expressive" not in variants or "classic" not in variants:
         return {}
     metric, name, beats = _EXPERIMENTS[experiment].verdict
-    wins = []
-    for seed in seeds:
-        b = _paired(rows, "bijepa-expressive", seed)
-        c = _paired(rows, "classic", seed)
-        if b and c and b[metric] is not None:
-            wins.append(beats(b[metric], c[metric]))
+    ok = {(r["variant"], r["seed"]): r[metric] for r in rows if r["status"] == "ok"}
+    wins = [beats(ok["bijepa-expressive", seed], ok["classic", seed]) for seed in seeds
+            if ok.get(("bijepa-expressive", seed)) is not None and ("classic", seed) in ok]
     key = f"bijepa_beats_classic_{name}"
     return {key: bool(wins) and sum(wins) * 2 > len(wins), f"{key}_per_seed": wins}
 
@@ -669,7 +651,8 @@ def fetch_mnist(out_dir, base_url: str) -> list[Path]:
 
 
 def _parse_set(pairs: list[str]) -> dict:
-    """``KEY=VALUE`` pairs as {key: value text}; ``Domain`` reads the text."""
+    """``KEY=VALUE`` pairs as {key: value text}, the last pair of a key
+    winning; ``Domain`` reads the text."""
     overrides = {}
     for pair in pairs:
         if "=" not in pair:
@@ -677,14 +660,6 @@ def _parse_set(pairs: list[str]) -> dict:
         key, _, value = pair.partition("=")
         overrides[key] = value
     return overrides
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    """--steps and --epochs are exactly the --set overrides of the same
-    name, text included; an explicit --set of that key wins."""
-    flags = {k: getattr(args, k) for k in ("steps", "epochs")
-             if getattr(args, k) is not None}
-    return {**flags, **_parse_set(args.set)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -709,9 +684,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for q in (rp, sp):
         q.add_argument("--out", default=None)
         q.add_argument("--mnist-dir", default=None)
-        q.add_argument("--steps", default=None)
-        q.add_argument("--epochs", default=None)
         q.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+        # items of the --set list, so the last setting of a key wins
+        for key in ("steps", "epochs"):
+            q.add_argument(f"--{key}", dest="set", action="append",
+                           type=f"{key}={{}}".format, metavar="N", help=f"--set {key}=N")
 
     fp = sub.add_parser("fetch-mnist", help="download the four IDX files")
     fp.add_argument("--out", default="mnist-data")
@@ -774,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             cfg = RunConfig(args.experiment, args.variant, seed=args.seed,
                             out_dir=args.out, mnist_dir=args.mnist_dir,
-                            overrides=_overrides(args))
+                            overrides=_parse_set(args.set))
             report = run(cfg)
             print(f"final_train_loss={report.final_train_loss:.6f} "
                   f"proto_a={report.protocol_a_mse} proto_b={report.protocol_b_mse} "
@@ -784,7 +761,7 @@ def main(argv: list[str] | None = None) -> int:
             seeds = [s for s in args.seeds.split(",") if s != ""]
             variants = [v for v in args.variants.split(",") if v != ""]
             result = run_suite(seeds, variants, args.experiment, out_dir=args.out,
-                               mnist_dir=args.mnist_dir, overrides=_overrides(args))
+                               mnist_dir=args.mnist_dir, overrides=_parse_set(args.set))
             for variant, m in result["means"].items():
                 print(f"{variant}: {m}")
             for name, value in result["verdicts"].items():

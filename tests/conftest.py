@@ -1,7 +1,6 @@
 """Shared fixtures: MNIST data discovery, skip handling, and the
 acceptance-criteria summary block."""
 
-import os
 import sys
 from pathlib import Path
 
@@ -23,18 +22,15 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def find_mnist_dir() -> Path:
-    """The first candidate directory that holds all four IDX files of
-    ``cli._MNIST_FILES``; skips the calling test when there is none. A
-    directory that a failed ``bijepa fetch-mnist`` left half filled does
-    not count, since a run refuses it."""
-    candidates = [
-        os.environ.get("BIJEPA_MNIST_DIR"),
-        "mnist-data",
-        Path.home() / "mnist-data",
-    ]
-    for cand in candidates:
-        if cand and all((Path(cand) / name).exists() for name in cli._MNIST_FILES):
-            return Path(cand)
+    """The directory a run would read MNIST from, by ``cli``'s own rule
+    (``BIJEPA_MNIST_DIR``, then ``./mnist-data``), or else the home
+    directory's ``mnist-data``; skips the calling test when none holds
+    all four IDX files."""
+    for explicit in (None, str(Path.home() / "mnist-data")):
+        try:
+            return cli.resolve_mnist_dir(explicit)
+        except FileNotFoundError:
+            pass
     pytest.skip("MNIST IDX files not available "
                 "(run `bijepa fetch-mnist` or set BIJEPA_MNIST_DIR)")
 

@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,18 +253,21 @@ def _run_seed(cfg: RunConfig) -> int:
 class TestOneParser:
     """--set, --steps, --seed, --seeds and the Python API read a typed
     number one way, through Domain: to the same value or the same
-    refusal."""
+    refusal. --steps is an item of the --set list, so the last setting
+    of the key wins however it was typed."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """What main passes run (the RunConfig) or run_suite (the seeds),
-        one item a call; stand-ins take their places, so nothing trains."""
+        """What main passes run (the RunConfig) or run_suite (its seeds
+        and overrides), one item a call; stand-ins take their places, so
+        nothing trains."""
         calls = []
         report = ExperimentReport(config={}, final_train_loss=0.0, loss_history=[],
                                   diverged=False, wall_time=0.0)
         monkeypatch.setattr(cli, "run", lambda cfg: calls.append(cfg) or report)
-        monkeypatch.setattr(cli, "run_suite", lambda seeds, *args, **kwargs: (
-            calls.append(seeds) or {"means": {}, "verdicts": {}, "rows": []}))
+        monkeypatch.setattr(cli, "run_suite", lambda seeds, *args, overrides, **kwargs: (
+            calls.append(SimpleNamespace(seeds=seeds, overrides=overrides))
+            or {"means": {}, "verdicts": {}, "rows": []}))
         return calls
 
     @staticmethod
@@ -280,6 +284,11 @@ class TestOneParser:
     def test_steps(self, calls, text, value):
         def steps(cfg):
             return effective_hyper(cfg)[0]["steps"]
+
+        def suite_steps(suite):
+            return steps(RunConfig("sine", "classic", overrides=suite.overrides))
+
+        suite_argv = [*SUITE_ARGV, "--seeds", "0"]
         self.check({
             "--set": _or_refused(lambda: steps(
                 self.passed(calls, [*RUN_ARGV, "--set", f"steps={text}"]))),
@@ -287,12 +296,21 @@ class TestOneParser:
                 self.passed(calls, [*RUN_ARGV, "--steps", text]))),
             "RunConfig": _or_refused(lambda: steps(
                 RunConfig("sine", "classic", overrides={"steps": text}))),
+            # the last setting wins, whichever option typed it
+            "--set, then --steps": _or_refused(lambda: steps(
+                self.passed(calls, [*RUN_ARGV, "--set", "steps=3", "--steps", text]))),
+            "--steps, then --set": _or_refused(lambda: steps(
+                self.passed(calls, [*RUN_ARGV, "--steps", "3", "--set", f"steps={text}"]))),
+            "suite --set, then --steps": _or_refused(lambda: suite_steps(
+                self.passed(calls, [*suite_argv, "--set", "steps=3", "--steps", text]))),
+            "suite --steps, then --set": _or_refused(lambda: suite_steps(
+                self.passed(calls, [*suite_argv, "--steps", "3", "--set", f"steps={text}"]))),
         }, value)
 
     @pytest.mark.parametrize("text,value", TYPED)
     def test_seed(self, calls, text, value):
-        def suite_seed(seeds):
-            [seed] = [cli._NATURAL.check("seed", seed) for seed in seeds]
+        def suite_seed(suite):
+            [seed] = [cli._NATURAL.check("seed", seed) for seed in suite.seeds]
             return seed
 
         def run_suite_seed():
@@ -344,13 +362,43 @@ def test_sine_held_out_splits_are_fixed():
     assert (SineConfig.n_probe, SineConfig.n_test, SineConfig.noise_std) == (1024, 64, 0.05)
     cfg = RunConfig("sine", "classic", seed=2)
     hyper, _ = effective_hyper(cfg)
-    _, _, held_out = cli._sine_data(cfg, hyper)
+    _, held_out = cli._sine_data(cfg, hyper)
     for split, n, name in ((held_out.probe, SineConfig.n_probe, "data:sine-probe"),
                            (held_out.test, SineConfig.n_test, "data:sine-test")):
         assert split.x.shape == split.y.shape == (n, SineConfig.T // 2)
         expected = gen_sine_batch(n, SineConfig.noise_std, stream(2, name))
         assert split.x.tobytes() == expected.x.tobytes()
         assert split.y.tobytes() == expected.y.tobytes()
+
+
+class TestBatchStream:
+    """An experiment's data hook returns every batch its run trains on."""
+
+    @pytest.mark.parametrize("experiment, batch", [
+        ("sine", 16),
+        # two full batches an epoch of the 2000 train windows, the short
+        # third dropped, so five steps cross two epoch boundaries
+        ("lorenz", 768)])
+    def test_regression_stream_is_steps_full_batches(self, experiment, batch):
+        cfg = RunConfig(experiment, "classic", overrides={"steps": 5, "batch": batch})
+        hyper, _ = effective_hyper(cfg)
+        batches, _ = cli._EXPERIMENTS[experiment].data(cfg, hyper)
+        assert [b.size for b in batches] == [batch] * 5
+
+    def test_mnist_stream_is_whole_epochs(self, tmp_path):
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=40, n_test=8)
+        cfg = RunConfig("mnist", "classic", mnist_dir=str(data),
+                        overrides={"epochs": 3, "batch": 16})
+        hyper, _ = effective_hyper(cfg)
+        batches, views = cli._mnist_data(cfg, hyper)
+        batches = list(batches)
+        # ceil(40/16) = 3 batches an epoch, the last one partial
+        assert [b.size for b in batches] == [16, 16, 8] * 3
+        train_rows = sorted(row.tobytes() for row in views.train.x)
+        for epoch in range(3):
+            rows = [row.tobytes() for b in batches[3 * epoch:3 * epoch + 3] for row in b.x]
+            assert sorted(rows) == train_rows
 
 
 class TestRunArtifacts:
@@ -630,7 +678,7 @@ class TestMnistRun:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, _, views = cli._mnist_data(cfg, hyper)
+            _, views = cli._mnist_data(cfg, hyper)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -384,13 +384,21 @@ class TestDivergenceHandling:
             assert np.array_equal(net.flat, flat, equal_nan=True)
 
     def test_train_stops_at_nan_loss(self):
+        # and draws no batch of the stream after it
         model, opt = self.nan_loss_model()
         rng = np.random.default_rng(20)
-        batches = (ViewBatch(rng.standard_normal((8, IN_DIM)), rng.standard_normal((8, IN_DIM)))
-                   for _ in range(5))
-        history, diverged = _train(model, opt, batches, n_steps=5)
+        drawn = []
+
+        def counting_stream():
+            for i in range(5):
+                drawn.append(i)
+                yield ViewBatch(rng.standard_normal((8, IN_DIM)),
+                                rng.standard_normal((8, IN_DIM)))
+
+        history, diverged = _train(model, opt, counting_stream())
         assert diverged
         assert len(history) == 1 and math.isnan(history[0][1])
+        assert drawn == [0]
 
     def test_mode_switch_covers_all_networks(self):
         model, _ = make_model(alpha=0.5)

@@ -143,7 +143,7 @@ class TestArchitectures:
         cfg = RunConfig(experiment, "classic")
         hyper, mode = effective_hyper(cfg)
         model = _build_model(cfg, hyper, mode)
-        _, _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
+        _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
         ev.protocol_a(model, held_out, lr=1e-3, steps=1, seed=0)
         ev.protocol_b(model, held_out, lr=1e-3, steps=1, seed=0)
         assert [net.spec() for net in built_probes] == [reference_spec(probe)] * 2
