@@ -490,9 +490,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                          f"[{labels.min()}, {labels.max()}]")
     z = logits.values - logits.values.max(axis=1, keepdims=True)
     expz = np.exp(z)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    sums = expz.sum(axis=1, keepdims=True)
+    probs = expz / sums
     rows = np.arange(bsz)
-    log_probs = z - np.log(expz.sum(axis=1, keepdims=True))
+    log_probs = z - np.log(sums)
     loss = (-log_probs[rows, labels].mean()).reshape(1)
 
     def vjp(g):

@@ -38,6 +38,7 @@ from .data import (
 )
 # no run calls these, but perfbench/tracer.py wraps them by name here
 from .data import load_mnist_idx, split_vertical  # noqa: F401
+from . import eval as ev
 from .eval import generative_decoder, linear_probe_classify, protocol_a, protocol_b
 from .jepa import BiJepaModel, ConstraintMode, train_step
 from .nn import build_conv_encoder, build_mlp
@@ -329,11 +330,15 @@ def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
 
 
 def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
-    """Digit classifier and right-half decoder; returns (report fields,
-    images): the decoder's triptychs."""
+    """Digit classifier and right-half decoder, both fitted on one
+    embedding of each split; returns (report fields, images): the
+    decoder's triptychs."""
     settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
-    measured_acc, _ = linear_probe_classify(model, views, **settings)
-    measured_dec, generated = generative_decoder(model, views, **settings)
+    # eval._embed is looked up at call time, so a harness that replaces
+    # it sees both calls
+    feats = [ev._embed(model, split.x, False) for split in (views.train, views.test)]
+    measured_acc, _ = linear_probe_classify(*feats, views, **settings)
+    measured_dec, generated = generative_decoder(*feats, views, **settings)
     return {**measured_acc, **measured_dec}, _triptychs(views.test, generated)
 
 

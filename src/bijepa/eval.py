@@ -13,9 +13,12 @@ predictions into the run directory's forecast table and images.
 
 Probes optimize only their own parameters; features are extracted once
 as plain arrays, so no gradient can reach the model under evaluation.
-Feature extraction and the image probes' test predictions run under
-``autodiff.no_grad``: no graph is recorded, so no forward context is
-kept beyond the op that uses it.
+The regression protocols embed their splits themselves, since A and B
+read different features. The image probes take the train and test
+features as arguments: ``cli`` embeds each split once and hands the same
+arrays to both. Feature extraction and the image probes' test
+predictions run under ``autodiff.no_grad``: no graph is recorded, so no
+forward context is kept beyond the op that uses it.
 
 The regression probe is fitted on sufficient statistics. Its full-batch
 MSE on features F and targets T is a quadratic in Θ = [W; bᵀ] whose
@@ -166,12 +169,14 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
-                         name: str, lr: float, steps: int,
-                         seed: int) -> tuple[dict, np.ndarray]:
-    """Fit a probe on the frozen features of the probe split. Returns the
-    report fields ``{name}_mse`` (its test-split MSE), ``{name}_mse_exact``
-    (the least-squares probe's test-split MSE) and ``{name}_train_mse``
-    (its MSE on the probe split), and its test-split predictions."""
+                         lr: float, steps: int, seed: int) -> tuple[dict, np.ndarray]:
+    """Fit a probe on the frozen features of the probe split: protocol B's
+    predicted target embeddings when ``through_predictor``, else protocol
+    A's context embeddings. Returns that protocol's report fields
+    ``{name}_mse`` (its test-split MSE), ``{name}_mse_exact`` (the
+    least-squares probe's test-split MSE) and ``{name}_train_mse`` (its MSE
+    on the probe split), and its test-split predictions."""
+    name = "protocol_b" if through_predictor else "protocol_a"
     feats = _embed(model, dataset.probe.x, through_predictor)
     stats = _ProbeStatistics.of(feats, dataset.probe.y)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
@@ -193,7 +198,7 @@ def protocol_a(model: BiJepaModel, dataset, *, lr: float, steps: int,
     target window on the probe split; measures the ``protocol_a_*``
     fields on the test split.
     """
-    return _regression_protocol(model, dataset, False, "protocol_a", lr, steps, seed)
+    return _regression_protocol(model, dataset, False, lr, steps, seed)
 
 
 def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
@@ -204,20 +209,19 @@ def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
     target embeddings: predictor(encoder(context)), both frozen; measures
     the ``protocol_b_*`` fields.
     """
-    return _regression_protocol(model, dataset, True, "protocol_b", lr, steps, seed)
+    return _regression_protocol(model, dataset, True, lr, steps, seed)
 
 
-def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
-                epochs: int, seed: int) -> np.ndarray:
-    """Fit ``build_mlp(widths(feature dim), False, seed)`` on the frozen
-    left-half embeddings of the train split, by mini-batch epochs with a
-    seeded shuffle per epoch; return its outputs on the test split.
+def _fit_epochs(feats: np.ndarray, test_feats: np.ndarray, out_widths: tuple,
+                loss_fn, lr: float, epochs: int, seed: int) -> np.ndarray:
+    """Fit ``build_mlp((feature dim, *out_widths), False, seed)`` on the
+    train features ``feats`` by mini-batch epochs with a seeded shuffle
+    per epoch; return its outputs on ``test_feats``.
 
     ``loss_fn(outputs, rows)`` scores a batch against the train rows it
     was drawn from.
     """
-    feats = _embed(model, mnist.train.x, through_predictor=False)
-    probe = build_mlp(widths(feats.shape[1]), False, derive_seed(seed, "probe-init"))
+    probe = build_mlp((feats.shape[1], *out_widths), False, derive_seed(seed, "probe-init"))
     opt = AdamW([probe], lr=lr, weight_decay=0.0)
     n, batch = feats.shape[0], _PROBE_BATCH
     batches = shuffled_epochs(n, batch, stream(seed, "probe-shuffle"), drop_last=False)
@@ -227,31 +231,32 @@ def _fit_epochs(model: BiJepaModel, mnist, widths, loss_fn, lr: float,
         loss.backward()
         opt.step()
     opt.zero_grad()
-    test_feats = _embed(model, mnist.test.x, through_predictor=False)
     return _predict(probe, test_feats)
 
 
-def linear_probe_classify(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                          seed: int) -> tuple[dict, np.ndarray]:
+def linear_probe_classify(feats: np.ndarray, test_feats: np.ndarray, mnist, *,
+                          lr: float, epochs: int, seed: int) -> tuple[dict, np.ndarray]:
     """Linear classifier on frozen left-half embeddings.
 
-    ``mnist`` carries train/test ViewBatches with digit labels. Measures
+    ``feats`` and ``test_feats`` are the embeddings of ``mnist``'s train
+    and test views, whose digit labels it fits and scores. Measures
     ``accuracy`` on the test split; the predictions are its labels.
     """
-    labels = mnist.train.labels
     logits = _fit_epochs(
-        model, mnist, lambda dim: (dim, 10),
-        lambda out, idx: ad.softmax_cross_entropy(out, labels[idx]),
+        feats, test_feats, (10,),
+        lambda out, idx: ad.softmax_cross_entropy(out, mnist.train.labels[idx]),
         lr, epochs, seed)
     pred_labels = logits.argmax(axis=1)
     return {"accuracy": float((pred_labels == mnist.test.labels).mean())}, pred_labels
 
 
-def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
-                       seed: int) -> tuple[dict, np.ndarray]:
+def generative_decoder(feats: np.ndarray, test_feats: np.ndarray, mnist, *,
+                       lr: float, epochs: int, seed: int) -> tuple[dict, np.ndarray]:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
-    A small MLP (hidden 256) regresses the normalized right half.
+    ``feats`` and ``test_feats`` are the embeddings of ``mnist``'s train
+    and test views, whose right halves are the targets. A small MLP
+    (hidden 256) regresses the normalized right half.
     Its test MSE, ``decoder_mse``, is rescaled by MNIST_STD**2 so it reads in
     raw [0,1] pixel units (MSE is invariant to the mean shift, so the
     factor is exact). Predictions stay in normalized units for image
@@ -259,7 +264,7 @@ def generative_decoder(model: BiJepaModel, mnist, *, lr: float, epochs: int,
     """
     targets = mnist.train.y.reshape(mnist.train.size, -1)
     preds = _fit_epochs(
-        model, mnist, lambda dim: (dim, 256, targets.shape[1]),
+        feats, test_feats, (256, targets.shape[1]),
         lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
         lr, epochs, seed)
     test_targets = mnist.test.y.reshape(mnist.test.size, -1)

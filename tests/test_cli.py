@@ -652,6 +652,35 @@ class TestMnistRun:
         assert len(report.loss_history) == 1  # ceil(64/256)
         assert len(list(out.glob("recon_*.pgm"))) == 24
 
+    def test_each_split_is_embedded_once(self, tmp_path, monkeypatch):
+        # both image probes fit on the same two embeddings: train, then test
+        data = tmp_path / "idx"
+        write_synthetic_mnist(data, n_train=64, n_test=16)
+        embed, embedded, handed = ev._embed, [], {}
+
+        def recording_embed(model, x_values, through_predictor):
+            embedded.append((x_values, through_predictor))
+            return embed(model, x_values, through_predictor)
+
+        def recording(name):
+            probe = getattr(cli, name)
+
+            def call(feats, test_feats, mnist, **settings):
+                handed[name] = (feats, test_feats)
+                return probe(feats, test_feats, mnist, **settings)
+            return call
+
+        monkeypatch.setattr(ev, "_embed", recording_embed)
+        for name in ("linear_probe_classify", "generative_decoder"):
+            monkeypatch.setattr(cli, name, recording(name))
+        run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
+                      overrides={"epochs": 1, "probe_epochs": 1}))
+        assert [(x.shape[0], through) for x, through in embedded] == [(64, False), (16, False)]
+        feats, test_feats = handed["linear_probe_classify"]
+        assert feats.shape[0] == 64 and test_feats.shape[0] == 16
+        assert handed["generative_decoder"][0] is feats
+        assert handed["generative_decoder"][1] is test_feats
+
     def test_emb_dim_sets_conv_encoder_width(self, tmp_path, monkeypatch):
         data = tmp_path / "idx"
         write_synthetic_mnist(data, n_train=64, n_test=16)

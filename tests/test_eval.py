@@ -316,6 +316,12 @@ class TestRegressionProtocols:
         protocol_b(model, ds, lr=1e-3, steps=20, seed=0)
 
 
+def split_features(model, mnist):
+    """The frozen embeddings of ``mnist``'s train and test views, the two
+    arrays the image probes take."""
+    return _embed(model, mnist.train.x, False), _embed(model, mnist.test.x, False)
+
+
 def classification_fixture(rng, n_train=2000, n_test=4000):
     xtr = rng.standard_normal((n_train, IN_DIM))
     xte = rng.standard_normal((n_test, IN_DIM))
@@ -328,7 +334,8 @@ class TestClassifierProbe:
     def test_random_features_random_labels_chance_level(self):
         model = make_model(seed=2)
         mn = classification_fixture(np.random.default_rng(0))
-        fields, _ = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
+        fields, _ = linear_probe_classify(*split_features(model, mn), mn,
+                                          lr=1e-2, epochs=10, seed=0)
         assert set(fields) == {"accuracy"}
         assert 0.08 <= fields["accuracy"] <= 0.12
 
@@ -342,13 +349,15 @@ class TestClassifierProbe:
         mn = SimpleNamespace(
             train=ViewBatch(x[:2000], x[:2000], labels=labels[:2000]),
             test=ViewBatch(x[2000:], x[2000:], labels=labels[2000:]))
-        fields, _ = linear_probe_classify(model, mn, lr=1e-2, epochs=10, seed=0)
+        fields, _ = linear_probe_classify(*split_features(model, mn), mn,
+                                          lr=1e-2, epochs=10, seed=0)
         assert fields["accuracy"] > 0.95
 
     def test_prediction_vector_shape(self):
         model = make_model(seed=8)
         mn = classification_fixture(np.random.default_rng(8), n_test=500)
-        _, pred_labels = linear_probe_classify(model, mn, lr=1e-3, epochs=1, seed=0)
+        _, pred_labels = linear_probe_classify(*split_features(model, mn), mn,
+                                               lr=1e-3, epochs=1, seed=0)
         assert pred_labels.shape == (500,)
         assert set(np.unique(pred_labels)) <= set(range(10))
 
@@ -378,7 +387,8 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:100], imgs[:100]))
         model = self.conv_free_model(9)
-        fields, preds = generative_decoder(model, mn, lr=1e-3, epochs=2, seed=0)
+        fields, preds = generative_decoder(*split_features(model, mn), mn,
+                                           lr=1e-3, epochs=2, seed=0)
         assert set(fields) == {"decoder_mse"}
         assert preds.shape == (100, 392)
         assert fields["decoder_mse"] >= 0.0
@@ -389,6 +399,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:64], imgs[:64]))
         model = self.conv_free_model(10)
-        fields, preds = generative_decoder(model, mn, lr=1e-3, epochs=1, seed=0)
+        fields, preds = generative_decoder(*split_features(model, mn), mn,
+                                           lr=1e-3, epochs=1, seed=0)
         # the reported MSE reads in raw pixel units, the predictions stay normalized
         assert fields["decoder_mse"] == _mse(preds, imgs[:64]) * MNIST_STD ** 2

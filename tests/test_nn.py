@@ -157,8 +157,9 @@ class TestArchitectures:
         views = ViewBatch(halves[0], halves[1], np.arange(4))
         mnist = SimpleNamespace(train=views, test=views)
         settings = {"lr": 1e-3, "epochs": 1, "seed": 0}
-        ev.linear_probe_classify(model, mnist, **settings)
-        ev.generative_decoder(model, mnist, **settings)
+        feats = ev._embed(model, views.x, False)
+        ev.linear_probe_classify(feats, feats, mnist, **settings)
+        ev.generative_decoder(feats, feats, mnist, **settings)
         assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
                                                         reference_spec("decoder")]
 
