@@ -38,7 +38,7 @@ from .data import (
 )
 # no run calls these, but perfbench/tracer.py wraps them by name here
 from .data import load_mnist_idx, split_vertical  # noqa: F401
-from . import eval as ev
+from . import eval as ev, jepa
 from .eval import generative_decoder, linear_probe_classify, protocol_a, protocol_b
 from .jepa import BiJepaModel, ConstraintMode, train_step
 from .nn import build_conv_encoder, build_mlp
@@ -318,25 +318,38 @@ def resolve_mnist_dir(explicit: str | None) -> Path:
         "set BIJEPA_MNIST_DIR, or run `bijepa fetch-mnist --out mnist-data`")
 
 
+def _features(fn, model: BiJepaModel, arrays) -> list[np.ndarray]:
+    """``fn(model, rows)`` of each of ``arrays``, with the model frozen in
+    eval mode (BatchNorm reads its running statistics). Every probe's
+    features come from here, through ``eval._embed``, which is looked up
+    at call time so that a harness that replaces it sees every call."""
+    model.eval_mode()
+    return [ev._embed(lambda rows: fn(model, rows), array) for array in arrays]
+
+
 def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
-    """Protocols A and B; returns (report fields, images). The fields
-    include the forecast table of both probes' test predictions, and
-    there are no images."""
+    """Protocols A and B on features extracted once; returns (report
+    fields, images). The encoder runs once over the probe split and once
+    over the test split, and the forward predictor over those two
+    context embeddings: A fits on the embeddings, B on the predictions.
+    The fields include the forecast table of both probes' test
+    predictions, and there are no images."""
     settings = {"lr": hyper["probe_lr"], "steps": hyper["probe_steps"], "seed": seed}
-    measured_a, preds_a = protocol_a(model, held_out, **settings)
-    measured_b, preds_b = protocol_b(model, held_out, **settings)
+    context = _features(jepa.encode_for_inference, model,
+                        (held_out.probe.x, held_out.test.x))
+    predicted = _features(jepa.predict_forward_for_inference, model, context)
+    measured_a, preds_a = protocol_a(*context, held_out, **settings)
+    measured_b, preds_b = protocol_b(*predicted, held_out, **settings)
     forecast = forecast_table(held_out.test, preds_a, preds_b)
     return {**measured_a, **measured_b, "forecast": forecast}, []
 
 
 def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
     """Digit classifier and right-half decoder, both fitted on one
-    embedding of each split; returns (report fields, images): the
-    decoder's triptychs."""
+    embedding of each split, extracted once; returns (report fields,
+    images): the decoder's triptychs."""
     settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
-    # eval._embed is looked up at call time, so a harness that replaces
-    # it sees both calls
-    feats = [ev._embed(model, split.x, False) for split in (views.train, views.test)]
+    feats = _features(jepa.encode_for_inference, model, (views.train.x, views.test.x))
     measured_acc, _ = linear_probe_classify(*feats, views, **settings)
     measured_dec, generated = generative_decoder(*feats, views, **settings)
     return {**measured_acc, **measured_dec}, _triptychs(views.test, generated)

@@ -11,14 +11,15 @@ fields it measured, keyed by their ``cli.ExperimentReport`` names, and
 its outputs on the test split. This module only measures; ``cli`` turns
 predictions into the run directory's forecast table and images.
 
-Probes optimize only their own parameters; features are extracted once
-as plain arrays, so no gradient can reach the model under evaluation.
-The regression protocols embed their splits themselves, since A and B
-read different features. The image probes take the train and test
-features as arguments: ``cli`` embeds each split once and hands the same
-arrays to both. Feature extraction and the image probes' test
-predictions run under ``autodiff.no_grad``: no graph is recorded, so no
-forward context is kept beyond the op that uses it.
+Every probe takes its train and test features as arrays and never sees
+the model, so it optimizes only its own parameters and no gradient can
+reach the model under evaluation. ``cli`` extracts the features once per
+run through ``_embed`` and hands each probe its arrays: protocol A the
+context embeddings, protocol B the forward predictor's outputs on those
+same embeddings, and the image probes the embeddings of each split.
+Feature extraction and the image probes' test predictions run under
+``autodiff.no_grad``: no graph is recorded, so no forward context is
+kept beyond the op that uses it.
 
 The regression probe is fitted on sufficient statistics. Its full-batch
 MSE on features F and targets T is a quadratic in Θ = [W; bᵀ] whose
@@ -43,7 +44,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import MNIST_STD, shuffled_epochs
-from .jepa import BiJepaModel, encode_for_inference, predict_forward_for_inference
 from .nn import Network, build_mlp
 from .optim import AdamW
 from .seeding import derive_seed, stream
@@ -55,9 +55,10 @@ _EMBED_CHUNK = 256
 _PROBE_BATCH = 256
 
 
-def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool) -> np.ndarray:
-    """Frozen features for a stack of context views, extracted in eval
-    mode without recording a graph, ``_EMBED_CHUNK`` rows at a time.
+def _embed(fn, rows: np.ndarray) -> np.ndarray:
+    """``fn``, a map from a Tensor of rows to a Tensor of as many rows,
+    applied to ``rows`` without recording a graph, ``_EMBED_CHUNK`` rows
+    at a time: how every probe's frozen features are extracted.
 
     The chunk size bounds the transient working set. A last chunk of
     fewer than half a chunk joins the one before it, so every product
@@ -65,17 +66,18 @@ def _embed(model: BiJepaModel, x_values: np.ndarray, through_predictor: bool) ->
     round products with few rows differently (one row runs as a
     matrix-vector product, and OpenBLAS sends products of under about
     10^6 multiply-adds to a small-matrix kernel). With chunks that large
-    the features have the bits of one unchunked forward."""
-    model.eval_mode()
-    fn = predict_forward_for_inference if through_predictor else encode_for_inference
-    n = x_values.shape[0]
+    the output has the bits of one unchunked ``fn`` call. The chunks
+    depend only on the row count, so ``_embed(g, _embed(f, rows))`` runs
+    ``g`` on the row blocks that ``_embed(g∘f, rows)`` would, with the
+    same bits."""
+    n = rows.shape[0]
     outs, start = [], 0
     with ad.no_grad():
         while start < n:
             stop = start + _EMBED_CHUNK
             if n - stop < _EMBED_CHUNK // 2:
                 stop = n
-            outs.append(fn(model, Tensor(x_values[start:stop])).values)
+            outs.append(fn(Tensor(rows[start:stop])).values)
             start = stop
     return np.concatenate(outs, axis=0)
 
@@ -168,20 +170,17 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((preds - targets) ** 2))
 
 
-def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
+def _regression_protocol(name: str, feats: np.ndarray, test_feats: np.ndarray, dataset,
                          lr: float, steps: int, seed: int) -> tuple[dict, np.ndarray]:
-    """Fit a probe on the frozen features of the probe split: protocol B's
-    predicted target embeddings when ``through_predictor``, else protocol
-    A's context embeddings. Returns that protocol's report fields
-    ``{name}_mse`` (its test-split MSE), ``{name}_mse_exact`` (the
-    least-squares probe's test-split MSE) and ``{name}_train_mse`` (its MSE
-    on the probe split), and its test-split predictions."""
-    name = "protocol_b" if through_predictor else "protocol_a"
-    feats = _embed(model, dataset.probe.x, through_predictor)
+    """Fit a probe from ``feats`` to ``dataset``'s probe-split targets and
+    score it on ``test_feats`` against the test-split targets. Returns
+    the report fields ``{name}_mse`` (its test-split MSE),
+    ``{name}_mse_exact`` (the least-squares probe's test-split MSE) and
+    ``{name}_train_mse`` (its MSE on the probe split), and its test-split
+    predictions."""
     stats = _ProbeStatistics.of(feats, dataset.probe.y)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
         stats.cross.shape)
-    test_feats = _embed(model, dataset.test.x, through_predictor)
     test_targets = dataset.test.y
     preds = _affine(test_feats, theta)
     return {f"{name}_mse": _mse(preds, test_targets),
@@ -190,26 +189,28 @@ def _regression_protocol(model: BiJepaModel, dataset, through_predictor: bool,
             f"{name}_train_mse": stats.mse(theta)}, preds
 
 
-def protocol_a(model: BiJepaModel, dataset, *, lr: float, steps: int,
-               seed: int) -> tuple[dict, np.ndarray]:
+def protocol_a(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,
+               steps: int, seed: int) -> tuple[dict, np.ndarray]:
     """Does the context embedding carry the target observation?
 
-    Trains a probe from frozen context embeddings to the flattened
-    target window on the probe split; measures the ``protocol_a_*``
-    fields on the test split.
+    ``feats`` and ``test_feats`` are the frozen context embeddings of
+    ``dataset``'s probe and test views. Trains a probe from them to the
+    flattened target window on the probe split; measures the
+    ``protocol_a_*`` fields on the test split.
     """
-    return _regression_protocol(model, dataset, False, lr, steps, seed)
+    return _regression_protocol("protocol_a", feats, test_feats, dataset, lr, steps, seed)
 
 
-def protocol_b(model: BiJepaModel, dataset, *, lr: float, steps: int,
-               seed: int) -> tuple[dict, np.ndarray]:
+def protocol_b(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,
+               steps: int, seed: int) -> tuple[dict, np.ndarray]:
     """Can the frozen forward predictor forecast the target?
 
-    Same probe setup as protocol A, but features are the predicted
-    target embeddings: predictor(encoder(context)), both frozen; measures
-    the ``protocol_b_*`` fields.
+    Same probe setup as protocol A, but ``feats`` and ``test_feats`` are
+    the predicted target embeddings: the frozen forward predictor applied
+    to protocol A's context embeddings; measures the ``protocol_b_*``
+    fields.
     """
-    return _regression_protocol(model, dataset, True, lr, steps, seed)
+    return _regression_protocol("protocol_b", feats, test_feats, dataset, lr, steps, seed)
 
 
 def _fit_epochs(feats: np.ndarray, test_feats: np.ndarray, out_widths: tuple,

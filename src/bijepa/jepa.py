@@ -176,7 +176,8 @@ def encode_for_inference(model: BiJepaModel, x: Tensor) -> Tensor:
     return _maybe_project(model, model.online_encoder(x))
 
 
-def predict_forward_for_inference(model: BiJepaModel, x: Tensor) -> Tensor:
-    """Predicted target embedding: forward predictor over the inference
-    encoding, projected under the Restrictive regime."""
-    return _maybe_project(model, model.p_fwd(encode_for_inference(model, x)))
+def predict_forward_for_inference(model: BiJepaModel, s: Tensor) -> Tensor:
+    """Predicted target embedding of a context embedding ``s`` (an
+    ``encode_for_inference`` output): the forward predictor over it,
+    projected under the Restrictive regime."""
+    return _maybe_project(model, model.p_fwd(s))

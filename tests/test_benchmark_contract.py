@@ -114,10 +114,20 @@ ONE_STEP = {"sine-classic": ("--steps", "1", "--set", "probe_steps=1"),
             "mnist-synth": ("--set", "probe_epochs=1")}
 
 
+# rows that one traced run passes through eval._embed: sine's and Lorenz's
+# probe and test splits, each through the encoder and then the forward
+# predictor, and the 8 + 4 synthetic MNIST images through the encoder
+ROWS_EMBEDDED = {"sine-classic": 2176, "lorenz-bijepa": 2040, "mnist-synth": 12}
+# AdamW steps inside the probe entry points: one per regression probe
+EVAL_OPTIMIZER_STEPS = {"sine-classic": 2, "lorenz-bijepa": 2}
+
+
 @pytest.mark.parametrize("workload", sorted(COUNTS))
 def test_traced_step_counts(workload, tmp_path):
     """One traced step records selftest.py's (nodes, target nodes, AdamW
-    tensors); the MNIST step trains on 8 synthetic images."""
+    tensors); the MNIST step trains on 8 synthetic images. Every probe
+    feature goes through the hooked ``eval._embed``, so a run that
+    extracted features past it would read fewer rows embedded."""
     args = [*WORKLOADS[workload], *ONE_STEP[workload], "--seed", "0"]
     if workload == "mnist-synth":
         write_synthetic_mnist(tmp_path / "idx", n_train=8, n_test=4)
@@ -133,3 +143,6 @@ def test_traced_step_counts(workload, tmp_path):
     assert metrics["jepa.steps"] == 1
     assert (metrics["autodiff.nodes_per_step"], metrics["autodiff.target_nodes_per_step"],
             metrics["optim.adamw.tensors_per_step"]) == COUNTS[workload]
+    assert metrics["eval.rows_embedded"] == ROWS_EMBEDDED[workload]
+    if workload in EVAL_OPTIMIZER_STEPS:
+        assert metrics["eval.optimizer_steps"] == EVAL_OPTIMIZER_STEPS[workload]

@@ -639,6 +639,51 @@ class TestLorenzRun:
         assert all(row[3] == 0.0 for row in report.loss_history)  # no bwd term
 
 
+class TestRegressionExtraction:
+    @pytest.mark.parametrize("experiment", ["sine", "lorenz"])
+    def test_each_split_is_embedded_once(self, monkeypatch, experiment):
+        # the encoder runs once over the probe split and once over the
+        # test split; protocol B's predictor runs over exactly the two
+        # arrays those passes returned, which protocol A fits on
+        embed, embedded, handed, held = ev._embed, [], {}, []
+
+        def recording_embed(fn, rows):
+            out = embed(fn, rows)
+            embedded.append((rows, out))
+            return out
+
+        def recording(name):
+            probe = getattr(cli, name)
+
+            def call(feats, test_feats, dataset, **settings):
+                handed[name] = (feats, test_feats)
+                return probe(feats, test_feats, dataset, **settings)
+            return call
+
+        spec = cli._EXPERIMENTS[experiment]
+
+        def recording_data(cfg, hyper):
+            batches, held_out = spec.data(cfg, hyper)
+            held.append(held_out)
+            return batches, held_out
+
+        monkeypatch.setattr(ev, "_embed", recording_embed)
+        monkeypatch.setitem(cli._EXPERIMENTS, experiment,
+                            dataclasses.replace(spec, data=recording_data))
+        for name in ("protocol_a", "protocol_b"):
+            monkeypatch.setattr(cli, name, recording(name))
+        run(RunConfig(experiment, "bijepa-expressive", seed=0,
+                      overrides={"steps": 2, "probe_steps": 2}))
+        (held_out,) = held
+        assert len(embedded) == 4
+        (probe_x, context), (test_x, test_context), (s, predicted), (test_s, test_predicted) \
+            = embedded
+        assert probe_x is held_out.probe.x and test_x is held_out.test.x
+        assert s is context and test_s is test_context
+        assert all(a is b for a, b in zip(handed["protocol_a"], (context, test_context)))
+        assert all(a is b for a, b in zip(handed["protocol_b"], (predicted, test_predicted)))
+
+
 class TestMnistRun:
     def test_synthetic_mnist_run(self, tmp_path):
         data, out = tmp_path / "idx", tmp_path / "out"
@@ -658,9 +703,10 @@ class TestMnistRun:
         write_synthetic_mnist(data, n_train=64, n_test=16)
         embed, embedded, handed = ev._embed, [], {}
 
-        def recording_embed(model, x_values, through_predictor):
-            embedded.append((x_values, through_predictor))
-            return embed(model, x_values, through_predictor)
+        def recording_embed(fn, rows):
+            out = embed(fn, rows)
+            embedded.append((rows, out))
+            return out
 
         def recording(name):
             probe = getattr(cli, name)
@@ -675,9 +721,9 @@ class TestMnistRun:
             monkeypatch.setattr(cli, name, recording(name))
         run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
                       overrides={"epochs": 1, "probe_epochs": 1}))
-        assert [(x.shape[0], through) for x, through in embedded] == [(64, False), (16, False)]
+        assert [rows.shape[0] for rows, _ in embedded] == [64, 16]
         feats, test_feats = handed["linear_probe_classify"]
-        assert feats.shape[0] == 64 and test_feats.shape[0] == 16
+        assert feats is embedded[0][1] and test_feats is embedded[1][1]
         assert handed["generative_decoder"][0] is feats
         assert handed["generative_decoder"][1] is test_feats
 

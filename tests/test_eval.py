@@ -2,12 +2,13 @@
 measures and its test-split predictions."""
 
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bijepa import autodiff as ad, eval as ev
+from bijepa import autodiff as ad, cli, eval as ev
 from bijepa.autodiff import Tensor
 from bijepa.data import MNIST_STD, ViewBatch
 from bijepa.eval import (
@@ -48,6 +49,14 @@ def regression_dataset(model, rng, out_dim=4, realizable=True):
         yp = rng.standard_normal((256, out_dim))
         yt = rng.standard_normal((64, out_dim))
     return SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xt, yt))
+
+
+def regression_features(model, ds):
+    """Protocol A's and protocol B's (probe, test) features of ``ds``, as a
+    run extracts them: the context embeddings, then the forward
+    predictor's outputs on those embeddings."""
+    context = cli._features(encode_for_inference, model, (ds.probe.x, ds.test.x))
+    return context, cli._features(predict_forward_for_inference, model, context)
 
 
 def probe_problem(seed, n=200, d=7, o=3, constant_column=False):
@@ -146,11 +155,10 @@ class TestSufficientStatisticsProbe:
     def test_protocol_reports_exact_and_train_mse(self):
         model = make_model(seed=6)
         ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
-        fields, _ = protocol_b(model, ds, lr=1e-3, steps=100, seed=0)
+        _, (feats, test_feats) = regression_features(model, ds)
+        fields, _ = protocol_b(feats, test_feats, ds, lr=1e-3, steps=100, seed=0)
         assert set(fields) == {"protocol_b_mse", "protocol_b_mse_exact",
                                "protocol_b_train_mse"}
-        feats = _embed(model, ds.probe.x, through_predictor=True)
-        test_feats = _embed(model, ds.test.x, through_predictor=True)
         ones = np.ones((feats.shape[0], 1))
         coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y,
                                rcond=None)[0]
@@ -164,26 +172,34 @@ class TestSufficientStatisticsProbe:
 class TestFeatureGraphs:
     def test_embed_leaves_no_cycles(self):
         model = make_model()
+        model.eval_mode()
         x = np.random.default_rng(41).standard_normal((600, IN_DIM))  # two chunks
-        for through_predictor in (False, True):
-            assert garbage_cycles_after(
-                lambda: _embed(model, x, through_predictor)) == 0
+        encode = partial(encode_for_inference, model)
+        predict = partial(predict_forward_for_inference, model)
+        context = _embed(encode, x)
+        assert garbage_cycles_after(lambda: _embed(encode, x)) == 0
+        assert garbage_cycles_after(lambda: _embed(predict, context)) == 0
 
     @staticmethod
-    def lorenz_size_model():
+    def lorenz_size_model(mode=ConstraintMode.EXPRESSIVE):
         enc = build_mlp((60, 128, 128, 32), True, derive_seed(0, "init:encoder"))
         p_fwd = build_mlp((32, 128, 32), True, derive_seed(0, "init:p-fwd"))
-        return BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
+        model = BiJepaModel(enc, p_fwd, None, 1.0, 0.99, mode)
+        model.eval_mode()
+        return model
 
-    @pytest.mark.parametrize("through_predictor", [False, True])
-    def test_embed_records_no_graph(self, monkeypatch, through_predictor):
-        """A Lorenz-size embed of 1000 rows builds no node, and beside its
-        output holds less than 1 MB at once: a few activations of one
-        256-row chunk. A recorded graph keeps every op's saved context
-        until the features are read, and a single 1000-row chunk holds
-        about 3 MB."""
+    @pytest.mark.parametrize("predictor", [False, True])
+    def test_embed_records_no_graph(self, monkeypatch, predictor):
+        """A Lorenz-size pass over 1000 rows, the encoder's or the
+        predictor's, builds no node, and beside its output holds less
+        than 1 MB at once: a few activations of one 256-row chunk. A
+        recorded graph keeps every op's saved context until the features
+        are read, and a single 1000-row chunk holds about 3 MB."""
         model = self.lorenz_size_model()
-        x = np.random.default_rng(42).standard_normal((1000, 60))
+        rows = np.random.default_rng(42).standard_normal((1000, 60))
+        fn = partial(encode_for_inference, model)
+        if predictor:
+            rows, fn = _embed(fn, rows), partial(predict_forward_for_inference, model)
         nodes = []
 
         class CountingNode(ad.Node):
@@ -195,7 +211,7 @@ class TestFeatureGraphs:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            feats = _embed(model, x, through_predictor)
+            feats = _embed(fn, rows)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -203,25 +219,32 @@ class TestFeatureGraphs:
         assert peak - feats.nbytes < 1_000_000
 
     @staticmethod
-    def unchunked(model, x, through_predictor):
-        """One forward over every row, as ``_embed`` runs each chunk."""
-        model.eval_mode()
-        fn = predict_forward_for_inference if through_predictor else encode_for_inference
+    def unchunked(model, x, predictor=False):
+        """One forward over every row, the encoder's and, with
+        ``predictor``, the forward predictor's after it."""
         with ad.no_grad():
-            return fn(model, Tensor(x)).values
+            s = encode_for_inference(model, Tensor(x))
+            return (predict_forward_for_inference(model, s) if predictor else s).values
 
-    @pytest.mark.parametrize("through_predictor", [False, True])
-    def test_chunk_size_leaves_mlp_features_unchanged(self, through_predictor):
-        model = self.lorenz_size_model()
+    @pytest.mark.parametrize("predictor", [False, True])
+    def test_chunk_size_leaves_mlp_features_unchanged(self, predictor):
+        # the predictor pass maps the encoder pass's chunked output, and
+        # must give the bits of one p_fwd(encoder(x)) forward; the
+        # restrictive model projects both passes' outputs
         x = np.random.default_rng(43).standard_normal((519, 60))
-        # either side of each join: a last chunk under 128 rows joins the
-        # one before it (257 and 383 rows are one chunk), 384 and 385
-        # split 256 + 128/129, and 519 splits 256 + 263
-        for rows in (1, 127, 128, 255, 256, 257, 383, 384, 385, 519):
-            assert np.array_equal(_embed(model, x[:rows], through_predictor),
-                                  self.unchunked(model, x[:rows], through_predictor)), rows
+        for mode in (ConstraintMode.EXPRESSIVE, ConstraintMode.RESTRICTIVE):
+            model = self.lorenz_size_model(mode)
+            # either side of each join: a last chunk under 128 rows joins
+            # the one before it (257 and 383 rows are one chunk), 384 and
+            # 385 split 256 + 128/129, and 519 splits 256 + 263
+            for rows in (1, 127, 128, 255, 256, 257, 383, 384, 385, 519):
+                feats = _embed(partial(encode_for_inference, model), x[:rows])
+                if predictor:
+                    feats = _embed(partial(predict_forward_for_inference, model), feats)
+                assert np.array_equal(feats, self.unchunked(model, x[:rows], predictor)), \
+                    (mode, rows)
 
-    def test_chunk_size_leaves_conv_features_unchanged(self):
+    def test_chunk_size_leaves_conv_features_unchanged(self, monkeypatch):
         enc = build_conv_encoder(64, derive_seed(0, "init:encoder"))
         p_fwd = build_mlp((64, HIDDEN, 64), True, derive_seed(0, "init:p-fwd"))
         model = BiJepaModel(enc, p_fwd, None, 1.0, 0.99, ConstraintMode.EXPRESSIVE)
@@ -229,16 +252,33 @@ class TestFeatureGraphs:
         # one train-mode pass moves the running statistics eval mode uses
         with ad.no_grad():
             enc(Tensor(x[:16] * 2.0 + 0.5))
-        feats = _embed(model, x, False)
+        assert enc.mode == "train"
+        handed = []
+
+        def recording(name, preds):
+            def probe(feats, test_feats, views, **settings):
+                handed.append(feats)
+                return {name: 0.0}, preds
+            return probe
+
+        monkeypatch.setattr(cli, "linear_probe_classify", recording("accuracy", None))
+        monkeypatch.setattr(cli, "generative_decoder",
+                            recording("decoder_mse", np.zeros((384, 392))))
+        views = ViewBatch(x, x)
+        cli._image_probes(model, SimpleNamespace(train=views, test=views),
+                          {"probe_lr": 1e-3, "probe_epochs": 1}, 0)
+        # the run's extraction embeds in eval mode: BatchNorm's running
+        # statistics, not the batch's
         assert enc.mode == "eval"
-        assert np.array_equal(feats, self.unchunked(model, x, False))
+        assert np.array_equal(handed[0], self.unchunked(model, x))
 
 
 class TestRegressionProtocols:
     def test_realizable_target_fits_to_zero(self):
         model = make_model()
         ds = regression_dataset(model, np.random.default_rng(0))
-        fields, _ = protocol_a(model, ds, lr=1e-2, steps=4000, seed=0)
+        (feats, test_feats), _ = regression_features(model, ds)
+        fields, _ = protocol_a(feats, test_feats, ds, lr=1e-2, steps=4000, seed=0)
         assert set(fields) == {"protocol_a_mse", "protocol_a_mse_exact",
                                "protocol_a_train_mse"}
         assert fields["protocol_a_mse"] < 1e-6
@@ -254,7 +294,8 @@ class TestRegressionProtocols:
         xp = rng.standard_normal((256, IN_DIM))
         yp = rng.standard_normal((256, 5)) * 2.0 + 1.0
         ds = SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xp, yp))
-        fields, _ = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
+        (feats, test_feats), _ = regression_features(model, ds)
+        fields, _ = protocol_a(feats, test_feats, ds, lr=1e-3, steps=2000, seed=0)
         var = float(yp.var())
         assert abs(fields["protocol_a_mse"] - var) < 0.01 * var
 
@@ -268,27 +309,30 @@ class TestRegressionProtocols:
         p_fwd.layers[2].w.values[...] = w.T
         model = make_model(seed=2, p_fwd=p_fwd)
         ds = regression_dataset(model, np.random.default_rng(2))
-        fields_a, preds_a = protocol_a(model, ds, lr=1e-3, steps=2000, seed=0)
-        fields_b, preds_b = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        context, predicted = regression_features(model, ds)
+        fields_a, preds_a = protocol_a(*context, ds, lr=1e-3, steps=2000, seed=0)
+        fields_b, preds_b = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
         assert fields_a["protocol_a_mse"] == fields_b["protocol_b_mse"]
         assert np.array_equal(preds_a, preds_b)
 
     def test_probe_determinism(self):
         model = make_model(seed=3)
         ds = regression_dataset(model, np.random.default_rng(3))
-        fields_1, preds_1 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
-        fields_2, preds_2 = protocol_b(model, ds, lr=1e-3, steps=2000, seed=0)
+        _, predicted = regression_features(model, ds)
+        fields_1, preds_1 = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
+        fields_2, preds_2 = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
         assert fields_1["protocol_b_mse"] == fields_2["protocol_b_mse"]
         assert np.array_equal(preds_1, preds_2)
 
     def test_model_frozen_through_probing(self):
+        # the run's regression probes, the only probe code that holds the
+        # model: extraction and both fits change none of its networks
         model = make_model(seed=4)
         ds = regression_dataset(model, np.random.default_rng(4))
         prints = [fingerprint(n) for n in (model.online_encoder,
                                            model.target_encoder,
                                            model.p_fwd, model.p_bwd)]
-        protocol_a(model, ds, lr=1e-3, steps=50, seed=0)
-        protocol_b(model, ds, lr=1e-3, steps=50, seed=0)
+        cli._regression_probes(model, ds, {"probe_lr": 1e-3, "probe_steps": 50}, 0)
         after = [fingerprint(n) for n in (model.online_encoder,
                                           model.target_encoder,
                                           model.p_fwd, model.p_bwd)]
@@ -312,14 +356,13 @@ class TestRegressionProtocols:
 
         model = make_model(seed=5, p_bwd=Boom([]))
         ds = regression_dataset(model, np.random.default_rng(5))
-        protocol_a(model, ds, lr=1e-3, steps=20, seed=0)
-        protocol_b(model, ds, lr=1e-3, steps=20, seed=0)
+        cli._regression_probes(model, ds, {"probe_lr": 1e-3, "probe_steps": 20}, 0)
 
 
 def split_features(model, mnist):
     """The frozen embeddings of ``mnist``'s train and test views, the two
     arrays the image probes take."""
-    return _embed(model, mnist.train.x, False), _embed(model, mnist.test.x, False)
+    return cli._features(encode_for_inference, model, (mnist.train.x, mnist.test.x))
 
 
 def classification_fixture(rng, n_train=2000, n_test=4000):

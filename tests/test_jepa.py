@@ -320,8 +320,9 @@ class TestRestrictiveRegime:
         model, _ = make_model(mode=ConstraintMode.RESTRICTIVE)
         rng = np.random.default_rng(15)
         x, _ = batch(rng)
-        for fn in (encode_for_inference, predict_forward_for_inference):
-            norms = np.linalg.norm(fn(model, Tensor(x.values)).values, axis=1)
+        s = encode_for_inference(model, Tensor(x.values))
+        for emb in (s, predict_forward_for_inference(model, s)):
+            norms = np.linalg.norm(emb.values, axis=1)
             assert np.abs(norms - 1.0).max() < 1e-9
 
     def test_embedding_norm_metric_is_one(self):

@@ -8,9 +8,10 @@ import pytest
 
 from bijepa import eval as ev
 from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
-from bijepa.cli import _EXPERIMENTS, RunConfig, _build_model, effective_hyper
+from bijepa.cli import _EXPERIMENTS, RunConfig, _build_model, _features, effective_hyper
 from bijepa.data import ViewBatch
 from bijepa.eval import _ProbeStatistics, _train_regression_probe
+from bijepa.jepa import encode_for_inference, predict_forward_for_inference
 from bijepa.nn import (
     BatchNorm2d, LayerNorm, Linear, Network, ReLU, build_conv_encoder, build_mlp,
 )
@@ -144,8 +145,10 @@ class TestArchitectures:
         hyper, mode = effective_hyper(cfg)
         model = _build_model(cfg, hyper, mode)
         _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
-        ev.protocol_a(model, held_out, lr=1e-3, steps=1, seed=0)
-        ev.protocol_b(model, held_out, lr=1e-3, steps=1, seed=0)
+        context = _features(encode_for_inference, model, (held_out.probe.x, held_out.test.x))
+        predicted = _features(predict_forward_for_inference, model, context)
+        ev.protocol_a(*context, held_out, lr=1e-3, steps=1, seed=0)
+        ev.protocol_b(*predicted, held_out, lr=1e-3, steps=1, seed=0)
         assert [net.spec() for net in built_probes] == [reference_spec(probe)] * 2
 
     def test_image_probes(self, built_probes):
@@ -157,7 +160,7 @@ class TestArchitectures:
         views = ViewBatch(halves[0], halves[1], np.arange(4))
         mnist = SimpleNamespace(train=views, test=views)
         settings = {"lr": 1e-3, "epochs": 1, "seed": 0}
-        feats = ev._embed(model, views.x, False)
+        (feats,) = _features(encode_for_inference, model, (views.x,))
         ev.linear_probe_classify(feats, feats, mnist, **settings)
         ev.generative_decoder(feats, feats, mnist, **settings)
         assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
