@@ -84,12 +84,10 @@ class ExperimentReport:
     # each probe in eval returns what it measured under these names
     protocol_a_mse: float | None = None
     protocol_b_mse: float | None = None
-    # diagnostics beside the gated probe MSEs: the least-squares probe's
-    # test MSE, and the AdamW probe's MSE on the probe split
+    # the diagnostic beside each gated probe MSE: the least-squares
+    # probe's test MSE
     protocol_a_mse_exact: float | None = None
     protocol_b_mse_exact: float | None = None
-    protocol_a_train_mse: float | None = None
-    protocol_b_train_mse: float | None = None
     accuracy: float | None = None
     decoder_mse: float | None = None
     forecast: list = field(default_factory=list)

@@ -29,8 +29,8 @@ of two passes over the n probe rows and an autodiff graph. In exact
 arithmetic this is the same AdamW trajectory as autodiff on
 ``mse_loss(linear(F), T)``; in float64 the summation order differs, so
 results differ from that fit in the last digits only. The same
-statistics give the probe's final train-split MSE and the exact
-least-squares fit, reported next to the gated AdamW figure.
+statistics give the exact least-squares fit, reported next to the gated
+AdamW figure.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class _ProbeStatistics:
 
     gram: np.ndarray   # G, (d+1)×(d+1)
     cross: np.ndarray  # C, (d+1)×o
-    sq_norm: float     # ‖T‖²
     size: int          # n·o
 
     @classmethod
@@ -115,7 +114,7 @@ class _ProbeStatistics:
         cross = np.empty((d + 1, targets.shape[1]))
         cross[:d] = feats.T @ targets
         cross[d] = targets.sum(axis=0)
-        return cls(gram, cross, float(np.vdot(targets, targets)), targets.size)
+        return cls(gram, cross, targets.size)
 
     def gradient(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
         """∂MSE/∂Θ = (2/(n·o))·(GΘ − C), written into ``out``."""
@@ -123,13 +122,6 @@ class _ProbeStatistics:
         out -= self.cross
         out *= 2.0 / self.size
         return out
-
-    def mse(self, theta: np.ndarray) -> float:
-        """MSE(Θ) on the split the statistics came from, from G, C and ‖T‖²
-        alone. Rounding in the cancellation can dip just below zero at an
-        exact fit; that reads as 0."""
-        quad = np.vdot(theta, self.gram @ theta) - 2.0 * np.vdot(theta, self.cross)
-        return max(0.0, float(quad + self.sq_norm) / self.size)
 
     def least_squares(self) -> np.ndarray:
         """The Θ that minimizes the MSE: a solution of GΘ = C (the
@@ -174,10 +166,9 @@ def _regression_protocol(name: str, feats: np.ndarray, test_feats: np.ndarray, d
                          lr: float, steps: int, seed: int) -> tuple[dict, np.ndarray]:
     """Fit a probe from ``feats`` to ``dataset``'s probe-split targets and
     score it on ``test_feats`` against the test-split targets. Returns
-    the report fields ``{name}_mse`` (its test-split MSE),
-    ``{name}_mse_exact`` (the least-squares probe's test-split MSE) and
-    ``{name}_train_mse`` (its MSE on the probe split), and its test-split
-    predictions."""
+    the report fields ``{name}_mse`` (its test-split MSE) and
+    ``{name}_mse_exact`` (the least-squares probe's test-split MSE), and
+    its test-split predictions."""
     stats = _ProbeStatistics.of(feats, dataset.probe.y)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
         stats.cross.shape)
@@ -185,8 +176,7 @@ def _regression_protocol(name: str, feats: np.ndarray, test_feats: np.ndarray, d
     preds = _affine(test_feats, theta)
     return {f"{name}_mse": _mse(preds, test_targets),
             f"{name}_mse_exact": _mse(_affine(test_feats, stats.least_squares()),
-                                      test_targets),
-            f"{name}_train_mse": stats.mse(theta)}, preds
+                                      test_targets)}, preds
 
 
 def protocol_a(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,

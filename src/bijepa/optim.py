@@ -31,7 +31,7 @@ class AdamW:
     the gradient, the update is built in the gradient buffer itself.
     """
 
-    def __init__(self, nets: list[Network], lr: float, weight_decay: float = 0.0):
+    def __init__(self, nets: list[Network], lr: float, weight_decay: float):
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be >= 0, got {weight_decay}")
         nets = list(nets)

@@ -277,14 +277,12 @@ def test_criterion_05_lorenz_oracle():
     origin = integrate_lorenz((0.0, 0.0, 0.0), 10)
     origin_exact = bool(np.array_equal(origin, np.zeros((10, 3))))
 
-    rng = np.random.default_rng(123)
-    bounded = True
-    for _ in range(100):
-        t = integrate_lorenz(rng.uniform(-15, 15, 3), 4000)
-        bounded = bounded and (np.abs(t[:, 0]).max() < 60.0
-                               and np.abs(t[:, 1]).max() < 60.0
-                               and t[:, 2].min() > -30.0
-                               and t[:, 2].max() < 110.0)
+    # 100 trajectories in one call, each row bit-equal to its single run
+    t = integrate_lorenz(np.random.default_rng(123).uniform(-15, 15, (100, 3)), 4000)
+    bounded = bool(np.abs(t[..., 0]).max() < 60.0
+                   and np.abs(t[..., 1]).max() < 60.0
+                   and t[..., 2].min() > -30.0
+                   and t[..., 2].max() < 110.0)
     ok = step_err < 1e-12 and origin_exact and bounded
     record(5, "Lorenz oracle", ok,
            f"hand-step err {step_err:.1e}, origin exact={origin_exact}, "

@@ -37,7 +37,7 @@ TINY_SINE = {"steps": 60, "probe_steps": 40}
 
 # the report fields that each kind of probe measures
 REGRESSION_FIELDS = {f"protocol_{p}_{kind}" for p in "ab"
-                     for kind in ("mse", "mse_exact", "train_mse")}
+                     for kind in ("mse", "mse_exact")}
 IMAGE_FIELDS = {"accuracy", "decoder_mse"}
 
 
@@ -55,7 +55,7 @@ def measured_fields(report: ExperimentReport) -> set:
 def test_probe_kinds_measure_every_probe_field_once():
     assert not REGRESSION_FIELDS & IMAGE_FIELDS
     assert REGRESSION_FIELDS | IMAGE_FIELDS == probe_fields()
-    assert len(probe_fields()) == 8
+    assert len(probe_fields()) == 6
 
 
 class TestEffectiveHyper:
@@ -408,9 +408,8 @@ class TestRunArtifacts:
         assert report.protocol_a_mse is not None
         assert report.protocol_b_mse is not None
         for name in ("protocol_a", "protocol_b"):
-            for diagnostic in ("mse_exact", "train_mse"):
-                value = getattr(report, f"{name}_{diagnostic}")
-                assert math.isfinite(value) and value >= 0.0
+            value = getattr(report, f"{name}_mse_exact")
+            assert math.isfinite(value) and value >= 0.0
         assert report.accuracy is None and report.decoder_mse is None
         assert measured_fields(report) == REGRESSION_FIELDS
         assert len(report.loss_history) == TINY_SINE["steps"]
@@ -424,7 +423,7 @@ class TestRunArtifacts:
         assert back.final_train_loss == report.final_train_loss
         assert back.protocol_b_mse == report.protocol_b_mse
         assert back.protocol_a_mse_exact == report.protocol_a_mse_exact
-        assert back.protocol_b_train_mse == report.protocol_b_train_mse
+        assert back.protocol_b_mse_exact == report.protocol_b_mse_exact
         assert back.loss_history == report.loss_history
         assert back.config == report.config
         assert back.forecast == report.forecast
@@ -796,7 +795,7 @@ class TestMnistRun:
         assert report.accuracy is not None and 0.0 <= report.accuracy <= 1.0
         assert report.decoder_mse is not None
         assert report.protocol_a_mse is None
-        assert report.protocol_a_mse_exact is None and report.protocol_b_train_mse is None
+        assert report.protocol_a_mse_exact is None and report.protocol_b_mse_exact is None
         assert measured_fields(report) == IMAGE_FIELDS
         assert len(report.loss_history) == 2  # ceil(512/256)
         for i in range(8):

@@ -167,7 +167,7 @@ class TestParameterStorage:
     @staticmethod
     def registered_net():
         net = build_mlp((4, 8, 4), True, 0)
-        opt = AdamW([net], lr=1e-2)
+        opt = AdamW([net], lr=1e-2, weight_decay=0.0)
         return net, opt
 
     @staticmethod
@@ -191,7 +191,7 @@ class TestParameterStorage:
     def test_registration_keeps_values(self):
         net = build_mlp((4, 8, 4), True, 0)
         before = fingerprint(net)
-        AdamW([net], lr=1e-2)
+        AdamW([net], lr=1e-2, weight_decay=0.0)
         assert fingerprint(net) == before
 
     def test_clone_into_writes_optimizer_storage(self):
@@ -226,7 +226,7 @@ class TestParameterStorage:
     def test_duplicate_parameter_rejected(self):
         net = net_of(scalar_param(1.0))
         with pytest.raises(ValueError, match="more than once"):
-            AdamW([net, net], lr=1e-3)
+            AdamW([net, net], lr=1e-3, weight_decay=0.0)
 
     def test_updates_never_rebind_values(self):
         online = build_mlp((4, 8, 8, 3), True, 0)
@@ -250,7 +250,7 @@ class TestAdamWStep:
         # bias correction makes m_hat = g, v_hat = g^2 on step one, so the
         # update is sign(g)/(1+eps) regardless of magnitude
         p = scalar_param(1.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         p.grad = np.array([1.0])
         assert opt.step()
         expected = 1.0 - 1e-3 * (1.0 / (1.0 + 1e-8))
@@ -260,14 +260,14 @@ class TestAdamWStep:
         # update is g/(|g| + eps), so the size of g barely matters
         for g in (0.5, 2.0, 100.0):
             p = scalar_param(0.0)
-            opt = AdamW([net_of(p)], lr=1e-3)
+            opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
             p.grad = np.array([g])
             opt.step()
             assert abs(p.values[0] + 1e-3 * g / (g + 1e-8)) < 1e-18
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = scalar_param(3.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         p.grad = np.array([0.0])
         opt.step()
         assert p.values[0] == 3.0
@@ -282,13 +282,13 @@ class TestAdamWStep:
 
     def test_missing_grad_treated_as_zero(self):
         p = scalar_param(2.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         opt.step()
         assert p.values[0] == 2.0
 
     def test_quadratic_descent(self):
         p = scalar_param(5.0)
-        opt = AdamW([net_of(p)], lr=1e-2)
+        opt = AdamW([net_of(p)], lr=1e-2, weight_decay=0.0)
         seen = []
         for _ in range(1000):
             opt.zero_grad()
@@ -301,7 +301,7 @@ class TestAdamWStep:
     def test_nan_grad_aborts(self):
         p = scalar_param(1.0)
         q = scalar_param(2.0)
-        opt = AdamW([net_of(p, q)], lr=1e-3)
+        opt = AdamW([net_of(p, q)], lr=1e-3, weight_decay=0.0)
         p.grad = np.array([1.0])
         q.grad = np.array([np.nan])
         assert not opt.step()
@@ -310,13 +310,13 @@ class TestAdamWStep:
 
     def test_inf_grad_aborts(self):
         p = scalar_param(1.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         p.grad = np.array([np.inf])
         assert not opt.step()
 
     def test_zero_grad_clears_slots(self):
         p = scalar_param(1.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         p.grad = np.array([4.0])
         opt.zero_grad()
         assert p.grad is None
@@ -329,7 +329,7 @@ class TestAdamWStep:
     def test_two_step_moments(self):
         # hand-rolled two iterations with g = 1 then g = -1
         p = scalar_param(0.0)
-        opt = AdamW([net_of(p)], lr=1e-3)
+        opt = AdamW([net_of(p)], lr=1e-3, weight_decay=0.0)
         theta, m, v = 0.0, 0.0, 0.0
         for t, g in ((1, 1.0), (2, -1.0)):
             m = 0.9 * m + 0.1 * g
@@ -410,7 +410,7 @@ class TestEma:
         # optimizing the online net leaves the target bit-identical
         online, target = self.pair()
         before = fingerprint(target)
-        opt = AdamW([online], lr=1e-2)
+        opt = AdamW([online], lr=1e-2, weight_decay=0.0)
         for p in online.parameters():
             p.grad = np.ones_like(p.values)
         opt.step()
@@ -459,7 +459,7 @@ class TestEmaArena:
     def test_registered_online_keeps_optimizer_storage(self):
         online, target = self.pair()
         p_fwd = build_mlp((3, 8, 3), True, 2)
-        opt = AdamW([online, p_fwd], lr=1e-2)
+        opt = AdamW([online, p_fwd], lr=1e-2, weight_decay=0.0)
         for step in range(3):
             for p in online.parameters() + p_fwd.parameters():
                 p.grad = np.full_like(p.values, step + 1.0)
@@ -474,7 +474,7 @@ class TestEmaArena:
         want = self.expected(target, online, 0.9)
         ema_update(target, online, 0.9)
         self.assert_values(target, want)
-        opt = AdamW([online], lr=1e-2)
+        opt = AdamW([online], lr=1e-2, weight_decay=0.0)
         for p in online.parameters():
             p.grad = np.ones_like(p.values)
         assert opt.step()

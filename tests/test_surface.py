@@ -12,7 +12,7 @@ from pathlib import Path
 from bijepa import cli
 
 SRC = Path(cli.__file__).parent
-SETTABLE_VALUES = 41
+SETTABLE_VALUES = 38
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
