@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import csv
 import json
 import math
 import operator
@@ -474,34 +475,38 @@ def emit_outputs(report: ExperimentReport, out_dir, images) -> None:
     """Write report.json, loss.csv, forecast.csv, and the given
     reconstruction images, (file name, uint8 array) pairs, into out_dir.
 
-    report.json and the CSVs are streamed into their files as they are
-    encoded; report.json is the report's fields (the values themselves,
-    not deep copies) as indented JSON with sorted keys."""
+    report.json is the report's fields (the values themselves, not deep
+    copies) through ``_write_json``, and the CSVs go through
+    ``_write_csv``. A forecast record's values are read in column order,
+    since a report loaded from report.json has its records' keys sorted."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump({fd.name: getattr(report, fd.name) for fd in fields(report)}, fh,
-                  indent=2, sort_keys=True)
-
-    _write_csv(out / "loss.csv", "step,total,fwd,bwd,emb_norm", (
-        f"{step},{total!r},{fwd!r},{bwd!r},{norm!r}"
-        for step, total, fwd, bwd, norm in report.loss_history))
-
+    _write_json(out / "report.json", {fd.name: getattr(report, fd.name) for fd in fields(report)})
+    _write_csv(out / "loss.csv", ("step", "total", "fwd", "bwd", "emb_norm"),
+               report.loss_history)
     if report.forecast:
-        _write_csv(out / "forecast.csv", "sample,truth,proto_a,proto_b", (
-            f"{rec['sample']},{rec['truth']!r},{rec['proto_a']!r},{rec['proto_b']!r}"
-            for rec in report.forecast))
-
+        columns = ("sample", "truth", "proto_a", "proto_b")
+        _write_csv(out / "forecast.csv", columns,
+                   ([rec[c] for c in columns] for rec in report.forecast))
     for name, image in images:
         write_pgm(out / name, image)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """``header`` and then each row, one per line, streamed."""
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, streamed."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        f.writelines(row + "\n" for row in rows)
+        json.dump(obj, f, indent=2, sort_keys=True)
+
+
+def _write_csv(path: Path, columns: tuple, rows) -> None:
+    """A header of ``columns``, then each row of values, one per line,
+    streamed through ``csv.writer``: a float as its repr, None as an
+    empty field, anything else as its ``str``, and a field quoted only
+    where it holds a comma, a quote or a line break."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -587,25 +592,14 @@ def _suite_verdicts(rows, variants, experiment, seeds) -> dict:
 
 def _write_suite_csv(result: dict, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["experiment", "variant", "seed", "kind", "status", "error",
-                       *_METRICS, "diverged"])
-
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    rows = [[r["experiment"], r["variant"], r["seed"], "run", r["status"],
-             r["error"].replace(",", ";"), *[r[k] for k in _METRICS], r["diverged"]]
-            for r in result["rows"]]
+    rows = [[r["experiment"], r["variant"], r["seed"], "run", r["status"], r["error"],
+             *[r[k] for k in _METRICS], r["diverged"]] for r in result["rows"]]
     rows += [[result["experiment"], variant, "", "mean", f"n_ok={m['n_ok']}", "",
               *[m[k] for k in _METRICS], ""]
              for variant, m in result["means"].items()]
-    _write_csv(out / "suite.csv", header, (",".join(fmt(v) for v in row) for row in rows))
-    (out / "verdicts.json").write_text(
-        json.dumps(result["verdicts"], indent=2, sort_keys=True), encoding="utf-8")
+    _write_csv(out / "suite.csv", ("experiment", "variant", "seed", "kind", "status",
+                                   "error", *_METRICS, "diverged"), rows)
+    _write_json(out / "verdicts.json", result["verdicts"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Runner behavior: config validation, artifacts, determinism, suite
 aggregation, and the MNIST fetch helper."""
 
+import csv
 import ctypes
 import dataclasses
 import gzip
@@ -977,6 +978,42 @@ class TestSuite:
         assert "FileNotFoundError" in row["error"]
         assert result["means"]["classic"]["n_ok"] == 0
 
+    def test_member_error_survives_suite_csv(self, tmp_path, monkeypatch):
+        """A failed member's error reads back from suite.csv as it was
+        recorded, commas included."""
+        monkeypatch.delenv("BIJEPA_MNIST_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)  # no mnist-data here
+        result = run_suite([0], ["classic"], "mnist", out_dir=str(tmp_path / "suite"),
+                           overrides={"epochs": 1})
+        error = result["rows"][0]["error"]
+        assert "," in error
+        with open(tmp_path / "suite" / "suite.csv", newline="", encoding="utf-8") as f:
+            header, run_row, _ = csv.reader(f)
+        assert run_row[header.index("kind")] == "run"
+        assert run_row[header.index("error")] == error
+
+    def test_bytes_of_the_suite_files(self, tmp_path):
+        """suite.csv is a line per run and per variant mean, floats as
+        their repr and None as an empty field, and verdicts.json is the
+        verdicts' indented JSON, byte for byte."""
+        variants = ["bijepa-expressive", "classic"]
+        result = run_suite([0], variants, "sine", out_dir=str(tmp_path),
+                           overrides={"steps": 3, "probe_steps": 3})
+        lines = ["experiment,variant,seed,kind,status,error,final_train_loss,"
+                 "protocol_a_mse,protocol_b_mse,accuracy,decoder_mse,diverged"]
+        for r in result["rows"]:
+            assert r["diverged"] is False and r["accuracy"] is r["decoder_mse"] is None
+            lines.append(f"sine,{r['variant']},0,run,ok,,{r['final_train_loss']!r},"
+                         f"{r['protocol_a_mse']!r},{r['protocol_b_mse']!r},,,False")
+        for variant in variants:
+            m = result["means"][variant]
+            assert m["accuracy"] is m["decoder_mse"] is None
+            lines.append(f"sine,{variant},,mean,n_ok=1,,{m['final_train_loss']!r},"
+                         f"{m['protocol_a_mse']!r},{m['protocol_b_mse']!r},,,")
+        assert (tmp_path / "suite.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        expected_json = json.dumps(result["verdicts"], indent=2, sort_keys=True)
+        assert (tmp_path / "verdicts.json").read_bytes() == expected_json.encode()
+
 
 class TestMainEntry:
     def test_run_exit_zero(self, capsys):
@@ -1027,7 +1064,9 @@ def serve_directory(directory):
             pass
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown() returns at once
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     return server, f"http://127.0.0.1:{server.server_address[1]}/"
 
