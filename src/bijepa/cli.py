@@ -6,10 +6,12 @@ product of seeds and variants with an aggregate table), ``fetch-mnist``
 (download the four canonical IDX files). Exit codes: 0 success, 1 run
 error, 2 configuration error.
 
-This module alone writes the run directory: the probes in ``eval``
-return the report fields they measured and their test predictions, and
-``run`` turns those into ``report.json``, ``forecast.csv`` and the PGM
-triptychs. A run pins numpy's BLAS to one thread itself.
+This module alone knows the held-out splits' layout and writes the run
+directory: it hands each probe in ``eval`` its feature and target
+arrays, the probes return the report fields they measured and their
+test predictions, and ``run`` turns those into ``report.json``,
+``forecast.csv`` and the PGM triptychs. A run pins numpy's BLAS to one
+thread itself.
 """
 
 from __future__ import annotations
@@ -337,8 +339,8 @@ def _regression_probes(model: BiJepaModel, held_out, hyper: dict, seed: int):
     context = _features(jepa.encode_for_inference, model,
                         (held_out.probe.x, held_out.test.x))
     predicted = _features(jepa.predict_forward_for_inference, model, context)
-    measured_a, preds_a = protocol_a(*context, held_out, **settings)
-    measured_b, preds_b = protocol_b(*predicted, held_out, **settings)
+    measured_a, preds_a = protocol_a(*context, held_out.probe.y, held_out.test.y, **settings)
+    measured_b, preds_b = protocol_b(*predicted, held_out.probe.y, held_out.test.y, **settings)
     forecast = forecast_table(held_out.test, preds_a, preds_b)
     return {**measured_a, **measured_b, "forecast": forecast}, []
 
@@ -348,10 +350,12 @@ def _image_probes(model: BiJepaModel, views, hyper: dict, seed: int):
     embedding of each split, extracted once; returns (report fields,
     images): the decoder's triptychs."""
     settings = {"lr": hyper["probe_lr"], "epochs": hyper["probe_epochs"], "seed": seed}
-    feats = _features(jepa.encode_for_inference, model, (views.train.x, views.test.x))
-    measured_acc, _ = linear_probe_classify(*feats, views, **settings)
-    measured_dec, generated = generative_decoder(*feats, views, **settings)
-    return {**measured_acc, **measured_dec}, _triptychs(views.test, generated)
+    train, test = views.train, views.test
+    feats = _features(jepa.encode_for_inference, model, (train.x, test.x))
+    measured_acc, _ = linear_probe_classify(*feats, train.labels, test.labels, **settings)
+    measured_dec, generated = generative_decoder(
+        *feats, train.y.reshape(train.size, -1), test.y.reshape(test.size, -1), **settings)
+    return {**measured_acc, **measured_dec}, _triptychs(test, generated)
 
 
 def forecast_table(test_batch: ViewBatch, preds_a: np.ndarray,
@@ -430,8 +434,9 @@ _EXPERIMENTS = {
 
 
 def run(cfg: RunConfig) -> ExperimentReport:
-    """Train one configuration end to end, run its probes, and write all
-    artifacts when an output directory is configured."""
+    """Train one configuration end to end, run its probes unless a
+    non-finite loss stopped training, and write all artifacts when an
+    output directory is configured."""
     t0 = time.perf_counter()
     _keep_freed_heap()
     _one_blas_thread()
@@ -444,8 +449,10 @@ def run(cfg: RunConfig) -> ExperimentReport:
 
     batches, held_out = experiment.data(cfg, hyper)
     history, diverged = _train(model, opt, batches)
-    measured, images = experiment.probes(
-        model, held_out, hyper, derive_seed(cfg.seed, "probe"))
+    measured, images = {}, []
+    if math.isfinite(history[-1][1]):  # a run stopped by a non-finite loss is not probed
+        measured, images = experiment.probes(
+            model, held_out, hyper, derive_seed(cfg.seed, "probe"))
 
     report = ExperimentReport(
         config=_echo_config(cfg, hyper, mode),
@@ -475,10 +482,11 @@ def emit_outputs(report: ExperimentReport, out_dir, images) -> None:
     """Write report.json, loss.csv, forecast.csv, and the given
     reconstruction images, (file name, uint8 array) pairs, into out_dir.
 
-    report.json is the report's fields (the values themselves, not deep
-    copies) through ``_write_json``, and the CSVs go through
-    ``_write_csv``. A forecast record's values are read in column order,
-    since a report loaded from report.json has its records' keys sorted."""
+    report.json is the report's fields through ``_write_json``, so a
+    non-finite loss or probe figure reads null there, and the CSVs go
+    through ``_write_csv``, which keeps ``inf`` and ``nan`` as text. A
+    forecast record's values are read in column order, since a report
+    loaded from report.json has its records' keys sorted."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {fd.name: getattr(report, fd.name) for fd in fields(report)})
@@ -493,9 +501,25 @@ def emit_outputs(report: ExperimentReport, out_dir, images) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    """``obj`` as indented JSON with sorted keys, streamed."""
+    """``obj`` as strict, indented JSON with sorted keys, streamed: every
+    non-finite float is written as null, since JSON has no NaN or
+    Infinity."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), f, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float in it, at any depth, None. A
+    list that holds none is returned as it is, so a finite run's loss
+    history is read, not copied."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        items = [_finite_or_null(value) for value in obj]
+        return obj if all(map(operator.is_, items, obj)) else items
+    return obj
 
 
 def _write_csv(path: Path, columns: tuple, rows) -> None:
@@ -585,7 +609,7 @@ def _suite_verdicts(rows, variants, experiment, seeds) -> dict:
     metric, name, beats = _EXPERIMENTS[experiment].verdict
     ok = {(r["variant"], r["seed"]): r[metric] for r in rows if r["status"] == "ok"}
     wins = [beats(ok["bijepa-expressive", seed], ok["classic", seed]) for seed in seeds
-            if ok.get(("bijepa-expressive", seed)) is not None and ("classic", seed) in ok]
+            if None not in (ok.get(("bijepa-expressive", seed)), ok.get(("classic", seed)))]
     key = f"bijepa_beats_classic_{name}"
     return {key: bool(wins) and sum(wins) * 2 > len(wins), f"{key}_per_seed": wins}
 

@@ -6,17 +6,22 @@ B from the forward-predicted target embedding (encoder and predictor both
 frozen). The half-image experiment adds a linear classifier and a small
 generative decoder on frozen left-half embeddings.
 
-Each probe entry point returns ``(fields, predictions)``: the report
-fields it measured, keyed by their ``cli.ExperimentReport`` names, and
-its outputs on the test split. This module only measures; ``cli`` turns
-predictions into the run directory's forecast table and images.
+Every probe entry point takes four arrays, ``(feats, test_feats,
+targets, test_targets)``, and the settings it reads as keyword-only
+arguments, and returns ``(fields, predictions)``: the report fields it
+measured, keyed by their ``cli.ExperimentReport`` names, and its outputs
+on ``test_feats``. This module only measures. It knows neither the model
+nor a run's held-out splits: ``cli`` picks the rows and targets, and
+turns predictions into the run directory's forecast table and images.
 
-Every probe takes its train and test features as arrays and never sees
-the model, so it optimizes only its own parameters and no gradient can
-reach the model under evaluation. ``cli`` extracts the features once per
-run through ``_embed`` and hands each probe its arrays: protocol A the
-context embeddings, protocol B the forward predictor's outputs on those
-same embeddings, and the image probes the embeddings of each split.
+A probe never sees the model, so it optimizes only its own parameters
+and no gradient can reach the model under evaluation. ``cli`` extracts
+the features once per run through ``_embed`` and hands each probe its
+arrays: protocol A the context embeddings, protocol B the forward
+predictor's outputs on those same embeddings, and the image probes the
+embeddings of each split. Any readout of other targets (a backcast of
+the context window, a rollout's window k) is the same call with other
+target arrays.
 Feature extraction and the image probes' test predictions run under
 ``autodiff.no_grad``: no graph is recorded, so no forward context is
 kept beyond the op that uses it.
@@ -80,12 +85,6 @@ def _embed(fn, rows: np.ndarray) -> np.ndarray:
             outs.append(fn(Tensor(rows[start:stop])).values)
             start = stop
     return np.concatenate(outs, axis=0)
-
-
-def _predict(probe: Network, feats: np.ndarray) -> np.ndarray:
-    """A fitted probe's outputs on ``feats``, without recording a graph."""
-    with ad.no_grad():
-        return probe(Tensor(feats)).values
 
 
 @dataclass(frozen=True)
@@ -162,37 +161,40 @@ def _mse(preds: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((preds - targets) ** 2))
 
 
-def _regression_protocol(name: str, feats: np.ndarray, test_feats: np.ndarray, dataset,
+def _regression_protocol(name: str, feats: np.ndarray, test_feats: np.ndarray,
+                         targets: np.ndarray, test_targets: np.ndarray,
                          lr: float, steps: int, seed: int) -> tuple[dict, np.ndarray]:
-    """Fit a probe from ``feats`` to ``dataset``'s probe-split targets and
-    score it on ``test_feats`` against the test-split targets. Returns
-    the report fields ``{name}_mse`` (its test-split MSE) and
-    ``{name}_mse_exact`` (the least-squares probe's test-split MSE), and
-    its test-split predictions."""
-    stats = _ProbeStatistics.of(feats, dataset.probe.y)
+    """Fit a probe from ``feats`` to ``targets`` and score it on
+    ``test_feats`` against ``test_targets``. Returns the report fields
+    ``{name}_mse`` (its test MSE) and ``{name}_mse_exact`` (the
+    least-squares probe's test MSE), and its test predictions."""
+    stats = _ProbeStatistics.of(feats, targets)
     theta = _train_regression_probe(stats, lr, steps, seed).flat.reshape(
         stats.cross.shape)
-    test_targets = dataset.test.y
     preds = _affine(test_feats, theta)
     return {f"{name}_mse": _mse(preds, test_targets),
             f"{name}_mse_exact": _mse(_affine(test_feats, stats.least_squares()),
                                       test_targets)}, preds
 
 
-def protocol_a(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,
-               steps: int, seed: int) -> tuple[dict, np.ndarray]:
-    """Does the context embedding carry the target observation?
+def protocol_a(feats: np.ndarray, test_feats: np.ndarray, targets: np.ndarray,
+               test_targets: np.ndarray, *, lr: float, steps: int,
+               seed: int) -> tuple[dict, np.ndarray]:
+    """Does the context embedding carry the target?
 
-    ``feats`` and ``test_feats`` are the frozen context embeddings of
-    ``dataset``'s probe and test views. Trains a probe from them to the
-    flattened target window on the probe split; measures the
-    ``protocol_a_*`` fields on the test split.
+    ``feats`` and ``test_feats`` are frozen context embeddings of the
+    probe and test rows, and ``targets`` and ``test_targets`` the rows
+    they are read out to (in a run, the flattened target windows).
+    Trains a probe on the first pair; measures the ``protocol_a_*``
+    fields on the second.
     """
-    return _regression_protocol("protocol_a", feats, test_feats, dataset, lr, steps, seed)
+    return _regression_protocol("protocol_a", feats, test_feats, targets, test_targets,
+                                lr, steps, seed)
 
 
-def protocol_b(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,
-               steps: int, seed: int) -> tuple[dict, np.ndarray]:
+def protocol_b(feats: np.ndarray, test_feats: np.ndarray, targets: np.ndarray,
+               test_targets: np.ndarray, *, lr: float, steps: int,
+               seed: int) -> tuple[dict, np.ndarray]:
     """Can the frozen forward predictor forecast the target?
 
     Same probe setup as protocol A, but ``feats`` and ``test_feats`` are
@@ -200,63 +202,63 @@ def protocol_b(feats: np.ndarray, test_feats: np.ndarray, dataset, *, lr: float,
     to protocol A's context embeddings; measures the ``protocol_b_*``
     fields.
     """
-    return _regression_protocol("protocol_b", feats, test_feats, dataset, lr, steps, seed)
+    return _regression_protocol("protocol_b", feats, test_feats, targets, test_targets,
+                                lr, steps, seed)
 
 
-def _fit_epochs(feats: np.ndarray, test_feats: np.ndarray, out_widths: tuple,
-                loss_fn, lr: float, epochs: int, seed: int) -> np.ndarray:
+def _fit_epochs(feats: np.ndarray, test_feats: np.ndarray, targets: np.ndarray,
+                out_widths: tuple, loss_fn, lr: float, epochs: int, seed: int) -> np.ndarray:
     """Fit ``build_mlp((feature dim, *out_widths), False, seed)`` on the
     train features ``feats`` by mini-batch epochs with a seeded shuffle
-    per epoch; return its outputs on ``test_feats``.
+    per epoch; return its outputs on ``test_feats``, computed without
+    recording a graph.
 
-    ``loss_fn(outputs, rows)`` scores a batch against the train rows it
-    was drawn from.
+    ``loss_fn(outputs, targets[idx])`` scores a batch against the rows of
+    ``targets`` it was drawn from.
     """
     probe = build_mlp((feats.shape[1], *out_widths), False, derive_seed(seed, "probe-init"))
     opt = AdamW([probe], lr=lr, weight_decay=0.0)
     n, batch = feats.shape[0], _PROBE_BATCH
     batches = shuffled_epochs(n, batch, stream(seed, "probe-shuffle"), drop_last=False)
     for idx in itertools.islice(batches, epochs * math.ceil(n / batch)):
-        loss = loss_fn(probe(Tensor(feats[idx])), idx)
+        loss = loss_fn(probe(Tensor(feats[idx])), targets[idx])
         opt.zero_grad()
         loss.backward()
         opt.step()
     opt.zero_grad()
-    return _predict(probe, test_feats)
+    with ad.no_grad():
+        return probe(Tensor(test_feats)).values
 
 
-def linear_probe_classify(feats: np.ndarray, test_feats: np.ndarray, mnist, *,
-                          lr: float, epochs: int, seed: int) -> tuple[dict, np.ndarray]:
+def linear_probe_classify(feats: np.ndarray, test_feats: np.ndarray, targets: np.ndarray,
+                          test_targets: np.ndarray, *, lr: float, epochs: int,
+                          seed: int) -> tuple[dict, np.ndarray]:
     """Linear classifier on frozen left-half embeddings.
 
-    ``feats`` and ``test_feats`` are the embeddings of ``mnist``'s train
-    and test views, whose digit labels it fits and scores. Measures
-    ``accuracy`` on the test split; the predictions are its labels.
+    ``feats`` and ``test_feats`` are the embeddings of the train and test
+    rows, and ``targets`` and ``test_targets`` their digit labels.
+    Measures ``accuracy`` on the test rows; the predictions are its
+    labels.
     """
-    logits = _fit_epochs(
-        feats, test_feats, (10,),
-        lambda out, idx: ad.softmax_cross_entropy(out, mnist.train.labels[idx]),
-        lr, epochs, seed)
+    logits = _fit_epochs(feats, test_feats, targets, (10,), ad.softmax_cross_entropy,
+                         lr, epochs, seed)
     pred_labels = logits.argmax(axis=1)
-    return {"accuracy": float((pred_labels == mnist.test.labels).mean())}, pred_labels
+    return {"accuracy": float((pred_labels == test_targets).mean())}, pred_labels
 
 
-def generative_decoder(feats: np.ndarray, test_feats: np.ndarray, mnist, *,
-                       lr: float, epochs: int, seed: int) -> tuple[dict, np.ndarray]:
+def generative_decoder(feats: np.ndarray, test_feats: np.ndarray, targets: np.ndarray,
+                       test_targets: np.ndarray, *, lr: float, epochs: int,
+                       seed: int) -> tuple[dict, np.ndarray]:
     """Decoder from frozen left-half embeddings to right-half pixels.
 
-    ``feats`` and ``test_feats`` are the embeddings of ``mnist``'s train
-    and test views, whose right halves are the targets. A small MLP
-    (hidden 256) regresses the normalized right half.
-    Its test MSE, ``decoder_mse``, is rescaled by MNIST_STD**2 so it reads in
-    raw [0,1] pixel units (MSE is invariant to the mean shift, so the
-    factor is exact). Predictions stay in normalized units for image
-    dumps.
+    ``feats`` and ``test_feats`` are the embeddings of the train and test
+    rows, and ``targets`` and ``test_targets`` their normalized right
+    halves, one flattened row each. A small MLP (hidden 256) regresses
+    them. Its test MSE, ``decoder_mse``, is rescaled by MNIST_STD**2 so
+    it reads in raw [0,1] pixel units (MSE is invariant to the mean
+    shift, so the factor is exact). Predictions stay in normalized units
+    for image dumps.
     """
-    targets = mnist.train.y.reshape(mnist.train.size, -1)
-    preds = _fit_epochs(
-        feats, test_feats, (256, targets.shape[1]),
-        lambda out, idx: ad.mse_loss(out, Tensor(targets[idx])),
-        lr, epochs, seed)
-    test_targets = mnist.test.y.reshape(mnist.test.size, -1)
+    preds = _fit_epochs(feats, test_feats, targets, (256, targets.shape[1]),
+                        lambda out, rows: ad.mse_loss(out, Tensor(rows)), lr, epochs, seed)
     return {"decoder_mse": _mse(preds, test_targets) * MNIST_STD ** 2}, preds

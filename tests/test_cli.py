@@ -454,17 +454,21 @@ class TestRunArtifacts:
 
 class TestEmitOutputs:
     def test_bytes_of_the_buffered_forms(self, tmp_path):
-        """report.json is the deep-copied report's indented JSON, and the
-        CSVs are their line-joined forms, byte for byte."""
+        """report.json is the deep-copied report's indented JSON with each
+        non-finite float null, and the CSVs are their line-joined forms,
+        non-finite floats included, byte for byte."""
         report = ExperimentReport(
             config={"experiment": "sine", "nested": {"b": [1, 2.5], "a": None}},
-            final_train_loss=0.1, diverged=False, wall_time=1.25,
+            final_train_loss=math.nan, diverged=False, wall_time=1.25,
             loss_history=[[0, 1.0, 0.5, 0.5, 2.0], [1, math.nan, 0.1 / 3, math.inf, 1e-300]],
-            protocol_b_mse=0.2,
+            protocol_a_mse=-math.inf, protocol_b_mse=0.2,
             forecast=[{"sample": i, "truth": i / 7, "proto_a": -i / 3, "proto_b": 0.1 * i}
                       for i in range(3)])
         emit_outputs(report, tmp_path, [])
-        expected_json = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+        expected = dataclasses.asdict(report)
+        expected["final_train_loss"] = expected["protocol_a_mse"] = None
+        expected["loss_history"][1] = [1, None, 0.1 / 3, None, 1e-300]
+        expected_json = json.dumps(expected, indent=2, sort_keys=True, allow_nan=False)
         assert (tmp_path / "report.json").read_bytes() == expected_json.encode()
         lines = ["step,total,fwd,bwd,emb_norm"]
         for step, total, fwd, bwd, norm in report.loss_history:
@@ -475,6 +479,42 @@ class TestEmitOutputs:
             lines.append(f"{rec['sample']},{rec['truth']!r},"
                          f"{rec['proto_a']!r},{rec['proto_b']!r}")
         assert (tmp_path / "forecast.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def strict_json(path):
+    """The JSON document at ``path``, refusing NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestStoppedRun:
+    def test_non_finite_loss_writes_run_directory_unprobed(self, tmp_path, monkeypatch):
+        """A run whose loss overflows at step 1 stops training, runs no
+        probe, and still writes its report (strict JSON, probe fields
+        null) and a loss.csv that ends at the non-finite row."""
+        spec, probed = cli._EXPERIMENTS["sine"], []
+
+        def recording_probes(*args):
+            probed.append(args)
+            return spec.probes(*args)
+
+        monkeypatch.setitem(cli._EXPERIMENTS, "sine",
+                            dataclasses.replace(spec, probes=recording_probes))
+        with np.errstate(all="ignore"):
+            report = run(RunConfig("sine", "bijepa-unconstrained", out_dir=str(tmp_path),
+                                   overrides={"steps": 50, "probe_steps": 5, "lr": 1e60}))
+        assert probed == []
+        assert report.diverged and len(report.loss_history) == 2
+        written = strict_json(tmp_path / "report.json")
+        assert written["diverged"] is True
+        assert all(written[name] is None for name in probe_fields())
+        assert written["forecast"] == []
+        assert written["loss_history"][-1] == [1, None, None, None, None]
+        assert written["final_train_loss"] == report.final_train_loss
+        lines = (tmp_path / "loss.csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[-1] == "1,inf,inf,inf,inf"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "report.json"]
 
 
 class TestForecastTable:
@@ -655,9 +695,9 @@ class TestRegressionExtraction:
         def recording(name):
             probe = getattr(cli, name)
 
-            def call(feats, test_feats, dataset, **settings):
-                handed[name] = (feats, test_feats)
-                return probe(feats, test_feats, dataset, **settings)
+            def call(*arrays, **settings):
+                handed[name] = arrays
+                return probe(*arrays, **settings)
             return call
 
         spec = cli._EXPERIMENTS[experiment]
@@ -680,8 +720,11 @@ class TestRegressionExtraction:
             = embedded
         assert probe_x is held_out.probe.x and test_x is held_out.test.x
         assert s is context and test_s is test_context
-        assert all(a is b for a, b in zip(handed["protocol_a"], (context, test_context)))
-        assert all(a is b for a, b in zip(handed["protocol_b"], (predicted, test_predicted)))
+        targets = (held_out.probe.y, held_out.test.y)
+        for name, feats in (("protocol_a", (context, test_context)),
+                            ("protocol_b", (predicted, test_predicted))):
+            assert len(handed[name]) == 4
+            assert all(a is b for a, b in zip(handed[name], feats + targets))
 
 
 class TestMnistRun:
@@ -698,10 +741,18 @@ class TestMnistRun:
         assert len(list(out.glob("recon_*.pgm"))) == 24
 
     def test_each_split_is_embedded_once(self, tmp_path, monkeypatch):
-        # both image probes fit on the same two embeddings: train, then test
+        # both image probes fit on the same two embeddings: train, then
+        # test; the classifier reads the splits' labels and the decoder
+        # views of their right halves, one flattened row an image
         data = tmp_path / "idx"
         write_synthetic_mnist(data, n_train=64, n_test=16)
-        embed, embedded, handed = ev._embed, [], {}
+        embed, embedded, handed, held = ev._embed, [], {}, []
+        spec = cli._EXPERIMENTS["mnist"]
+
+        def recording_data(cfg, hyper):
+            batches, views = spec.data(cfg, hyper)
+            held.append(views)
+            return batches, views
 
         def recording_embed(fn, rows):
             out = embed(fn, rows)
@@ -711,21 +762,29 @@ class TestMnistRun:
         def recording(name):
             probe = getattr(cli, name)
 
-            def call(feats, test_feats, mnist, **settings):
-                handed[name] = (feats, test_feats)
-                return probe(feats, test_feats, mnist, **settings)
+            def call(*arrays, **settings):
+                handed[name] = arrays
+                return probe(*arrays, **settings)
             return call
 
         monkeypatch.setattr(ev, "_embed", recording_embed)
+        monkeypatch.setitem(cli._EXPERIMENTS, "mnist",
+                            dataclasses.replace(spec, data=recording_data))
         for name in ("linear_probe_classify", "generative_decoder"):
             monkeypatch.setattr(cli, name, recording(name))
         run(RunConfig("mnist", "bijepa-expressive", seed=0, mnist_dir=str(data),
                       overrides={"epochs": 1, "probe_epochs": 1}))
+        (views,) = held
         assert [rows.shape[0] for rows, _ in embedded] == [64, 16]
-        feats, test_feats = handed["linear_probe_classify"]
+        feats, test_feats, labels, test_labels = handed["linear_probe_classify"]
         assert feats is embedded[0][1] and test_feats is embedded[1][1]
-        assert handed["generative_decoder"][0] is feats
-        assert handed["generative_decoder"][1] is test_feats
+        assert labels is views.train.labels and test_labels is views.test.labels
+        dec_feats, dec_test_feats, pixels, test_pixels = handed["generative_decoder"]
+        assert dec_feats is feats and dec_test_feats is test_feats
+        for flat, split in ((pixels, views.train), (test_pixels, views.test)):
+            assert flat.shape == (split.size, 392)
+            assert np.shares_memory(flat, split.y)
+            assert np.array_equal(flat, split.y.reshape(split.size, -1))
 
     def test_emb_dim_sets_conv_encoder_width(self, tmp_path, monkeypatch):
         data = tmp_path / "idx"
@@ -991,6 +1050,17 @@ class TestSuite:
             header, run_row, _ = csv.reader(f)
         assert run_row[header.index("kind")] == "run"
         assert run_row[header.index("error")] == error
+
+    def test_verdicts_skip_seeds_with_a_null_metric(self):
+        """A seed where either variant finished ok without the metric (a
+        stopped run is not probed) counts in no verdict."""
+        metrics = {"bijepa-expressive": [0.1, 0.1, None, 0.1],
+                   "classic": [0.2, None, 0.2, 0.3]}
+        rows = [{"variant": variant, "seed": seed, "status": "ok", "protocol_b_mse": value}
+                for variant, values in metrics.items() for seed, value in enumerate(values)]
+        verdicts = cli._suite_verdicts(rows, list(metrics), "sine", [0, 1, 2, 3])
+        assert verdicts == {"bijepa_beats_classic_protoB": True,
+                            "bijepa_beats_classic_protoB_per_seed": [True, True]}
 
     def test_bytes_of_the_suite_files(self, tmp_path):
         """suite.csv is a line per run and per variant mean, floats as

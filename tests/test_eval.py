@@ -12,7 +12,7 @@ from bijepa import autodiff as ad, cli, eval as ev
 from bijepa.autodiff import Tensor
 from bijepa.data import MNIST_STD, ViewBatch
 from bijepa.eval import (
-    _affine, _embed, _mse, _predict, _ProbeStatistics, _train_regression_probe,
+    _affine, _embed, _mse, _ProbeStatistics, _train_regression_probe,
     generative_decoder, linear_probe_classify, protocol_a, protocol_b,
 )
 from bijepa.jepa import (
@@ -147,7 +147,8 @@ class TestSufficientStatisticsProbe:
         model = make_model(seed=6)
         ds = regression_dataset(model, np.random.default_rng(6), realizable=False)
         _, (feats, test_feats) = regression_features(model, ds)
-        fields, _ = protocol_b(feats, test_feats, ds, lr=1e-3, steps=100, seed=0)
+        fields, _ = protocol_b(feats, test_feats, ds.probe.y, ds.test.y, lr=1e-3, steps=100,
+                               seed=0)
         assert set(fields) == {"protocol_b_mse", "protocol_b_mse_exact"}
         ones = np.ones((feats.shape[0], 1))
         coef = np.linalg.lstsq(np.hstack([feats, ones]), ds.probe.y,
@@ -250,7 +251,7 @@ class TestFeatureGraphs:
         handed = []
 
         def recording(name, preds):
-            def probe(feats, test_feats, views, **settings):
+            def probe(feats, test_feats, targets, test_targets, **settings):
                 handed.append(feats)
                 return {name: 0.0}, preds
             return probe
@@ -272,9 +273,24 @@ class TestRegressionProtocols:
         model = make_model()
         ds = regression_dataset(model, np.random.default_rng(0))
         (feats, test_feats), _ = regression_features(model, ds)
-        fields, _ = protocol_a(feats, test_feats, ds, lr=1e-2, steps=4000, seed=0)
+        fields, _ = protocol_a(feats, test_feats, ds.probe.y, ds.test.y, lr=1e-2, steps=4000,
+                               seed=0)
         assert set(fields) == {"protocol_a_mse", "protocol_a_mse_exact"}
         assert fields["protocol_a_mse"] < 1e-6
+
+    def test_self_readout_targets_are_arrays(self):
+        # a readout whose targets are no split's .y: the context window
+        # itself, read back from its own embedding
+        model = make_model(seed=6)
+        ds = regression_dataset(model, np.random.default_rng(6))
+        (feats, test_feats), _ = regression_features(model, ds)
+        fields, preds = protocol_a(feats, test_feats, ds.probe.x, ds.test.x,
+                                   lr=1e-3, steps=50, seed=0)
+        assert preds.shape == ds.test.x.shape
+        design = np.hstack([feats, np.ones((feats.shape[0], 1))])
+        coef = np.linalg.lstsq(design, ds.probe.x, rcond=None)[0]
+        exact = float(np.mean((test_feats @ coef[:-1] + coef[-1] - ds.test.x) ** 2))
+        assert fields["protocol_a_mse_exact"] == pytest.approx(exact, rel=1e-9)
 
     def test_collapsed_encoder_hits_variance_floor(self):
         # a constant embedding admits only constant predictions, so the
@@ -288,7 +304,7 @@ class TestRegressionProtocols:
         yp = rng.standard_normal((256, 5)) * 2.0 + 1.0
         ds = SimpleNamespace(probe=ViewBatch(xp, yp), test=ViewBatch(xp, yp))
         (feats, test_feats), _ = regression_features(model, ds)
-        fields, _ = protocol_a(feats, test_feats, ds, lr=1e-3, steps=2000, seed=0)
+        fields, _ = protocol_a(feats, test_feats, yp, yp, lr=1e-3, steps=2000, seed=0)
         var = float(yp.var())
         assert abs(fields["protocol_a_mse"] - var) < 0.01 * var
 
@@ -303,8 +319,9 @@ class TestRegressionProtocols:
         model = make_model(seed=2, p_fwd=p_fwd)
         ds = regression_dataset(model, np.random.default_rng(2))
         context, predicted = regression_features(model, ds)
-        fields_a, preds_a = protocol_a(*context, ds, lr=1e-3, steps=2000, seed=0)
-        fields_b, preds_b = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
+        targets = ds.probe.y, ds.test.y
+        fields_a, preds_a = protocol_a(*context, *targets, lr=1e-3, steps=2000, seed=0)
+        fields_b, preds_b = protocol_b(*predicted, *targets, lr=1e-3, steps=2000, seed=0)
         assert fields_a["protocol_a_mse"] == fields_b["protocol_b_mse"]
         assert np.array_equal(preds_a, preds_b)
 
@@ -312,8 +329,9 @@ class TestRegressionProtocols:
         model = make_model(seed=3)
         ds = regression_dataset(model, np.random.default_rng(3))
         _, predicted = regression_features(model, ds)
-        fields_1, preds_1 = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
-        fields_2, preds_2 = protocol_b(*predicted, ds, lr=1e-3, steps=2000, seed=0)
+        targets = ds.probe.y, ds.test.y
+        fields_1, preds_1 = protocol_b(*predicted, *targets, lr=1e-3, steps=2000, seed=0)
+        fields_2, preds_2 = protocol_b(*predicted, *targets, lr=1e-3, steps=2000, seed=0)
         assert fields_1["protocol_b_mse"] == fields_2["protocol_b_mse"]
         assert np.array_equal(preds_1, preds_2)
 
@@ -339,7 +357,9 @@ class TestRegressionProtocols:
                                         1e-3, 3, 0)
         theta = probe.flat.reshape(d + 1, o)
         test_feats = np.random.default_rng(n).standard_normal((n + 3, d))
-        assert _affine(test_feats, theta).tobytes() == _predict(probe, test_feats).tobytes()
+        with ad.no_grad():
+            network = probe(Tensor(test_feats)).values
+        assert _affine(test_feats, theta).tobytes() == network.tobytes()
 
     def test_backward_predictor_never_evaluated(self):
         class Boom(Network):
@@ -358,6 +378,18 @@ def split_features(model, mnist):
     return cli._features(encode_for_inference, model, (mnist.train.x, mnist.test.x))
 
 
+def split_labels(mnist):
+    """The digit labels of ``mnist``'s train and test views, the image
+    classifier's targets."""
+    return mnist.train.labels, mnist.test.labels
+
+
+def split_right_halves(mnist):
+    """The flattened right halves of ``mnist``'s train and test views,
+    the decoder's targets, as ``cli._image_probes`` hands them over."""
+    return tuple(v.y.reshape(v.size, -1) for v in (mnist.train, mnist.test))
+
+
 def classification_fixture(rng, n_train=2000, n_test=4000):
     xtr = rng.standard_normal((n_train, IN_DIM))
     xte = rng.standard_normal((n_test, IN_DIM))
@@ -370,7 +402,7 @@ class TestClassifierProbe:
     def test_random_features_random_labels_chance_level(self):
         model = make_model(seed=2)
         mn = classification_fixture(np.random.default_rng(0))
-        fields, _ = linear_probe_classify(*split_features(model, mn), mn,
+        fields, _ = linear_probe_classify(*split_features(model, mn), *split_labels(mn),
                                           lr=1e-2, epochs=10, seed=0)
         assert set(fields) == {"accuracy"}
         assert 0.08 <= fields["accuracy"] <= 0.12
@@ -385,14 +417,14 @@ class TestClassifierProbe:
         mn = SimpleNamespace(
             train=ViewBatch(x[:2000], x[:2000], labels=labels[:2000]),
             test=ViewBatch(x[2000:], x[2000:], labels=labels[2000:]))
-        fields, _ = linear_probe_classify(*split_features(model, mn), mn,
+        fields, _ = linear_probe_classify(*split_features(model, mn), *split_labels(mn),
                                           lr=1e-2, epochs=10, seed=0)
         assert fields["accuracy"] > 0.95
 
     def test_prediction_vector_shape(self):
         model = make_model(seed=8)
         mn = classification_fixture(np.random.default_rng(8), n_test=500)
-        _, pred_labels = linear_probe_classify(*split_features(model, mn), mn,
+        _, pred_labels = linear_probe_classify(*split_features(model, mn), *split_labels(mn),
                                                lr=1e-3, epochs=1, seed=0)
         assert pred_labels.shape == (500,)
         assert set(np.unique(pred_labels)) <= set(range(10))
@@ -423,7 +455,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:100], imgs[:100]))
         model = self.conv_free_model(9)
-        fields, preds = generative_decoder(*split_features(model, mn), mn,
+        fields, preds = generative_decoder(*split_features(model, mn), *split_right_halves(mn),
                                            lr=1e-3, epochs=2, seed=0)
         assert set(fields) == {"decoder_mse"}
         assert preds.shape == (100, 392)
@@ -435,7 +467,7 @@ class TestGenerativeDecoder:
         mn = SimpleNamespace(train=ViewBatch(imgs, imgs),
                              test=ViewBatch(imgs[:64], imgs[:64]))
         model = self.conv_free_model(10)
-        fields, preds = generative_decoder(*split_features(model, mn), mn,
+        fields, preds = generative_decoder(*split_features(model, mn), *split_right_halves(mn),
                                            lr=1e-3, epochs=1, seed=0)
         # the reported MSE reads in raw pixel units, the predictions stay normalized
         assert fields["decoder_mse"] == _mse(preds, imgs[:64]) * MNIST_STD ** 2

@@ -1,7 +1,6 @@
 """Network construction and its seeded draws, copies, and buffers."""
 
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from bijepa import eval as ev
 from bijepa.autodiff import BN_MOMENTUM, Tensor, sum_all
 from bijepa.cli import _EXPERIMENTS, RunConfig, _build_model, _features, effective_hyper
-from bijepa.data import ViewBatch
 from bijepa.eval import _ProbeStatistics, _train_regression_probe
 from bijepa.jepa import encode_for_inference, predict_forward_for_inference
 from bijepa.nn import (
@@ -147,8 +145,9 @@ class TestArchitectures:
         _, held_out = _EXPERIMENTS[experiment].data(cfg, hyper)
         context = _features(encode_for_inference, model, (held_out.probe.x, held_out.test.x))
         predicted = _features(predict_forward_for_inference, model, context)
-        ev.protocol_a(*context, held_out, lr=1e-3, steps=1, seed=0)
-        ev.protocol_b(*predicted, held_out, lr=1e-3, steps=1, seed=0)
+        targets = held_out.probe.y, held_out.test.y
+        ev.protocol_a(*context, *targets, lr=1e-3, steps=1, seed=0)
+        ev.protocol_b(*predicted, *targets, lr=1e-3, steps=1, seed=0)
         assert [net.spec() for net in built_probes] == [reference_spec(probe)] * 2
 
     def test_image_probes(self, built_probes):
@@ -157,12 +156,11 @@ class TestArchitectures:
         model = _build_model(cfg, hyper, mode)
         rng = np.random.default_rng(1)
         halves = rng.standard_normal((2, 4, 1, 28, 14))
-        views = ViewBatch(halves[0], halves[1], np.arange(4))
-        mnist = SimpleNamespace(train=views, test=views)
+        labels, pixels = np.arange(4), halves[1].reshape(4, -1)
         settings = {"lr": 1e-3, "epochs": 1, "seed": 0}
-        (feats,) = _features(encode_for_inference, model, (views.x,))
-        ev.linear_probe_classify(feats, feats, mnist, **settings)
-        ev.generative_decoder(feats, feats, mnist, **settings)
+        (feats,) = _features(encode_for_inference, model, (halves[0],))
+        ev.linear_probe_classify(feats, feats, labels, labels, **settings)
+        ev.generative_decoder(feats, feats, pixels, pixels, **settings)
         assert [net.spec() for net in built_probes] == [reference_spec("classifier"),
                                                         reference_spec("decoder")]
 
